@@ -25,17 +25,26 @@ simulation, so :class:`ParallelExecutor` fans them out over a
   under a metrics-only :class:`TelemetrySession` and its counters are
   returned for the parent session to absorb (telemetry is observation
   only, so the report digests are unaffected).
+
+The simulation service does not batch: it runs one job at a time per
+slot through :meth:`ParallelExecutor.run_one`, which keeps a warm
+one-worker process per concurrent caller (lazy spawn, reuse across jobs,
+kill-and-replace on timeout or crash, reaped by ``close()``).
 """
 
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.report import SimulationReport
 from repro.core.simulation import Simulation
@@ -172,8 +181,48 @@ def _pool_worker(
     return index, report, wall_s, metrics
 
 
+def _exit_with_parent() -> None:
+    """Slot initializer.  A warm worker idles between jobs, so it would
+    outlive a daemon that died without ``close()`` (SIGKILL, OOM): watch
+    the parent and go with it."""
+    parent = multiprocessing.parent_process()
+    assert parent is not None  # only ever runs in a pool worker
+
+    def _watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _reap(pool: ProcessPoolExecutor, kill: bool) -> None:
+    """Shut one slot down and wait until its worker is gone.  ``kill``
+    first when the worker may still be inside a job (or wedged in one)."""
+    if kill:
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                proc.kill()
+            except (OSError, AttributeError):
+                pass
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _reap_idle(idle: Dict[str, List[ProcessPoolExecutor]]) -> None:
+    """Shut down every parked slot.  Doubles as the executor's finalizer,
+    which is why it takes the idle map rather than the executor."""
+    for pools in idle.values():
+        while pools:
+            _reap(pools.pop(), kill=False)
+
+
 class ParallelExecutor:
-    """Fans independent :class:`RunSpec` configurations over processes."""
+    """Fans independent :class:`RunSpec` configurations over processes.
+
+    :meth:`map` builds a pool per call.  :meth:`run_one` keeps warm
+    one-worker slots between calls, so an executor that has served
+    ``run_one`` owns processes: use it as a context manager or call
+    :meth:`close` (a finalizer reaps them if the executor is dropped).
+    """
 
     def __init__(
         self,
@@ -195,6 +244,15 @@ class ParallelExecutor:
                 else _pool_worker
             )
         self._worker = worker  # injectable for crash-path tests
+        # Warm run_one slots, parked by start method.  run_one is called
+        # from several threads at once (one per service slot), so the
+        # idle map, the counters and the closed flag share one lock.
+        self._idle: Dict[str, List[ProcessPoolExecutor]] = {}
+        self._slot_lock = threading.Lock()
+        self._closed = False
+        self.workers_spawned = 0
+        self.worker_reuses = 0
+        weakref.finalize(self, _reap_idle, self._idle)
 
     # ------------------------------------------------------------------ #
 
@@ -245,40 +303,49 @@ class ParallelExecutor:
         timeout: Optional[float] = None,
         start_method: str = "spawn",
     ) -> PoolResult:
-        """Run one spec in a dedicated, crash-isolated worker process.
+        """Run one spec in a warm, crash-isolated worker process.
 
         The execution path the simulation service's dispatcher fans jobs
-        out through: unlike :meth:`map` (which runs a single spec
-        in-process), ``run_one`` always pays for a one-worker pool so that
+        out through.  Each call checks a *slot* — a one-worker process
+        pool — out of this executor's idle list, runs the spec in it, and
+        parks the slot again on success, so consecutive jobs are served
+        by the same interpreter with the simulator already imported.  A
+        slot is created lazily when the idle list is empty, so there are
+        at most as many worker processes as concurrent callers; a cold
+        start is just the first use of a slot.  Measured on
+        ``benchmarks/e2e`` ``service.fresh``, the interpreter start plus
+        import a fresh process pays is ~230 ms against a ~70 ms kernel —
+        reuse takes it off every job but the first.
+
+        Reuse does not weaken isolation between a job and the daemon:
 
         - a worker crash surfaces as :class:`WorkerCrashError` naming the
           job (exactly one attempt — the *caller* owns the retry/backoff
           policy, which lets the service apply exponential backoff between
-          attempts instead of the pool's immediate resubmission);
-        - ``timeout`` (wall seconds) kills the worker outright and raises
-          :class:`ExecutionTimeoutError`, so a runaway configuration
-          cannot wedge a service worker slot forever.
+          attempts instead of the pool's immediate resubmission) and the
+          slot is discarded;
+        - ``timeout`` (wall seconds) kills the worker outright, discards
+          the slot and raises :class:`ExecutionTimeoutError`, so a runaway
+          configuration cannot wedge a service worker slot forever;
+        - any other exception (a deterministic simulation failure)
+          propagates, and the slot is discarded too: only a worker that
+          finished its last job cleanly is ever reused.
+
+        One worker per slot is deliberate: killing one worker of a shared
+        N-worker pool breaks the pool under every sibling job.
 
         ``start_method`` defaults to ``spawn`` because the service calls
         this from worker threads of a live asyncio process — forking a
         multi-threaded daemon risks inheriting held locks, while a spawned
-        child starts clean (the ~fraction-of-a-second interpreter start is
-        noise against multi-second simulations).
+        child starts clean.  Idle slots are reaped by :meth:`close`.
         """
-        import multiprocessing
-
-        context = multiprocessing.get_context(start_method)
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
+        pool = self._checkout(start_method)
+        reusable = False
         try:
             future = pool.submit(self._worker, 0, spec, self.collect_metrics)
             try:
                 _, report, wall_s, metrics = future.result(timeout=timeout)
             except FuturesTimeoutError:
-                for proc in (getattr(pool, "_processes", None) or {}).values():
-                    try:
-                        proc.kill()
-                    except (OSError, AttributeError):
-                        pass
                 raise ExecutionTimeoutError(
                     f"{spec_label(spec)} exceeded its {timeout:g}s limit; "
                     "worker killed"
@@ -287,9 +354,48 @@ class ParallelExecutor:
                 raise WorkerCrashError(
                     f"worker crashed running {spec_label(spec)}"
                 ) from None
+            reusable = True
             return PoolResult(report, wall_s, metrics)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._checkin(pool, start_method, reusable)
+
+    def close(self) -> None:
+        """Reap every idle warm worker; :meth:`run_one` may not be called
+        again.  A slot still running a job is reaped when that job ends."""
+        with self._slot_lock:
+            self._closed = True
+        _reap_idle(self._idle)
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _checkout(self, start_method: str) -> ProcessPoolExecutor:
+        with self._slot_lock:
+            if self._closed:
+                raise RuntimeError("run_one called on a closed ParallelExecutor")
+            idle = self._idle.get(start_method)
+            if idle:
+                self.worker_reuses += 1
+                return idle.pop()
+            self.workers_spawned += 1
+        return ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context(start_method),
+            initializer=_exit_with_parent,
+        )
+
+    def _checkin(
+        self, pool: ProcessPoolExecutor, start_method: str, reusable: bool
+    ) -> None:
+        if reusable:
+            with self._slot_lock:
+                if not self._closed:
+                    self._idle.setdefault(start_method, []).append(pool)
+                    return
+        _reap(pool, kill=not reusable)
 
     # ------------------------------------------------------------------ #
 

@@ -15,15 +15,27 @@ within a priority) it asks, in order:
    batch — the service-side analogue of the pool's "parallel equals
    serial" contract.
 3. **Otherwise execute.**  The job takes a worker slot and runs through
-   :meth:`ParallelExecutor.run_one` in a dedicated, crash-isolated
-   process with a per-job wall-time limit.  A crashed worker is retried
-   with bounded exponential backoff (``retry_backoff_s * 2**attempt``);
-   deterministic simulation errors are never retried (they would fail
-   identically); a timeout kills the worker and fails the job.
+   :meth:`ParallelExecutor.run_one` in a warm, crash-isolated worker
+   process with a per-job wall-time limit.  The process is spawned by
+   the first job that needs it and reused by every later one (at most
+   ``jobs`` of them, one per busy slot): on ``benchmarks/e2e``
+   ``service.fresh`` a fresh interpreter plus the simulator import cost
+   ~230 ms per job against a ~70 ms kernel, which is why it is paid
+   once per slot and not once per job.  A crashed worker is replaced
+   and the job retried with bounded exponential backoff
+   (``retry_backoff_s * 2**attempt``); deterministic simulation errors
+   are never retried (they would fail identically); a timeout kills the
+   worker, fails the job, and the next job gets a new process.
 
 Duplicates are detected *before* slot acquisition: even with every slot
 busy, a job whose key matches an in-flight run (or a cached report) is
 coalesced immediately instead of queueing behind unrelated work.
+
+The dispatcher owns the executor and therefore the worker processes:
+:meth:`Dispatcher.close` reaps them, and the server calls it at the end
+of shutdown.  Per-job bookkeeping (spec, key, cache probe, done event)
+is dropped on the job's terminal transition, so a long-lived daemon
+retains only the store's job records.
 
 All dispatcher state lives on the server's event loop; the only
 cross-thread boundary is the executor call itself (``asyncio.to_thread``).
@@ -58,8 +70,9 @@ from repro.telemetry import MetricsRegistry
 __all__ = ["Dispatcher", "RunJob"]
 
 #: The execution seam: an async callable running one spec under a wall-time
-#: limit.  The default spawns a crash-isolated pool worker; tests inject
-#: in-process fakes to exercise crash/retry/timeout paths deterministically.
+#: limit.  The default runs it in a warm crash-isolated pool worker; tests
+#: inject in-process fakes to exercise crash/retry/timeout paths
+#: deterministically.
 RunJob = Callable[[RunSpec, Optional[float]], Awaitable[PoolResult]]
 
 #: Job-latency histogram bucket bounds, in milliseconds (the registry's
@@ -117,6 +130,7 @@ class Dispatcher:
         # rather than omitting them before the first job arrives.
         self.metrics.gauge("service.queue_depth").set(0)
         self.metrics.gauge("service.inflight").set(0)
+        self._publish_worker_counts()
 
     # ------------------------------------------------------------------ #
     # Queue interface (called from the server, same event loop)
@@ -140,12 +154,16 @@ class Dispatcher:
         self._notify()
 
     def done_event(self, job_id: str) -> asyncio.Event:
+        """The event set on the job's terminal transition.  A job already
+        terminal gets a pre-set event that is not retained."""
+        record = self.store.jobs.get(job_id)
+        if record is not None and record.terminal:
+            event = asyncio.Event()
+            event.set()
+            return event
         event = self._events.get(job_id)
         if event is None:
             event = self._events[job_id] = asyncio.Event()
-            record = self.store.jobs.get(job_id)
-            if record is not None and record.terminal:
-                event.set()
         return event
 
     def cancel(self, record: JobRecord) -> bool:
@@ -158,7 +176,7 @@ class Dispatcher:
         self._queued -= 1
         self.metrics.counter("service.cancelled").inc()
         self.metrics.gauge("service.queue_depth").set(self._queued)
-        self.done_event(record.job_id).set()
+        self._forget(record.job_id)
         self._notify()
         return True
 
@@ -176,6 +194,11 @@ class Dispatcher:
         """Wait for every in-flight execution task to settle (shutdown)."""
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
+
+    def close(self) -> None:
+        """Reap the warm worker processes.  Blocks while they exit: call
+        it off the event loop, after :meth:`join`."""
+        self._executor.close()
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -273,8 +296,21 @@ class Dispatcher:
     async def _pool_run_job(
         self, spec: RunSpec, timeout: Optional[float]
     ) -> PoolResult:
-        """Default execution seam: a dedicated crash-isolated pool worker."""
-        return await asyncio.to_thread(self._executor.run_one, spec, timeout)
+        """Default execution seam: a warm crash-isolated pool worker."""
+        try:
+            return await asyncio.to_thread(self._executor.run_one, spec, timeout)
+        finally:
+            self._publish_worker_counts()
+
+    def _publish_worker_counts(self) -> None:
+        """Mirror the executor's slot counts (kept on its own threads)
+        into the registry, on the loop like every other instrument."""
+        self.metrics.counter("service.workers_spawned").value = (
+            self._executor.workers_spawned
+        )
+        self.metrics.counter("service.worker_reuses").value = (
+            self._executor.worker_reuses
+        )
 
     async def _execute(self, execution: _Execution, key: str) -> None:
         record = execution.leader
@@ -376,7 +412,7 @@ class Dispatcher:
         )
         self.metrics.counter("service.completed").inc()
         self._observe_latency(record)
-        self.done_event(record.job_id).set()
+        self._forget(record.job_id)
 
     def _fail(
         self,
@@ -397,7 +433,17 @@ class Dispatcher:
         )
         self.metrics.counter("service.failed").inc()
         self._observe_latency(record)
-        self.done_event(record.job_id).set()
+        self._forget(record.job_id)
+
+    def _forget(self, job_id: str) -> None:
+        """Drop a terminal job's bookkeeping and wake whoever waits on it.
+        Waiters hold the event itself; later ones get a pre-set one."""
+        self._specs.pop(job_id, None)
+        self._keys.pop(job_id, None)
+        self._probed.pop(job_id, None)
+        event = self._events.pop(job_id, None)
+        if event is not None:
+            event.set()
 
     def _observe_latency(self, record: JobRecord) -> None:
         if record.finished_at is None or record.submitted_at <= 0:

@@ -26,6 +26,9 @@ Shutdown semantics:
 - :meth:`ServiceDaemon.stop` is the programmatic graceful stop;
 - :meth:`ServiceDaemon.kill` stops the event loop abruptly *without* any
   cleanup, simulating a crash for WAL-recovery tests.
+
+Every one of these reaps the dispatcher's warm worker processes
+(:meth:`Dispatcher.close`) as its last step.
 """
 
 from __future__ import annotations
@@ -213,7 +216,8 @@ class SimulationService:
             await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Stop listening, let in-flight work settle, close the store."""
+        """Stop listening, let in-flight work settle, reap the worker
+        processes, close the store."""
         # Swap-then-use: claim the reference before the first suspension
         # point so a concurrent shutdown() sees None and becomes a no-op
         # instead of double-closing.
@@ -232,6 +236,9 @@ class SimulationService:
         if runner is not None:
             await runner
         await self.dispatcher.join()
+        # Reaping the warm workers waits on process exit: keep it off the
+        # loop.  Nothing is in flight any more, so nothing races it.
+        await asyncio.to_thread(self.dispatcher.close)
         self.store.close()
         if self.config.tcp_host is None and isinstance(self.address, str):
             try:
@@ -571,13 +578,17 @@ class ServiceDaemon:
         self._thread = None
 
     def kill(self, timeout: float = 10.0) -> None:
-        """Simulate a crash: stop the loop abruptly, skip all cleanup."""
+        """Simulate a crash: stop the loop abruptly, skip all cleanup —
+        except the worker processes.  Those exit on their own when a
+        daemon really dies; this stand-in lives on, so it reaps them."""
         if self._thread is None or self._loop is None:
             return
         self._killed = True
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=timeout)
         self._thread = None
+        if self.service is not None:
+            self.service.dispatcher.close()
 
     # ------------------------------------------------------------------ #
 

@@ -10,11 +10,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.config import AdaptiveConfig, SlackConfig, quick_target_config
+from repro.config import (
+    AdaptiveConfig,
+    CheckpointConfig,
+    SlackConfig,
+    SpeculativeConfig,
+    quick_target_config,
+)
 from repro.harness import (
     ExperimentRunner,
     ParallelExecutor,
@@ -242,9 +255,27 @@ def _crash_once_worker(index, spec, collect_metrics):
 
 
 def _sleep_forever_worker(index, spec, collect_metrics):
-    import time
-
     time.sleep(120)
+
+
+#: Seeds that script `_scripted_worker`: hang forever / dawdle, then run.
+HANG_SEED = 999
+SLOW_SEED = 1000
+
+
+def _scripted_worker(index, spec, collect_metrics):
+    """A real run that reports the serving pid through the metrics slot,
+    unless the spec's seed scripts a hang or a slow start."""
+    if spec.seed == HANG_SEED:
+        time.sleep(120)
+    if spec.seed == SLOW_SEED:
+        time.sleep(1.0)
+    index, report, wall_s, _ = _pool_worker(index, spec, False)
+    return index, report, wall_s, {"pid": os.getpid()}
+
+
+def _new_children(before):
+    return [p for p in multiprocessing.active_children() if p not in before]
 
 
 class TestParallelExecutor:
@@ -366,6 +397,238 @@ class TestParallelExecutor:
         with pytest.raises(WorkerCrashError) as excinfo:
             executor.run_one(spec, start_method="fork")
         assert f"seed {spec.seed}" in str(excinfo.value)
+
+
+# --------------------------------------------------------------------- #
+# Warm run_one slots
+
+
+def scheme_zoo(runner):
+    """cc, slack, adaptive and speculative: every scheme family's state."""
+    return [
+        runner.plan("fft", SlackConfig(bound=0), scale=SCALE),
+        runner.plan("fft", SlackConfig(bound=16), scale=SCALE),
+        runner.plan("fft", AdaptiveConfig(target_rate=1e-3), scale=SCALE),
+        runner.plan(
+            "fft",
+            SpeculativeConfig(
+                base=AdaptiveConfig(target_rate=1e-3),
+                checkpoint=CheckpointConfig(interval=500),
+            ),
+            scale=SCALE,
+        ),
+    ]
+
+
+class TestWarmSlots:
+    """run_one keeps its worker between jobs — and nothing else."""
+
+    def test_consecutive_jobs_share_one_worker(self):
+        runner = make_runner(persistent_cache=False)
+        before = multiprocessing.active_children()
+        with ParallelExecutor(jobs=1, worker=_scripted_worker) as executor:
+            pids = [
+                executor.run_one(spec, start_method="fork").metrics["pid"]
+                for spec in tiny_specs(runner)[:3]
+            ]
+            assert len(set(pids)) == 1 and pids[0] != os.getpid()
+            assert [p.pid for p in _new_children(before)] == pids[:1]
+            assert (executor.workers_spawned, executor.worker_reuses) == (1, 2)
+        assert _new_children(before) == []
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.run_one(tiny_specs(runner)[0], start_method="fork")
+
+    def test_timeout_kills_worker_and_next_job_gets_a_new_one(self):
+        from repro.harness.bench import BenchCase
+
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        case = BenchCase("cc", 4, 0.25)
+        golden = json.loads((repo / "benchmarks" / "golden_kernel.json").read_text())
+        runner = make_runner(persistent_cache=False)
+        warmup = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        before = multiprocessing.active_children()
+        with ParallelExecutor(jobs=1, worker=_scripted_worker) as executor:
+            first = executor.run_one(warmup, start_method="fork").metrics["pid"]
+            with pytest.raises(ExecutionTimeoutError, match="worker killed"):
+                executor.run_one(
+                    dataclasses.replace(warmup, seed=HANG_SEED),
+                    timeout=0.2,
+                    start_method="fork",
+                )
+            assert _new_children(before) == []  # dead and reaped, not parked
+            result = executor.run_one(case.spec(), start_method="fork")
+            assert result.metrics["pid"] != first
+            assert result.report.digest() == golden[case.case_id]
+            assert (executor.workers_spawned, executor.worker_reuses) == (2, 1)
+
+    def test_crash_is_raised_once_and_the_slot_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL", str(tmp_path / "crashed"))
+        runner = make_runner(persistent_cache=False)
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        before = multiprocessing.active_children()
+        with ParallelExecutor(jobs=1, worker=_crash_once_worker) as executor:
+            with pytest.raises(WorkerCrashError, match="crashed"):
+                executor.run_one(spec, start_method="fork")
+            assert _new_children(before) == []
+            result = executor.run_one(spec, start_method="fork")
+            fresh, _ = execute_spec(spec)
+            assert result.report.digest() == fresh.digest()
+            assert (executor.workers_spawned, executor.worker_reuses) == (2, 0)
+
+    def test_failed_job_does_not_park_its_worker(self):
+        """Only a worker that finished its last job cleanly is reused."""
+        runner = make_runner(persistent_cache=False)
+        bad = dataclasses.replace(
+            runner.plan("fft", SlackConfig(bound=100), scale=SCALE),
+            benchmark="no-such-benchmark",
+        )
+        before = multiprocessing.active_children()
+        with ParallelExecutor(jobs=1) as executor:
+            with pytest.raises(Exception, match="no-such-benchmark"):
+                executor.run_one(bad, start_method="fork")
+            assert _new_children(before) == []
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_state_leaks_between_jobs(self, reverse):
+        """Every scheme family back to back in one spawned worker, in two
+        orders: each digest equals a fresh-process run's."""
+        specs = scheme_zoo(make_runner(persistent_cache=False))
+        fresh = [execute_spec(spec)[0].digest() for spec in specs]
+        order = list(reversed(range(len(specs)))) if reverse else list(range(len(specs)))
+        with ParallelExecutor(jobs=1) as executor:
+            warm = {i: executor.run_one(specs[i]).report.digest() for i in order}
+            assert executor.workers_spawned == 1
+        assert [warm[i] for i in range(len(specs))] == fresh
+
+    def test_fresh_process_digests_match_in_process(self):
+        """The reference above is honest: a cold spawned worker per spec
+        reproduces the in-process digests."""
+        for spec in scheme_zoo(make_runner(persistent_cache=False)):
+            with ParallelExecutor(jobs=1) as executor:
+                cold = executor.run_one(spec).report.digest()
+            assert cold == execute_spec(spec)[0].digest()
+
+    def test_telemetry_and_sanitizer_are_built_per_job(self):
+        """collect_metrics / sanitize build a fresh session per job: the
+        same spec run twice in one worker reports the same counters, not
+        accumulated ones, and the digests stay put."""
+        specs = scheme_zoo(make_runner(persistent_cache=False))
+        with ParallelExecutor(jobs=1, collect_metrics=True, sanitize=True) as executor:
+            runs = [executor.run_one(spec) for spec in specs + specs]
+            assert executor.workers_spawned == 1
+        for spec, first, second in zip(specs, runs, runs[len(specs):]):
+            assert first.metrics["counters"] == second.metrics["counters"]
+            assert first.report.digest() == second.report.digest()
+            assert first.report.digest() == execute_spec(spec)[0].digest()
+
+    def test_two_callers_two_workers_and_a_timeout_spares_the_sibling(self):
+        # spawn, as the service does: two threads forking at once leak
+        # each other's pipe ends into the children.
+        runner = make_runner(persistent_cache=False)
+        base = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        slow = dataclasses.replace(base, seed=SLOW_SEED)
+        outcome = {}
+
+        def hang():
+            try:
+                executor.run_one(dataclasses.replace(base, seed=HANG_SEED), timeout=0.3)
+            except ExecutionTimeoutError as exc:
+                outcome["hang"] = exc
+
+        before = multiprocessing.active_children()
+        with ParallelExecutor(jobs=2, worker=_scripted_worker) as executor:
+            thread = threading.Thread(target=hang)
+            thread.start()
+            # Still running when the other caller's worker is killed.
+            sibling = executor.run_one(slow)
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert isinstance(outcome.get("hang"), ExecutionTimeoutError)
+            assert sibling.report.digest() == execute_spec(slow)[0].digest()
+            assert (executor.workers_spawned, executor.worker_reuses) == (2, 0)
+            survivors = [p.pid for p in _new_children(before)]
+            assert survivors == [sibling.metrics["pid"]]
+        assert _new_children(before) == []
+
+    def test_many_callers_keep_the_slot_accounting_exact(self):
+        """More caller threads than cores, a short switch interval: every
+        call is either a spawn or a reuse, at most one worker per caller,
+        every digest right, nothing left after close()."""
+        runner = make_runner(persistent_cache=False)
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        expected = execute_spec(spec)[0].digest()
+        callers, calls_each = 6, 3
+        digests = []
+
+        def caller():
+            for _ in range(calls_each):
+                digests.append(executor.run_one(spec).report.digest())
+
+        before = multiprocessing.active_children()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ParallelExecutor(jobs=callers) as executor:
+                threads = [threading.Thread(target=caller) for _ in range(callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert digests == [expected] * (callers * calls_each)
+                assert executor.workers_spawned + executor.worker_reuses == len(digests)
+                assert 1 <= executor.workers_spawned <= callers
+                assert len(_new_children(before)) == executor.workers_spawned
+        finally:
+            sys.setswitchinterval(interval)
+        assert _new_children(before) == []
+
+    def test_dropped_executor_reaps_its_workers(self):
+        runner = make_runner(persistent_cache=False)
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        before = multiprocessing.active_children()
+        executor = ParallelExecutor(jobs=1)
+        executor.run_one(spec, start_method="fork")
+        assert len(_new_children(before)) == 1
+        del executor
+        assert _new_children(before) == []
+
+    def test_worker_does_not_outlive_a_killed_parent(self, tmp_path):
+        """No close(), no finalizer, no atexit: SIGKILL the owner and the
+        idle warm worker still goes."""
+        script = tmp_path / "owner.py"
+        script.write_text(
+            "import multiprocessing, os, signal\n"
+            "from repro.config import SlackConfig, quick_target_config\n"
+            "from repro.harness import ExperimentRunner, ParallelExecutor\n"
+            "if __name__ == '__main__':\n"
+            "    runner = ExperimentRunner(target=quick_target_config(),\n"
+            "                              num_threads=4, seed=7,\n"
+            "                              persistent_cache=False)\n"
+            "    executor = ParallelExecutor(jobs=1)\n"
+            f"    executor.run_one(runner.plan('fft', SlackConfig(bound=100), scale={SCALE}))\n"
+            "    print(multiprocessing.active_children()[0].pid, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        owner = subprocess.run(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert owner.returncode == -signal.SIGKILL, owner.stderr
+        worker = int(owner.stdout.split()[-1])
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(worker, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail(f"warm worker {worker} outlived its killed parent")
 
 
 # --------------------------------------------------------------------- #

@@ -9,14 +9,16 @@ contract.
 
 Most daemon tests inject an inline ``run_job`` (the dispatcher's
 execution seam) so they run the simulation in-process instead of paying
-for a spawned worker per job; the real spawn path is covered by
-``test_run_one_*`` in test_pool_cache.py and by the CI smoke job.
+for a spawned worker; the real path — a warm worker reused across jobs —
+is covered by ``TestWarmWorkers`` here, ``TestWarmSlots`` in
+test_pool_cache.py and the CI smoke job.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import pathlib
 import threading
 import time
@@ -34,6 +36,7 @@ from repro.config import (
 from repro.harness.cache import ReportCache, RunSpec, spec_key
 from repro.harness.pool import (
     ExecutionTimeoutError,
+    ParallelExecutor,
     PoolResult,
     WorkerCrashError,
     execute_spec,
@@ -60,6 +63,8 @@ from repro.service.protocol import (
     encode_line,
 )
 from repro.service.store import DONE, QUEUED, RUNNING, JobStore
+
+from tests.test_pool_cache import _crash_once_worker, _new_children
 
 SCALE = 0.05
 
@@ -397,6 +402,9 @@ class TestServiceEndToEnd:
         assert health["slots"] == 1
         assert not health["draining"]
         assert "service.queue_depth" in health["metrics"]["gauges"]
+        counters = health["metrics"]["counters"]
+        assert counters["service.workers_spawned"] == 0
+        assert counters["service.worker_reuses"] == 0
         assert pathlib.Path(health["wal"]["path"]).name == "jobs.wal"
 
 
@@ -492,6 +500,50 @@ class TestBackpressureDedupCancel:
             d.stop()
 
 
+    def test_terminal_jobs_leave_no_bookkeeping(self, tmp_path):
+        """Completed, cancelled and failed jobs all drop their dispatcher
+        entries; a waiter that arrives afterwards is still answered."""
+        gate = threading.Event()
+
+        async def gated(spec, timeout):
+            await asyncio.to_thread(gate.wait)
+            if spec.seed == 13:
+                raise ValueError("spec is cursed")
+            return await inline_run_job(spec, timeout)
+
+        d = ServiceDaemon(make_config(tmp_path), run_job=gated).start()
+        try:
+            with ServiceClient(d.address, timeout=30.0) as c:
+                done = [c.submit(tiny_spec(seed=s))["job_id"] for s in (1, 2, 3)]
+                done.append(c.submit(tiny_spec(seed=1))["job_id"])  # a follower
+                failed = c.submit(tiny_spec(seed=13))["job_id"]
+                cancelled = c.submit(tiny_spec(seed=14))["job_id"]
+                assert c.cancel(cancelled)["state"] == "cancelled"
+                gate.set()
+                c.drain(wait=True)
+                dispatcher = d.service.dispatcher
+                for retained in (
+                    dispatcher._specs,
+                    dispatcher._keys,
+                    dispatcher._probed,
+                    dispatcher._events,
+                ):
+                    assert retained == {}
+                for job_id in done:
+                    late = c.result(job_id, wait=True, timeout_s=5)
+                    assert late["digest"] == c.status(job_id)["digest"]
+                with pytest.raises(ServiceError) as excinfo:
+                    c.result(failed, wait=True, timeout_s=5)
+                assert excinfo.value.code == "INTERNAL"
+                with pytest.raises(ServiceError) as excinfo:
+                    c.result(cancelled, wait=True, timeout_s=5)
+                assert excinfo.value.code == ERR_CANCELLED
+                assert dispatcher._events == {}
+        finally:
+            gate.set()
+            d.stop()
+
+
 class TestRetriesAndTimeouts:
     def test_worker_crash_retried_then_succeeds(self, tmp_path):
         attempts = []
@@ -571,6 +623,65 @@ class TestRetriesAndTimeouts:
                 assert len(attempts) == 1
         finally:
             d.stop()
+
+
+class TestWarmWorkers:
+    """The default execution seam: real spawned workers, kept warm."""
+
+    def test_three_jobs_one_process_reaped_on_stop(self, tmp_path):
+        before = multiprocessing.active_children()
+        d = ServiceDaemon(make_config(tmp_path)).start()
+        try:
+            with ServiceClient(d.address, timeout=60.0) as c:
+                for seed in (1, 2, 3):
+                    spec = tiny_spec(seed=seed)
+                    job_id = c.submit(spec)["job_id"]
+                    doc = c.result(job_id, wait=True, timeout_s=60)
+                    assert doc["source"] == "run"
+                    assert doc["digest"] == execute_spec(spec)[0].digest()
+                counters = c.health()["metrics"]["counters"]
+                assert counters["service.workers_spawned"] == 1
+                assert counters["service.worker_reuses"] == 2
+                assert len(_new_children(before)) == 1
+        finally:
+            d.stop()
+        assert _new_children(before) == []
+
+    def test_kill_reaps_workers(self, tmp_path):
+        before = multiprocessing.active_children()
+        d = ServiceDaemon(make_config(tmp_path)).start()
+        try:
+            with ServiceClient(d.address, timeout=60.0) as c:
+                job_id = c.submit(tiny_spec(seed=4))["job_id"]
+                c.result(job_id, wait=True, timeout_s=60)
+                assert len(_new_children(before)) == 1
+        finally:
+            d.kill()
+        assert _new_children(before) == []
+
+    def test_real_crash_keeps_retry_accounting(self, tmp_path, monkeypatch):
+        """A worker that really dies costs one WorkerCrashError and one
+        slot; retries and backoff stay the dispatcher's, counted as ever."""
+        monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL", str(tmp_path / "crashed"))
+        executor = ParallelExecutor(jobs=1, max_retries=0, worker=_crash_once_worker)
+
+        async def run_job(spec, timeout):
+            return await asyncio.to_thread(executor.run_one, spec, timeout)
+
+        d = ServiceDaemon(make_config(tmp_path, max_retries=2), run_job=run_job).start()
+        try:
+            with ServiceClient(d.address, timeout=60.0) as c:
+                spec = tiny_spec(seed=5)
+                job_id = c.submit(spec)["job_id"]
+                doc = c.result(job_id, wait=True, timeout_s=60)
+                assert doc["digest"] == execute_spec(spec)[0].digest()
+                status = c.status(job_id)
+                assert (status["retries"], status["attempts"]) == (1, 2)
+                assert c.health()["metrics"]["counters"]["service.retries"] == 1
+                assert (executor.workers_spawned, executor.worker_reuses) == (2, 0)
+        finally:
+            d.stop()
+            executor.close()
 
 
 class TestCrashRecovery:
