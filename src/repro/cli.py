@@ -569,19 +569,31 @@ def cmd_cache(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 
 
+def _host_port(value: str, flag: str):
+    """Parse the ``HOST:PORT`` value of ``flag``."""
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit():
+        raise SystemExit(f"error: {flag} expects HOST:PORT, got {value!r}")
+    return host, int(port)
+
+
 def _service_address(args: argparse.Namespace):
     """Resolve --socket/--tcp into a client address (default socket path)."""
-    tcp = getattr(args, "tcp", None)
-    if tcp:
-        host, _, port = tcp.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(f"error: --tcp expects HOST:PORT, got {tcp!r}")
-        return (host, int(port))
+    if args.tcp:
+        return _host_port(args.tcp, "--tcp")
     if args.socket:
         return args.socket
     from repro.service.server import ServiceConfig
 
     return str(ServiceConfig().resolved_socket_path())
+
+
+def _client(args: argparse.Namespace, **options):
+    from repro.service.client import ServiceClient
+
+    return ServiceClient(
+        _service_address(args), connect_retries=args.connect_retries, **options
+    )
 
 
 def _submit_spec(args: argparse.Namespace):
@@ -604,143 +616,105 @@ def _submit_spec(args: argparse.Namespace):
     )
 
 
+def _path(value: Optional[str]):
+    import pathlib
+
+    return pathlib.Path(value) if value else None
+
+
+def _daemon_config(args: argparse.Namespace, **fields):
+    """Keyword arguments for the config dataclass of a ``serve``/``worker``
+    daemon: the listen/queue/journal flags both verbs share, plus
+    ``fields``.  A flag the user left out is dropped, so the dataclass's
+    own default applies — there is one source of daemon defaults."""
+    if args.tcp:
+        fields["tcp_host"], fields["tcp_port"] = _host_port(args.tcp, "--tcp")
+    fields.update(
+        socket_path=_path(args.socket),
+        queue_limit=args.queue_limit,
+        wal_path=_path(args.wal),
+        fsync=False if args.no_fsync else None,
+    )
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _slots(args: argparse.Namespace) -> Optional[int]:
+    from repro.harness.pool import resolve_jobs
+
+    return None if args.jobs is None else resolve_jobs(args.jobs)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import pathlib
 
-    from repro.harness.pool import resolve_jobs
-    from repro.service.server import ServiceConfig, SimulationService
-
-    tcp_host: Optional[str] = None
-    tcp_port = 0
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(f"error: --tcp expects HOST:PORT, got {args.tcp!r}")
-        tcp_host, tcp_port = host, int(port)
     if args.coordinator:
-        return _serve_coordinator(args, tcp_host, tcp_port)
-    config = ServiceConfig(
-        socket_path=pathlib.Path(args.socket) if args.socket else None,
-        tcp_host=tcp_host,
-        tcp_port=tcp_port,
-        jobs=resolve_jobs(args.jobs),
-        queue_limit=args.queue_limit,
-        max_retries=args.max_retries,
-        retry_backoff_s=args.retry_backoff,
-        job_timeout_s=args.job_timeout,
-        cache_dir=pathlib.Path(args.cache_dir) if args.cache_dir else None,
-        wal_path=pathlib.Path(args.wal) if args.wal else None,
-        fsync=not args.no_fsync,
-    )
-    service = SimulationService(config)
+        from repro.fabric.coordinator import CoordinatorConfig, FabricCoordinator
 
-    async def _serve() -> None:
-        await service.start()
-        print(
-            f"repro service: listening on {service.address} "
-            f"(jobs={config.jobs}, queue_limit={config.queue_limit}, "
-            f"wal={service.store.path})",
-            flush=True,
-        )
-        try:
-            await service.wait_stopped()
-        finally:
-            await service.shutdown()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _serve_coordinator(
-    args: argparse.Namespace, tcp_host: Optional[str], tcp_port: int
-) -> int:
-    import asyncio
-    import pathlib
-
-    from repro.fabric.coordinator import CoordinatorConfig, FabricCoordinator
-
-    config = CoordinatorConfig(
-        socket_path=pathlib.Path(args.socket) if args.socket else None,
-        tcp_host=tcp_host,
-        tcp_port=tcp_port,
-        queue_limit=args.queue_limit,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        max_redispatch=args.max_redispatch,
-        store_dir=pathlib.Path(args.cache_dir) if args.cache_dir else None,
-        wal_path=pathlib.Path(args.wal) if args.wal else None,
-        fsync=not args.no_fsync,
-    )
-    coordinator = FabricCoordinator(config)
-
-    async def _serve() -> None:
-        await coordinator.start()
-        print(
-            f"repro fabric coordinator: listening on {coordinator.address} "
-            f"(queue_limit={config.queue_limit}, "
+        config = CoordinatorConfig(**_daemon_config(
+            args,
+            store_dir=_path(args.cache_dir),
+            heartbeat_timeout_s=args.heartbeat_timeout,
+            max_redispatch=args.max_redispatch,
+        ))
+        server = FabricCoordinator(config)
+        name = "repro fabric coordinator"
+        settings = (
+            f"queue_limit={config.queue_limit}, "
             f"heartbeat_timeout={config.heartbeat_timeout_s:g}s, "
-            f"store={config.resolved_store_dir()}, "
-            f"wal={coordinator.store.path})",
+            f"store={config.resolved_store_dir()}"
+        )
+    else:
+        from repro.service.server import ServiceConfig, SimulationService
+
+        config = ServiceConfig(**_daemon_config(
+            args,
+            jobs=_slots(args),
+            max_retries=args.max_retries,
+            retry_backoff_s=args.retry_backoff,
+            job_timeout_s=args.job_timeout,
+            cache_dir=_path(args.cache_dir),
+        ))
+        server = SimulationService(config)
+        name = "repro service"
+        settings = f"jobs={config.jobs}, queue_limit={config.queue_limit}"
+
+    def banner() -> None:
+        print(
+            f"{name}: listening on {server.address} "
+            f"({settings}, wal={server.store.path})",
             flush=True,
         )
-        try:
-            await coordinator.wait_stopped()
-        finally:
-            await coordinator.shutdown()
 
     try:
-        asyncio.run(_serve())
+        asyncio.run(server.run(on_listening=banner))
     except KeyboardInterrupt:
         pass
     return 0
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    import pathlib
     import signal
     import threading
 
     from repro.fabric.worker import FabricWorker, WorkerConfig
-    from repro.harness.pool import resolve_jobs
 
     coordinator: object
     if args.coordinator_tcp:
-        host, _, port = args.coordinator_tcp.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(
-                f"error: --coordinator-tcp expects HOST:PORT, "
-                f"got {args.coordinator_tcp!r}"
-            )
-        coordinator = (host, int(port))
+        coordinator = _host_port(args.coordinator_tcp, "--coordinator-tcp")
     elif args.coordinator_socket:
         coordinator = args.coordinator_socket
     else:
         from repro.fabric.coordinator import CoordinatorConfig
 
         coordinator = str(CoordinatorConfig().resolved_socket_path())
-    tcp_host: Optional[str] = None
-    tcp_port = 0
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit(f"error: --tcp expects HOST:PORT, got {args.tcp!r}")
-        tcp_host, tcp_port = host, int(port)
-    config = WorkerConfig(
+    config = WorkerConfig(**_daemon_config(
+        args,
         coordinator=coordinator,
-        socket_path=pathlib.Path(args.socket) if args.socket else None,
-        tcp_host=tcp_host,
-        tcp_port=tcp_port,
-        jobs=resolve_jobs(args.jobs),
-        queue_limit=args.queue_limit,
-        cache_dir=pathlib.Path(args.cache_dir) if args.cache_dir else None,
-        wal_path=pathlib.Path(args.wal) if args.wal else None,
+        jobs=_slots(args),
+        cache_dir=_path(args.cache_dir),
         worker_id=args.worker_id,
         heartbeat_period_s=args.heartbeat,
-        fsync=not args.no_fsync,
-    )
+    ))
     worker = FabricWorker(config).start()
     print(
         f"repro fabric worker {worker.worker_id}: listening on "
@@ -761,11 +735,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_fabric(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
-    with ServiceClient(
-        _service_address(args), connect_retries=args.connect_retries
-    ) as client:
+    with _client(args) as client:
         doc = client.request("fabric")
     if args.json:
         doc.pop("v", None)
@@ -886,14 +856,9 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.core.report import SimulationReport
-    from repro.service.client import ServiceClient
 
     spec = _submit_spec(args)
-    with ServiceClient(
-        _service_address(args),
-        timeout=args.timeout,
-        connect_retries=args.connect_retries,
-    ) as client:
+    with _client(args, timeout=args.timeout) as client:
         accepted = client.submit(
             spec, priority=args.priority, timeout_s=args.job_timeout
         )
@@ -919,11 +884,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_jobs(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
-    with ServiceClient(
-        _service_address(args), connect_retries=args.connect_retries
-    ) as client:
+    with _client(args) as client:
         if args.health:
             print(json.dumps(client.health(), indent=2, sort_keys=True))
             return 0
@@ -959,13 +920,8 @@ def cmd_result(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.report import SimulationReport
-    from repro.service.client import ServiceClient
 
-    with ServiceClient(
-        _service_address(args),
-        timeout=args.timeout,
-        connect_retries=args.connect_retries,
-    ) as client:
+    with _client(args, timeout=args.timeout) as client:
         doc = client.result(args.job_id, wait=args.wait, timeout_s=args.timeout)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -1202,43 +1158,51 @@ def build_parser() -> argparse.ArgumentParser:
                                   "with exponential backoff (covers the race "
                                   "against a daemon still starting up)")
 
+    # Flags `serve` and `worker` share.  Defaults are left to the config
+    # dataclasses (see _daemon_config), not repeated here.
+    def slot_flags(daemon_parser: argparse.ArgumentParser) -> None:
+        daemon_parser.add_argument("-j", "--jobs", type=int, metavar="N",
+                                   help="concurrent worker slots (0 = all "
+                                        "host CPUs)")
+        daemon_parser.add_argument("--queue-limit", type=int, metavar="N",
+                                   help="admission-control high-water mark: "
+                                        "submits past N queued jobs get "
+                                        "QUEUE_FULL")
+
+    def journal_flags(daemon_parser: argparse.ArgumentParser) -> None:
+        daemon_parser.add_argument("--cache-dir", metavar="DIR",
+                                   help="report cache directory (default "
+                                        "$REPRO_CACHE_DIR or ~/.cache/repro)")
+        daemon_parser.add_argument("--wal", metavar="FILE",
+                                   help="write-ahead job store path (default "
+                                        "<cache-dir>/service/jobs.wal)")
+        daemon_parser.add_argument("--no-fsync", action="store_true",
+                                   help="skip fsync on WAL appends (faster, "
+                                        "loses the last events on a machine "
+                                        "crash)")
+
     serve_parser = sub.add_parser(
         "serve",
         parents=[conn_parser],
         help="run the simulation job service daemon",
     )
-    serve_parser.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                              help="concurrent worker slots (0 = all host CPUs)")
-    serve_parser.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                              help="admission-control high-water mark: submits "
-                                   "past N queued jobs get QUEUE_FULL")
-    serve_parser.add_argument("--max-retries", type=int, default=2, metavar="N",
+    slot_flags(serve_parser)
+    serve_parser.add_argument("--max-retries", type=int, metavar="N",
                               help="retries per job after a worker crash")
-    serve_parser.add_argument("--retry-backoff", type=float, default=0.5,
-                              metavar="S",
+    serve_parser.add_argument("--retry-backoff", type=float, metavar="S",
                               help="base of the exponential retry backoff")
     serve_parser.add_argument("--job-timeout", type=float, default=None,
                               metavar="S",
                               help="default per-job wall-time limit")
-    serve_parser.add_argument("--cache-dir", metavar="DIR",
-                              help="report cache directory (default "
-                                   "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve_parser.add_argument("--wal", metavar="FILE",
-                              help="write-ahead job store path (default "
-                                   "<cache-dir>/service/jobs.wal)")
-    serve_parser.add_argument("--no-fsync", action="store_true",
-                              help="skip fsync on WAL appends (faster, loses "
-                                   "the last events on a machine crash)")
+    journal_flags(serve_parser)
     serve_parser.add_argument("--coordinator", action="store_true",
                               help="run the fabric coordinator instead of a "
                                    "single daemon: shard submissions across "
                                    "registered `repro worker` daemons")
-    serve_parser.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                              metavar="S",
+    serve_parser.add_argument("--heartbeat-timeout", type=float, metavar="S",
                               help="coordinator: evict a worker that has not "
                                    "heartbeat within S seconds")
-    serve_parser.add_argument("--max-redispatch", type=int, default=3,
-                              metavar="N",
+    serve_parser.add_argument("--max-redispatch", type=int, metavar="N",
                               help="coordinator: fail a job after losing its "
                                    "worker N+1 times")
     serve_parser.set_defaults(func=cmd_serve)
@@ -1247,24 +1211,17 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         parents=[conn_parser],
         help="run a fleet worker registered with a fabric coordinator",
+        description="A service daemon that registers with, and heartbeats "
+                    "to, a fabric coordinator.  Point --cache-dir at the "
+                    "coordinator's shared report store.",
     )
     worker_parser.add_argument("--coordinator-socket", metavar="PATH",
                                help="coordinator unix socket (default "
                                     "<cache-dir>/fabric/coordinator.sock)")
     worker_parser.add_argument("--coordinator-tcp", metavar="HOST:PORT",
                                help="reach the coordinator over TCP")
-    worker_parser.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                               help="concurrent worker slots (0 = all host CPUs)")
-    worker_parser.add_argument("--queue-limit", type=int, default=64,
-                               metavar="N",
-                               help="local admission-control high-water mark")
-    worker_parser.add_argument("--cache-dir", metavar="DIR",
-                               help="report store directory — point every "
-                                    "fleet member at the coordinator's shared "
-                                    "store")
-    worker_parser.add_argument("--wal", metavar="FILE",
-                               help="this worker's own WAL path (default "
-                                    "<cache-dir>/service/jobs.wal)")
+    slot_flags(worker_parser)
+    journal_flags(worker_parser)
     worker_parser.add_argument("--worker-id", metavar="ID",
                                help="stable identity across restarts "
                                     "(default: coordinator-assigned w-N)")
@@ -1272,8 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar="S",
                                help="heartbeat period (default: the "
                                     "coordinator's hint, timeout/3)")
-    worker_parser.add_argument("--no-fsync", action="store_true",
-                               help="skip fsync on WAL appends")
     worker_parser.set_defaults(func=cmd_worker)
 
     fabric_parser = sub.add_parser(

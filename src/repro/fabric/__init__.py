@@ -9,9 +9,10 @@ configuration no matter which host computes it.
 - :mod:`repro.fabric.membership` — worker registry, heartbeat liveness,
   and the consistent-hash ring that shards job keys onto workers (so
   duplicate submissions keep meeting the same shard's dedup);
-- :mod:`repro.fabric.coordinator` — the front-door daemon: admission
-  control, fleet-wide dedup, WAL-backed re-dispatch when a worker dies
-  mid-run, and the v2 control plane ops;
+- :mod:`repro.fabric.coordinator` — the fleet backend of the one
+  protocol server in :mod:`repro.service.core`: fleet-wide dedup,
+  sharding, forwarding, re-dispatch when a worker dies mid-run, and the
+  v2 control plane ops;
 - :mod:`repro.fabric.worker` — a plain service daemon joined to the
   fleet by a registration/heartbeat agent;
 - :mod:`repro.fabric.shared_store` — the content-addressed report store

@@ -1,44 +1,48 @@
-"""The fabric coordinator: shards submissions across a worker fleet.
+"""The fleet backend: shards admitted jobs across a worker fleet.
 
-One asyncio daemon that speaks the same NDJSON protocol as
-:mod:`repro.service` (clients cannot tell a coordinator from a single
-daemon) plus the v2 control plane (``register``/``heartbeat``/
-``deregister``/``steal``/``fabric``).  The pipeline per accepted job:
+One server, two backends: :class:`FabricCoordinator` is a
+:class:`~repro.service.core.ProtocolServer` — the same front door, the
+same seven client ops, the same WAL-backed admission, recovery and
+shutdown as a single daemon, so clients cannot tell the two apart — that
+is its own backend.  Where the single daemon's
+:class:`~repro.service.dispatch.Dispatcher` runs a job on a local worker
+slot, this backend owns a fleet, and registers the v2 control plane
+(``register``/``heartbeat``/``deregister``/``steal``/``fabric``) into
+the server's op table.  What it does with an admitted job:
 
-1. **Admit** — same structured backpressure as the single daemon: past
-   ``queue_limit`` queued jobs a submit gets ``QUEUE_FULL``, never a
-   dropped connection.
-2. **Dedup** — a key already completed in the shared store finishes
+1. **Dedup** — a key already completed in the shared store finishes
    instantly (``source="cache"``); a key already in flight anywhere in
    the fabric coalesces onto that leader (``source="dedup"``).  Because
    the ring hashes the same fingerprint the per-worker dispatcher dedups
    on, duplicates that slip past the coordinator still meet on one shard.
-3. **Shard** — consistent hashing of :func:`~repro.harness.cache.spec_key`
+2. **Shard** — consistent hashing of :func:`~repro.harness.cache.spec_key`
    onto the ring picks the owning worker; the job waits in that worker's
    backlog until the worker's outstanding window (``slots ×
    outstanding_per_slot``) has room, so a slow worker backs *its* shard
    up instead of stalling the fleet.  Idle workers steal from the
    longest backlog (the ``steal`` op; also triggered by heartbeats).
-4. **Forward** — the job is submitted to the worker daemon over its own
+3. **Forward** — the job is submitted to the worker daemon over its own
    socket and awaited (``result wait`` without the report body); the
    report itself travels through the shared content-addressed store,
    which the coordinator re-verifies before serving.
-5. **Survive** — every transition is in the coordinator WAL.  A worker
+4. **Survive** — every transition is in the coordinator WAL.  A worker
    that dies mid-run (connection lost, or heartbeat deadline missed) is
    evicted and its jobs are re-dispatched from the WAL state to the new
    ring topology — determinism makes re-running always safe, and the
    digest the client finally sees is byte-identical either way.
+
+The job lifecycle around those decisions (leader/follower records,
+terminal transitions, done events, ``fabric.*`` counters) is the shared
+:class:`~repro.service.ledger.JobLedger`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import heapq
-import os
 import pathlib
-import threading
-import time
 from typing import (
     Any,
     Awaitable,
@@ -50,50 +54,40 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
-
-import collections
 
 from repro.core.report import SimulationReport
-from repro.fabric.membership import (
-    Membership,
-    WorkerAddress,
-    WorkerInfo,
-)
+from repro.fabric.membership import Membership, WorkerAddress, WorkerInfo
 from repro.fabric.shared_store import SharedReportStore
-from repro.harness.cache import RunSpec, default_cache_dir, spec_key
+from repro.harness.cache import CacheEntry, RunSpec
 from repro.service import store as jobstate
-from repro.service.dispatch import _LATENCY_BUCKETS_MS
+from repro.service.core import (
+    LINE_LIMIT,
+    ProtocolServer,
+    Response,
+    ServerConfig,
+    ServerDaemon,
+    report_dir,
+)
+from repro.service.ledger import JobLedger
 from repro.service.protocol import (
     ERR_BAD_REQUEST,
-    ERR_CANCELLED,
     ERR_DRAINING,
     ERR_INTERNAL,
-    ERR_NOT_CANCELLABLE,
-    ERR_NOT_READY,
     ERR_QUEUE_FULL,
-    ERR_RESULT_EVICTED,
-    ERR_TIMEOUT,
-    ERR_UNAVAILABLE,
-    ERR_UNKNOWN_JOB,
     ERR_UNKNOWN_WORKER,
-    ERR_UNSUPPORTED,
     ERR_WORKER_CRASHED,
     FABRIC_OPS,
-    OPS,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ServiceError,
     decode_line,
     encode_line,
     error_response,
     ok_response,
-    spec_from_wire,
     spec_to_wire,
 )
-from repro.service.store import JobRecord, JobStore
-from repro.telemetry import MetricsRegistry, sum_counter_docs
+from repro.service.store import JobRecord
+from repro.telemetry import sum_counter_docs
 
 __all__ = [
     "CoordinatorConfig",
@@ -102,12 +96,6 @@ __all__ = [
     "ForwardJob",
     "ForwardOutcome",
 ]
-
-_LINE_LIMIT = 1 << 20
-
-#: Ops the coordinator answers: everything a plain daemon answers, plus
-#: the fabric control plane.
-COORDINATOR_OPS = OPS + FABRIC_OPS
 
 
 class ForwardOutcome(NamedTuple):
@@ -143,18 +131,15 @@ ForwardJob = Callable[
 
 
 @dataclasses.dataclass
-class CoordinatorConfig:
+class CoordinatorConfig(ServerConfig):
     """Everything a coordinator needs to come up.
 
     ``store_dir`` is the *shared* report store every worker must also
     mount (for a local fleet: the same directory; for multiple hosts: a
-    network mount).  WAL and socket default underneath it so a restarted
-    coordinator finds its own state without flags.
+    network mount).  WAL and socket default to ``<store_dir>/fabric/`` so
+    a restarted coordinator finds its own state without flags.
     """
 
-    socket_path: Optional[pathlib.Path] = None
-    tcp_host: Optional[str] = None
-    tcp_port: int = 0
     queue_limit: int = 256
     heartbeat_timeout_s: float = 5.0
     sweep_period_s: float = 0.5
@@ -162,35 +147,13 @@ class CoordinatorConfig:
     outstanding_per_slot: int = 2
     ring_replicas: int = 64
     store_dir: Optional[pathlib.Path] = None
-    wal_path: Optional[pathlib.Path] = None
-    fsync: bool = True
+
+    default_names = ("fabric", "coordinator.sock", "coordinator.wal")
 
     def resolved_store_dir(self) -> pathlib.Path:
-        return (
-            pathlib.Path(self.store_dir)
-            if self.store_dir is not None
-            else default_cache_dir()
-        )
+        return report_dir(self.store_dir)
 
-    def resolved_socket_path(self) -> pathlib.Path:
-        if self.socket_path is not None:
-            return pathlib.Path(self.socket_path)
-        return self.resolved_store_dir() / "fabric" / "coordinator.sock"
-
-    def resolved_wal_path(self) -> pathlib.Path:
-        if self.wal_path is not None:
-            return pathlib.Path(self.wal_path)
-        return self.resolved_store_dir() / "fabric" / "coordinator.wal"
-
-
-class _Execution:
-    """One in-flight key: the leader job plus coalesced followers."""
-
-    __slots__ = ("leader", "followers")
-
-    def __init__(self, leader: JobRecord) -> None:
-        self.leader = leader
-        self.followers: List[JobRecord] = []
+    state_dir = resolved_store_dir
 
 
 async def _open_stream(
@@ -198,10 +161,10 @@ async def _open_stream(
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     if address.kind == "unix":
         assert address.path is not None
-        return await asyncio.open_unix_connection(address.path, limit=_LINE_LIMIT)
+        return await asyncio.open_unix_connection(address.path, limit=LINE_LIMIT)
     assert address.host is not None and address.port is not None
     return await asyncio.open_connection(
-        address.host, address.port, limit=_LINE_LIMIT
+        address.host, address.port, limit=LINE_LIMIT
     )
 
 
@@ -218,8 +181,10 @@ async def _call(
     return decode_line(line)
 
 
-class FabricCoordinator:
-    """The coordinator daemon: membership, sharding, re-dispatch, WAL."""
+class FabricCoordinator(ProtocolServer):
+    """The coordinator daemon: membership, sharding, re-dispatch."""
+
+    config: CoordinatorConfig
 
     def __init__(
         self,
@@ -227,9 +192,10 @@ class FabricCoordinator:
         forward_job: Optional[ForwardJob] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.config = config
-        self.metrics = MetricsRegistry()
-        self.store = JobStore(config.resolved_wal_path(), fsync=config.fsync)
+        super().__init__(config)
+        self.backend = self
+        self.ledger = JobLedger(self.store, self.metrics, "fabric")
+        self.ops.update({op: getattr(self, f"_op_{op}") for op in FABRIC_OPS})
         self.shared = SharedReportStore(
             config.resolved_store_dir(), metrics=self.metrics
         )
@@ -241,502 +207,118 @@ class FabricCoordinator:
         self._forward_job: ForwardJob = (
             forward_job if forward_job is not None else self._wire_forward
         )
-        self.started_at: Optional[float] = None
-        self.address: Union[str, Tuple[str, int], None] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._sweeper: Optional[asyncio.Task] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._stop_event = asyncio.Event()
-        self._draining = False
-        self._recovered = 0
-        # Job routing state.
-        self._specs: Dict[str, RunSpec] = {}
-        self._keys: Dict[str, str] = {}
-        self._inflight: Dict[str, _Execution] = {}
-        self._assignment: Dict[str, str] = {}  # job_id -> worker_id
+        self._sweeper: Optional[asyncio.Task[None]] = None
+        self._assignment: Dict[str, str] = {}  # backlogged job_id -> worker_id
         self._backlog: Dict[str, List[Tuple[int, int, str]]] = {}  # heaps
         self._forwarded: Dict[str, Set[str]] = {}
-        self._forward_tasks: Dict[str, asyncio.Task] = {}
-        self._pumps: Dict[str, asyncio.Task] = {}
+        self._forward_tasks: Dict[str, asyncio.Task[None]] = {}
+        self._pumps: Dict[str, asyncio.Task[None]] = {}
         self._unassigned: Deque[str] = collections.deque()
-        self._events: Dict[str, asyncio.Event] = {}
-        self._queued = 0
-        self._cond = asyncio.Condition()
-        self.metrics.gauge("fabric.queue_depth").set(0)
-        self.metrics.gauge("fabric.inflight").set(0)
-        self.metrics.gauge("fabric.workers_alive").set(0)
+        self._publish_alive()
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # The backend interface (what the protocol server calls)
     # ------------------------------------------------------------------ #
 
-    async def start(self) -> None:
-        """Replay the WAL, queue survivors (workers join later), listen."""
-        self.store.open()
-        self._recovered = 0
-        for record in self.store.pending():
-            try:
-                spec = spec_from_wire(record.spec_wire)
-            except ServiceError as exc:
-                record.state = jobstate.FAILED
-                record.finished_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
-                record.error = {"code": exc.code, "message": exc.message}
-                self.store.record_state(
-                    record, at=record.finished_at, error=record.error
-                )
-                continue
-            self._admit_recovered(record, spec)
-            self._recovered += 1
-        self._sweeper = asyncio.get_running_loop().create_task(self._sweep_loop())
-        if self.config.tcp_host is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=self.config.tcp_host,
-                port=self.config.tcp_port,
-                limit=_LINE_LIMIT,
-            )
-            bound = self._server.sockets[0].getsockname()
-            self.address = (bound[0], bound[1])
-        else:
-            socket_path = self.config.resolved_socket_path()
-            socket_path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                socket_path.unlink()
-            except OSError:
-                pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(socket_path), limit=_LINE_LIMIT
-            )
-            self.address = str(socket_path)
-        self.started_at = time.time()  # repro: noqa[RPR001] uptime anchor for health reporting, never digested
+    @property
+    def inflight_count(self) -> int:
+        return len(self._forward_tasks)
 
-    def request_stop(self) -> None:
-        self._stop_event.set()
+    def admit(self, record: JobRecord, spec: RunSpec) -> None:
+        """Route an admitted job: store hit, coalesce, or shard."""
+        key = self.ledger.track(record, spec)
+        entry = self.shared.get(key)
+        if entry is not None:
+            self.ledger.complete(record, key, entry.digest, entry.wall_s, source="cache")
+            return
+        execution = self.ledger.inflight.get(key)
+        if execution is not None:
+            self.ledger.follow(execution, record)
+            return
+        self.ledger.lead(key, record)
+        self._enqueue(record.job_id)
 
-    async def wait_stopped(self) -> None:
-        await self._stop_event.wait()
+    def cancel(self, record: JobRecord) -> bool:
+        if record.state != jobstate.QUEUED:
+            return False
+        key = self.ledger.key(record.job_id)
+        self.ledger.cancel(record)
+        self.ledger.add_queued(-1)
+        self._assignment.pop(record.job_id, None)
+        execution = self.ledger.inflight.get(key)
+        if execution is not None and execution.leader is record:
+            if execution.followers:
+                # Cancelling a leader orphans its followers: promote the
+                # first follower to leader and put it back in line.
+                leader = execution.leader = execution.followers.pop(0)
+                leader.state = jobstate.QUEUED
+                leader.dedup_of = None
+                self.store.record_state(leader, redispatches=leader.redispatches)
+                self._enqueue(leader.job_id)
+            else:
+                self.ledger.retire(key)
+        self.ledger.notify()
+        return True
 
-    async def run(self) -> None:
-        await self.start()
+    def fetch(self, record: JobRecord) -> Optional[CacheEntry]:
+        if record.cache_key is None or record.digest is None:
+            return None
         try:
-            await self._stop_event.wait()
-        finally:
-            await self.shutdown()
+            return self.shared.fetch_verified(record.cache_key, record.digest)
+        except ServiceError:
+            return None
 
-    async def shutdown(self) -> None:
-        # Swap-then-use: claim the server reference before the first
-        # suspension point so a concurrent shutdown() sees None and
-        # becomes a no-op instead of double-closing.
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        doomed: List[asyncio.Task] = list(self._connections)
+    def result_fields(self, record: JobRecord) -> Dict[str, Any]:
+        return {"worker": record.worker}
+
+    def health_fields(self) -> Dict[str, Any]:
+        return {
+            "role": "coordinator",
+            "workers_alive": len(self.membership.alive_workers()),
+            "store": self.shared.info(),
+        }
+
+    def start_tasks(self) -> None:
+        self._sweeper = asyncio.get_running_loop().create_task(self._sweep_loop())
+
+    async def stop_tasks(self) -> None:
+        doomed = [*self._pumps.values(), *self._forward_tasks.values()]
         if self._sweeper is not None:
             doomed.append(self._sweeper)
             self._sweeper = None
-        doomed.extend(self._pumps.values())
-        doomed.extend(self._forward_tasks.values())
         self._pumps.clear()
         self._forward_tasks.clear()
         for task in doomed:
             task.cancel()
         if doomed:
             await asyncio.gather(*doomed, return_exceptions=True)
-        self.store.close()
-        if self.config.tcp_host is None and isinstance(self.address, str):
-            try:
-                os.unlink(self.address)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Connection / op plumbing (same wire behaviour as the single daemon)
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionResetError):
-                    break
-                if not line:
-                    break
-                response, stop_after = await self._handle_line(line)
-                writer.write(encode_line(response))
-                await writer.drain()
-                if stop_after:
-                    self.request_stop()
-                    break
-        except asyncio.CancelledError:
-            # Shutdown cancels parked handlers; ending the task cleanly
-            # here keeps the streams machinery from re-raising the
-            # cancellation into the loop's exception handler.
-            pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, RuntimeError, ConnectionResetError):
-                pass
-
-    async def _handle_line(self, line: bytes) -> Tuple[Dict[str, Any], bool]:
-        op = "?"
-        try:
-            request = decode_line(line)
-            raw_op = request.get("op")
-            if isinstance(raw_op, str):
-                op = raw_op
-            if request.get("v") not in SUPPORTED_VERSIONS:
-                return (
-                    error_response(
-                        op,
-                        ERR_UNSUPPORTED,
-                        f"protocol version {request.get('v')!r} not supported",
-                        details={"supported": list(SUPPORTED_VERSIONS)},
-                    ),
-                    False,
-                )
-            if op not in COORDINATOR_OPS:
-                return (
-                    error_response(
-                        op,
-                        ERR_BAD_REQUEST,
-                        f"unknown op {raw_op!r}",
-                        details={"ops": list(COORDINATOR_OPS)},
-                    ),
-                    False,
-                )
-            return await self._dispatch_op(op, request)
-        except ServiceError as exc:
-            return error_response(op, exc.code, exc.message, exc.details), False
-        except Exception as exc:  # a bad request must not kill the daemon
-            return (
-                error_response(op, ERR_INTERNAL, f"{type(exc).__name__}: {exc}"),
-                False,
-            )
-
-    async def _dispatch_op(
-        self, op: str, request: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        if op == "submit":
-            return self._op_submit(request), False
-        if op == "status":
-            return self._op_status(request), False
-        if op == "result":
-            return await self._op_result(request), False
-        if op == "cancel":
-            return self._op_cancel(request), False
-        if op == "jobs":
-            return self._op_jobs(request), False
-        if op == "health":
-            return self._op_health(), False
-        if op == "register":
-            return self._op_register(request), False
-        if op == "heartbeat":
-            return self._op_heartbeat(request), False
-        if op == "deregister":
-            return self._op_deregister(request), False
-        if op == "steal":
-            return self._op_steal(request), False
-        if op == "fabric":
-            return self._op_fabric(), False
-        return await self._op_drain(request)
-
-    # ------------------------------------------------------------------ #
-    # Client-facing ops
-    # ------------------------------------------------------------------ #
-
-    def _op_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self._draining or self._stop_event.is_set():
-            return error_response(
-                "submit", ERR_DRAINING, "coordinator is draining; not accepting jobs"
-            )
-        priority = request.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ServiceError(ERR_BAD_REQUEST, "priority must be an integer")
-        timeout_s = request.get("timeout_s")
-        if timeout_s is not None and not isinstance(timeout_s, (int, float)):
-            raise ServiceError(ERR_BAD_REQUEST, "timeout_s must be a number")
-        spec = spec_from_wire(request.get("spec", {}))
-        if self._queued >= self.config.queue_limit:
-            self.metrics.counter("fabric.rejected").inc()
-            return error_response(
-                "submit",
-                ERR_QUEUE_FULL,
-                f"fabric queue is at its high-water mark "
-                f"({self._queued}/{self.config.queue_limit})",
-                details={
-                    "queue_depth": self._queued,
-                    "queue_limit": self.config.queue_limit,
-                },
-            )
-        record = self.store.new_job(
-            spec_to_wire(spec),
-            priority=priority,
-            timeout_s=float(timeout_s) if timeout_s is not None else None,
-            submitted_at=time.time(),  # repro: noqa[RPR001] queue-age timestamp for scheduling/telemetry only
-        )
-        self.metrics.counter("fabric.submitted").inc()
-        self._admit(record, spec)
-        return ok_response(
-            "submit",
-            job_id=record.job_id,
-            state=record.state,
-            queue_depth=self._queued,
-        )
-
-    def _admit(self, record: JobRecord, spec: RunSpec) -> None:
-        """Route a freshly admitted job: store hit, coalesce, or shard."""
-        key = spec_key(spec)
-        self._specs[record.job_id] = spec
-        self._keys[record.job_id] = key
-        entry = self.shared.get(key)
-        if entry is not None:
-            self._complete(record, key, entry.digest, entry.wall_s, source="cache")
-            return
-        execution = self._inflight.get(key)
-        if execution is not None:
-            self.metrics.counter("fabric.dedup_hits").inc()
-            record.state = jobstate.RUNNING
-            record.started_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
-            record.dedup_of = execution.leader.job_id
-            self.store.record_state(
-                record, at=record.started_at, dedup_of=record.dedup_of
-            )
-            execution.followers.append(record)
-            return
-        self._inflight[key] = _Execution(record)
-        self.metrics.gauge("fabric.inflight").set(len(self._inflight))
-        self._enqueue(record.job_id)
-
-    def _admit_recovered(self, record: JobRecord, spec: RunSpec) -> None:
-        """WAL replay path: like :meth:`_admit`, but without re-logging a
-        requeue event for jobs the replay already returned to QUEUED."""
-        key = spec_key(spec)
-        self._specs[record.job_id] = spec
-        self._keys[record.job_id] = key
-        execution = self._inflight.get(key)
-        if execution is not None:
-            # Duplicate submissions recovered together: coalesce again.
-            record.dedup_of = execution.leader.job_id
-            execution.followers.append(record)
-            record.state = jobstate.RUNNING
-            return
-        self._inflight[key] = _Execution(record)
-        self._enqueue(record.job_id)
-
-    def _enqueue(self, job_id: str) -> None:
-        """Put a QUEUED leader in line: shard it, or park it unassigned."""
-        record = self.store.jobs[job_id]
-        owner = self.membership.owner(self._keys[job_id])
-        self._queued += 1
-        self.metrics.gauge("fabric.queue_depth").set(self._queued)
-        if owner is None:
-            self._unassigned.append(job_id)
-        else:
-            self._assignment[job_id] = owner.worker_id
-            heapq.heappush(
-                self._backlog.setdefault(owner.worker_id, []),
-                (-record.priority, record.seq, job_id),
-            )
-        self._notify()
-
-    def done_event(self, job_id: str) -> asyncio.Event:
-        event = self._events.get(job_id)
-        if event is None:
-            event = self._events[job_id] = asyncio.Event()
-            record = self.store.jobs.get(job_id)
-            if record is not None and record.terminal:
-                event.set()
-        return event
-
-    def _lookup(self, request: Dict[str, Any]) -> JobRecord:
-        job_id = request.get("job_id")
-        if not isinstance(job_id, str):
-            raise ServiceError(ERR_BAD_REQUEST, "job_id must be a string")
-        record = self.store.jobs.get(job_id)
-        if record is None:
-            raise ServiceError(
-                ERR_UNKNOWN_JOB, f"no job {job_id!r}", details={"job_id": job_id}
-            )
-        return record
-
-    def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return ok_response("status", job=self._lookup(request).summary())
-
-    async def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        record = self._lookup(request)
-        if not record.terminal and request.get("wait"):
-            wait_timeout = request.get("timeout_s")
-            if wait_timeout is not None and not isinstance(
-                wait_timeout, (int, float)
-            ):
-                raise ServiceError(ERR_BAD_REQUEST, "timeout_s must be a number")
-            event = self.done_event(record.job_id)
-            try:
-                await asyncio.wait_for(event.wait(), timeout=wait_timeout)
-            except asyncio.TimeoutError:
-                return error_response(
-                    "result",
-                    ERR_TIMEOUT,
-                    f"job {record.job_id} still {record.state} after "
-                    f"{wait_timeout:g}s",
-                    details={"job_id": record.job_id, "state": record.state},
-                )
-        if record.state in (jobstate.QUEUED, jobstate.RUNNING):
-            return error_response(
-                "result",
-                ERR_NOT_READY,
-                f"job {record.job_id} is {record.state}",
-                details={"job_id": record.job_id, "state": record.state},
-            )
-        if record.state == jobstate.CANCELLED:
-            return error_response(
-                "result",
-                ERR_CANCELLED,
-                f"job {record.job_id} was cancelled",
-                details={"job_id": record.job_id},
-            )
-        if record.state == jobstate.FAILED:
-            error = record.error or {"code": ERR_INTERNAL, "message": "job failed"}
-            return error_response(
-                "result",
-                str(error.get("code", ERR_INTERNAL)),
-                str(error.get("message", "job failed")),
-                details={"job_id": record.job_id},
-            )
-        assert record.cache_key is not None and record.digest is not None
-        try:
-            entry = self.shared.fetch_verified(record.cache_key, record.digest)
-        except ServiceError:
-            return error_response(
-                "result",
-                ERR_RESULT_EVICTED,
-                f"report for job {record.job_id} is no longer in the shared "
-                "store (pruned or corrupted); resubmit the spec to recompute",
-                details={"job_id": record.job_id, "digest": record.digest},
-            )
-        doc = ok_response(
-            "result",
-            job_id=record.job_id,
-            digest=entry.digest,
-            wall_s=record.wall_s,
-            source=record.source,
-            dedup_of=record.dedup_of,
-            worker=record.worker,
-        )
-        if request.get("report", True):
-            doc["report"] = entry.report.to_dict()
-        return doc
-
-    def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        record = self._lookup(request)
-        if record.state == jobstate.QUEUED:
-            record.state = jobstate.CANCELLED
-            record.finished_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
-            self.store.record_state(record, at=record.finished_at)
-            self._queued -= 1
-            self.metrics.gauge("fabric.queue_depth").set(self._queued)
-            self.metrics.counter("fabric.cancelled").inc()
-            self._assignment.pop(record.job_id, None)
-            key = self._keys.get(record.job_id)
-            execution = self._inflight.get(key) if key is not None else None
-            if execution is not None and execution.leader is record:
-                # Cancelling a leader orphans its followers: promote the
-                # first follower to leader and put it back in line.
-                self._promote_follower(key, execution)
-            self.done_event(record.job_id).set()
-            self._notify()
-            return ok_response("cancel", job_id=record.job_id, state=record.state)
-        return error_response(
-            "cancel",
-            ERR_NOT_CANCELLABLE,
-            f"job {record.job_id} is {record.state}; only queued jobs cancel",
-            details={"job_id": record.job_id, "state": record.state},
-        )
-
-    def _promote_follower(self, key: str, execution: _Execution) -> None:
-        if not execution.followers:
-            del self._inflight[key]
-            self.metrics.gauge("fabric.inflight").set(len(self._inflight))
-            return
-        leader = execution.followers.pop(0)
-        execution.leader = leader
-        leader.state = jobstate.QUEUED
-        leader.dedup_of = None
-        self.store.record_state(leader, redispatches=leader.redispatches)
-        self._enqueue(leader.job_id)
-
-    def _op_jobs(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        state = request.get("state")
-        records = sorted(self.store.jobs.values(), key=lambda r: r.seq)
-        if state is not None:
-            records = [r for r in records if r.state == state]
-        return ok_response("jobs", jobs=[r.summary() for r in records])
-
-    async def _op_drain(
-        self, request: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        self._draining = True
-        if request.get("wait", True):
-            async with self._cond:
-                while self._queued > 0 or self._forward_tasks:
-                    await self._cond.wait()
-        stop = bool(request.get("stop", False))
-        return (
-            ok_response(
-                "drain",
-                draining=True,
-                stopped=stop,
-                queue_depth=self._queued,
-                inflight=len(self._forward_tasks),
-            ),
-            stop,
-        )
-
-    def _op_health(self) -> Dict[str, Any]:
-        states: Dict[str, int] = {}
-        for record in self.store.jobs.values():
-            states[record.state] = states.get(record.state, 0) + 1
-        uptime = time.time() - self.started_at if self.started_at else 0.0  # repro: noqa[RPR001] health-endpoint uptime, never digested
-        return ok_response(
-            "health",
-            protocol=PROTOCOL_VERSION,
-            pid=os.getpid(),
-            role="coordinator",
-            uptime_s=uptime,
-            draining=self._draining,
-            queue_depth=self._queued,
-            queue_limit=self.config.queue_limit,
-            inflight=len(self._forward_tasks),
-            workers_alive=len(self.membership.alive_workers()),
-            jobs=states,
-            recovered=self._recovered,
-            wal={
-                "path": str(self.store.path),
-                "jobs": len(self.store.jobs),
-                "skipped_lines": self.store.skipped_lines,
-            },
-            store=self.shared.info(),
-            metrics=self.metrics.to_dict(),
-        )
 
     # ------------------------------------------------------------------ #
     # Fabric control plane
     # ------------------------------------------------------------------ #
 
-    def _op_register(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _publish_alive(self) -> int:
+        alive = len(self.membership.alive_workers())
+        self.metrics.gauge("fabric.workers_alive").set(alive)
+        return alive
+
+    @staticmethod
+    def _worker_id(request: Dict[str, Any], op: str) -> str:
+        worker_id = request.get("worker_id")
+        if not isinstance(worker_id, str):
+            raise ServiceError(ERR_BAD_REQUEST, f"{op} needs a worker_id")
+        return worker_id
+
+    @staticmethod
+    def _unknown_worker(op: str, worker_id: str, hint: str = "") -> Response:
+        return error_response(
+            op,
+            ERR_UNKNOWN_WORKER,
+            f"worker {worker_id!r} is not registered{hint}",
+            details={"worker_id": worker_id},
+        )
+
+    def _op_register(self, request: Dict[str, Any]) -> Response:
         doc = request.get("worker")
         if not isinstance(doc, dict):
             raise ServiceError(ERR_BAD_REQUEST, "register needs a worker object")
@@ -748,10 +330,8 @@ class FabricCoordinator:
         if worker_id is not None and not isinstance(worker_id, str):
             raise ServiceError(ERR_BAD_REQUEST, "worker id must be a string")
         info = self.membership.join(address, slots=slots, worker_id=worker_id)
-        self.metrics.counter("fabric.worker_joins").inc()
-        self.metrics.gauge("fabric.workers_alive").set(
-            len(self.membership.alive_workers())
-        )
+        self.ledger.counter("worker_joins").inc()
+        alive = self._publish_alive()
         self._backlog.setdefault(info.worker_id, [])
         self._forwarded.setdefault(info.worker_id, set())
         self._start_pump(info.worker_id)
@@ -762,24 +342,18 @@ class FabricCoordinator:
             generation=info.generation,
             heartbeat_timeout_s=self.config.heartbeat_timeout_s,
             heartbeat_period_s=self.config.heartbeat_timeout_s / 3.0,
-            workers_alive=len(self.membership.alive_workers()),
+            workers_alive=alive,
         )
 
-    def _op_heartbeat(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = request.get("worker_id")
-        if not isinstance(worker_id, str):
-            raise ServiceError(ERR_BAD_REQUEST, "heartbeat needs a worker_id")
+    def _op_heartbeat(self, request: Dict[str, Any]) -> Response:
+        worker_id = self._worker_id(request, "heartbeat")
         stats = request.get("stats")
         info = self.membership.heartbeat(
             worker_id, stats if isinstance(stats, dict) else None
         )
         if info is None:
-            return error_response(
-                "heartbeat",
-                ERR_UNKNOWN_WORKER,
-                f"worker {worker_id!r} is not registered (evicted or never "
-                "joined); re-register",
-                details={"worker_id": worker_id},
+            return self._unknown_worker(
+                "heartbeat", worker_id, " (evicted or never joined); re-register"
             )
         if isinstance(stats, dict):
             for gauge_name in ("queue_depth", "inflight"):
@@ -798,29 +372,18 @@ class FabricCoordinator:
         )
 
     def _worker_is_idle(self, info: WorkerInfo) -> bool:
-        backlog = self._live_backlog(info.worker_id)
-        if backlog:
+        if self._live_backlog(info.worker_id):
             return False
-        stats = info.stats or {}
-        depth = stats.get("queue_depth", 0)
+        depth = (info.stats or {}).get("queue_depth", 0)
         return not self._forwarded.get(info.worker_id) and not depth
 
-    def _op_deregister(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = request.get("worker_id")
-        if not isinstance(worker_id, str):
-            raise ServiceError(ERR_BAD_REQUEST, "deregister needs a worker_id")
+    def _op_deregister(self, request: Dict[str, Any]) -> Response:
+        worker_id = self._worker_id(request, "deregister")
         info = self.membership.leave(worker_id)
         if info is None:
-            return error_response(
-                "deregister",
-                ERR_UNKNOWN_WORKER,
-                f"worker {worker_id!r} is not registered",
-                details={"worker_id": worker_id},
-            )
-        self.metrics.counter("fabric.worker_leaves").inc()
-        self.metrics.gauge("fabric.workers_alive").set(
-            len(self.membership.alive_workers())
-        )
+            return self._unknown_worker("deregister", worker_id)
+        self.ledger.counter("worker_leaves").inc()
+        self._publish_alive()
         self._stop_pump(worker_id)
         self._rebalance()  # its backlog re-shards; forwarded jobs finish
         return ok_response(
@@ -830,28 +393,18 @@ class FabricCoordinator:
             inflight=len(self._forwarded.get(worker_id, ())),
         )
 
-    def _op_steal(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = request.get("worker_id")
-        if not isinstance(worker_id, str):
-            raise ServiceError(ERR_BAD_REQUEST, "steal needs a worker_id")
+    def _op_steal(self, request: Dict[str, Any]) -> Response:
+        worker_id = self._worker_id(request, "steal")
         info = self.membership.workers.get(worker_id)
         if info is None or not info.alive:
-            return error_response(
-                "steal",
-                ERR_UNKNOWN_WORKER,
-                f"worker {worker_id!r} is not registered",
-                details={"worker_id": worker_id},
-            )
+            return self._unknown_worker("steal", worker_id)
         max_jobs = request.get("max", info.slots)
         if not isinstance(max_jobs, int) or isinstance(max_jobs, bool):
             raise ServiceError(ERR_BAD_REQUEST, "max must be an integer")
         stolen = self._steal_for(worker_id, max_jobs=max_jobs)
         return ok_response("steal", worker_id=worker_id, stolen=stolen)
 
-    def _op_fabric(self) -> Dict[str, Any]:
-        states: Dict[str, int] = {}
-        for record in self.store.jobs.values():
-            states[record.state] = states.get(record.state, 0) + 1
+    def _op_fabric(self, request: Dict[str, Any]) -> Response:
         workers = self.membership.summary()
         fleet = sum_counter_docs(
             w["stats"].get("counters", {})
@@ -869,8 +422,8 @@ class FabricCoordinator:
                 "replicas": self.membership.ring.replicas,
                 "members": self.membership.ring.members(),
             },
-            jobs=states,
-            queue_depth=self._queued,
+            jobs=self._state_counts(),
+            queue_depth=self.ledger.queued,
             unassigned=len(self._unassigned),
             backlogs=backlogs,
             inflight=len(self._forward_tasks),
@@ -882,20 +435,45 @@ class FabricCoordinator:
     # Sharding, stealing, rebalance
     # ------------------------------------------------------------------ #
 
+    def _enqueue(self, job_id: str) -> None:
+        """Put a QUEUED leader in line: shard it, or park it unassigned."""
+        self.ledger.add_queued(1)
+        self._shard(job_id)
+        self.ledger.notify()
+
+    def _shard(self, job_id: str, worker_id: Optional[str] = None) -> None:
+        """Backlog a queued job on ``worker_id`` — by default the ring
+        owner of its key — or park it until a worker joins."""
+        if worker_id is None:
+            owner = self.membership.owner(self.ledger.key(job_id))
+            if owner is None:
+                self._unassigned.append(job_id)
+                return
+            worker_id = owner.worker_id
+        record = self.store.jobs[job_id]
+        self._assignment[job_id] = worker_id
+        heapq.heappush(
+            self._backlog.setdefault(worker_id, []),
+            (-record.priority, record.seq, job_id),
+        )
+
+    def _is_live(self, job_id: str, worker_id: str) -> bool:
+        """Whether a backlog heap entry still stands (cancels, steals and
+        rebalances leave stale ones behind)."""
+        record = self.store.jobs.get(job_id)
+        return (
+            record is not None
+            and record.state == jobstate.QUEUED
+            and self._assignment.get(job_id) == worker_id
+        )
+
     def _live_backlog(self, worker_id: str) -> List[str]:
-        """Backlogged job ids still queued for ``worker_id`` (skips stale
-        heap entries left by cancels, steals, and rebalances)."""
-        heap = self._backlog.get(worker_id, [])
-        live = []
-        for _, _, job_id in heap:
-            record = self.store.jobs.get(job_id)
-            if (
-                record is not None
-                and record.state == jobstate.QUEUED
-                and self._assignment.get(job_id) == worker_id
-            ):
-                live.append(job_id)
-        return live
+        """Backlogged job ids still queued for ``worker_id``."""
+        return [
+            job_id
+            for _, _, job_id in self._backlog.get(worker_id, [])
+            if self._is_live(job_id, worker_id)
+        ]
 
     def _steal_for(self, thief_id: str, max_jobs: int) -> int:
         """Move up to ``max_jobs`` queued jobs from the longest backlogs
@@ -903,7 +481,7 @@ class FabricCoordinator:
         duplicates, so moving a leader cannot split a dedup batch."""
         moved = 0
         while moved < max_jobs:
-            victim_id, victim_jobs = None, []
+            victim_jobs: List[str] = []
             for worker_id in self._backlog:
                 if worker_id == thief_id:
                     continue
@@ -912,48 +490,33 @@ class FabricCoordinator:
                     continue
                 jobs = self._live_backlog(worker_id)
                 if len(jobs) > len(victim_jobs):
-                    victim_id, victim_jobs = worker_id, jobs
-            if victim_id is None or not victim_jobs:
+                    victim_jobs = jobs
+            if not victim_jobs:
                 break
-            job_id = victim_jobs[-1]  # take from the tail: coldest work
-            record = self.store.jobs[job_id]
-            self._assignment[job_id] = thief_id
-            heapq.heappush(
-                self._backlog.setdefault(thief_id, []),
-                (-record.priority, record.seq, job_id),
-            )
+            self._shard(victim_jobs[-1], thief_id)  # the tail: coldest work
             moved += 1
-            self.metrics.counter("fabric.steals").inc()
+            self.ledger.counter("steals").inc()
         if moved:
-            self._notify()
+            self.ledger.notify()
         return moved
 
     def _rebalance(self) -> None:
         """Re-shard every still-queued, not-yet-forwarded job after a
         topology change (join/leave/evict).  Consistent hashing keeps the
         moved set small; forwarded jobs stay where they run."""
-        waiting: List[str] = list(self._unassigned)
+        waiting = [
+            job_id
+            for job_id in self._unassigned
+            if self.store.jobs[job_id].state == jobstate.QUEUED  # not cancelled
+        ]
         self._unassigned.clear()
         for worker_id in list(self._backlog):
             waiting.extend(self._live_backlog(worker_id))
             self._backlog[worker_id] = []
-        seen: Set[str] = set()
-        for job_id in waiting:
-            if job_id in seen:
-                continue
-            seen.add(job_id)
+        for job_id in dict.fromkeys(waiting):
             self._assignment.pop(job_id, None)
-            record = self.store.jobs[job_id]
-            owner = self.membership.owner(self._keys[job_id])
-            if owner is None:
-                self._unassigned.append(job_id)
-            else:
-                self._assignment[job_id] = owner.worker_id
-                heapq.heappush(
-                    self._backlog.setdefault(owner.worker_id, []),
-                    (-record.priority, record.seq, job_id),
-                )
-        self._notify()
+            self._shard(job_id)
+        self.ledger.notify()
 
     # ------------------------------------------------------------------ #
     # Pumps and forwarding
@@ -984,32 +547,24 @@ class FabricCoordinator:
             return None
         heap = self._backlog.get(worker_id)
         while heap:
-            _, _, job_id = heap[0]
-            record = self.store.jobs.get(job_id)
-            if (
-                record is None
-                or record.state != jobstate.QUEUED
-                or self._assignment.get(job_id) != worker_id
-            ):
-                heapq.heappop(heap)  # stale: cancelled, stolen, re-sharded
-                continue
-            heapq.heappop(heap)
-            return job_id
+            job_id = heapq.heappop(heap)[2]
+            if self._is_live(job_id, worker_id):
+                del self._assignment[job_id]  # it leaves the backlog for good
+                return job_id
         return None
 
     async def _pump(self, worker_id: str) -> None:
         """One per alive worker: feed its backlog through its window."""
         while True:
-            async with self._cond:
+            async with self.ledger.cond:
                 job_id = self._next_for(worker_id)
                 while job_id is None:
-                    await self._cond.wait()
+                    await self.ledger.cond.wait()
                     info = self.membership.workers.get(worker_id)
                     if info is None or not info.alive:
                         return
                     job_id = self._next_for(worker_id)
-                self._queued -= 1
-                self.metrics.gauge("fabric.queue_depth").set(self._queued)
+                self.ledger.add_queued(-1)
                 self._forwarded.setdefault(worker_id, set()).add(job_id)
             task = asyncio.get_running_loop().create_task(
                 self._forward_and_settle(worker_id, job_id)
@@ -1018,16 +573,13 @@ class FabricCoordinator:
 
     async def _forward_and_settle(self, worker_id: str, job_id: str) -> None:
         record = self.store.jobs[job_id]
-        spec = self._specs[job_id]
+        spec = self.ledger.spec(job_id)
+        key = self.ledger.key(job_id)
         info = self.membership.workers.get(worker_id)
-        record.state = jobstate.RUNNING
-        record.started_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
         record.attempts += 1
         record.worker = worker_id
-        self.store.record_state(
-            record, at=record.started_at, worker=worker_id, attempts=record.attempts
-        )
-        self.metrics.counter("fabric.forwarded").inc()
+        self.ledger.running(record, worker=worker_id, attempts=record.attempts)
+        self.ledger.counter("forwarded").inc()
         try:
             if info is None or not info.alive:
                 outcome = ForwardOutcome("lost")
@@ -1035,11 +587,8 @@ class FabricCoordinator:
                 outcome = await self._forward_job(info, record, spec)
         except asyncio.CancelledError:
             raise  # eviction path requeues; do not settle here
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            outcome = ForwardOutcome(
-                "lost",
-                error={"code": ERR_UNAVAILABLE, "message": str(exc)},
-            )
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            outcome = ForwardOutcome("lost")
         except ServiceError as exc:
             outcome = ForwardOutcome(
                 "failed", error={"code": exc.code, "message": exc.message}
@@ -1054,113 +603,21 @@ class FabricCoordinator:
             )
         self._forward_tasks.pop(job_id, None)
         self._forwarded.get(worker_id, set()).discard(job_id)
-        key = self._keys[job_id]
         if outcome.status == "done":
             assert outcome.digest is not None
-            self._settle_done(record, key, outcome)
+            self.ledger.finish(
+                key, outcome.digest, outcome.wall_s or 0.0, outcome.source or "run"
+            )
         elif outcome.status == "failed":
-            error = outcome.error or {"code": ERR_INTERNAL, "message": "job failed"}
-            self._fail(record, error)
-            execution = self._inflight.pop(key, None)
-            if execution is not None:
-                for follower in execution.followers:
-                    self._fail(follower, dict(error), dedup_of=record.job_id)
-            self.metrics.gauge("fabric.inflight").set(len(self._inflight))
+            self.ledger.abort(
+                key, outcome.error or {"code": ERR_INTERNAL, "message": "job failed"}
+            )
         elif outcome.status == "requeue":
             self._requeue(job_id, reason="worker turned the job away")
         else:  # lost
             self._requeue(job_id, reason="worker connection lost")
-            self._worker_lost(worker_id, cause=outcome.error)
-        self._notify()
-
-    def _settle_done(
-        self, record: JobRecord, key: str, outcome: ForwardOutcome
-    ) -> None:
-        digest = outcome.digest
-        assert digest is not None
-        wall_s = outcome.wall_s if outcome.wall_s is not None else 0.0
-        self._complete(record, key, digest, wall_s, source=outcome.source or "run")
-
-    def _complete(
-        self,
-        record: JobRecord,
-        key: str,
-        digest: str,
-        wall_s: float,
-        source: str,
-    ) -> None:
-        """Terminal DONE for a leader and every coalesced follower."""
-        self._terminal_done(record, key, digest, wall_s, source, dedup_of=None)
-        execution = self._inflight.pop(key, None)
-        if execution is not None:
-            for follower in execution.followers:
-                self._terminal_done(
-                    follower, key, digest, wall_s, "dedup", dedup_of=record.job_id
-                )
-        self.metrics.gauge("fabric.inflight").set(len(self._inflight))
-
-    def _terminal_done(
-        self,
-        record: JobRecord,
-        key: str,
-        digest: str,
-        wall_s: float,
-        source: str,
-        dedup_of: Optional[str],
-    ) -> None:
-        record.state = jobstate.DONE
-        record.finished_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
-        record.digest = digest
-        record.cache_key = key
-        record.wall_s = wall_s
-        record.source = source
-        record.dedup_of = dedup_of
-        self.store.record_state(
-            record,
-            at=record.finished_at,
-            digest=digest,
-            key=key,
-            wall_s=wall_s,
-            source=source,
-            dedup_of=dedup_of,
-            retries=record.retries,
-            worker=record.worker,
-            redispatches=record.redispatches,
-        )
-        self.metrics.counter("fabric.completed").inc()
-        self._observe_latency(record)
-        self.done_event(record.job_id).set()
-
-    def _fail(
-        self,
-        record: JobRecord,
-        error: Dict[str, Any],
-        dedup_of: Optional[str] = None,
-    ) -> None:
-        record.state = jobstate.FAILED
-        record.finished_at = time.time()  # repro: noqa[RPR001] job lifecycle timestamp, operational metadata only
-        record.error = error
-        record.dedup_of = dedup_of
-        self.store.record_state(
-            record,
-            at=record.finished_at,
-            error=error,
-            dedup_of=dedup_of,
-            retries=record.retries,
-            worker=record.worker,
-            redispatches=record.redispatches,
-        )
-        self.metrics.counter("fabric.failed").inc()
-        self._observe_latency(record)
-        self.done_event(record.job_id).set()
-
-    def _observe_latency(self, record: JobRecord) -> None:
-        if record.finished_at is None or record.submitted_at <= 0:
-            return
-        latency_ms = max(0.0, (record.finished_at - record.submitted_at) * 1000.0)
-        self.metrics.histogram(
-            "fabric.job_latency_ms", _LATENCY_BUCKETS_MS
-        ).observe(latency_ms)
+            self._worker_lost(worker_id)
+        self.ledger.notify()
 
     # ------------------------------------------------------------------ #
     # Failure handling: requeue, eviction, sweep
@@ -1172,35 +629,28 @@ class FabricCoordinator:
         record = self.store.jobs.get(job_id)
         if record is None or record.terminal or record.state == jobstate.QUEUED:
             return
-        self._assignment.pop(job_id, None)
         record.redispatches += 1
         if record.redispatches > self.config.max_redispatch:
-            key = self._keys[job_id]
-            error = {
-                "code": ERR_WORKER_CRASHED,
-                "message": (
-                    f"job {job_id} lost its worker "
-                    f"{record.redispatches} time(s) ({reason}); "
-                    "re-dispatch budget exhausted"
-                ),
-            }
-            self._fail(record, error)
-            execution = self._inflight.pop(key, None)
-            if execution is not None:
-                for follower in execution.followers:
-                    self._fail(follower, dict(error), dedup_of=record.job_id)
-            self.metrics.gauge("fabric.inflight").set(len(self._inflight))
+            self.ledger.abort(
+                self.ledger.key(job_id),
+                {
+                    "code": ERR_WORKER_CRASHED,
+                    "message": (
+                        f"job {job_id} lost its worker "
+                        f"{record.redispatches} time(s) ({reason}); "
+                        "re-dispatch budget exhausted"
+                    ),
+                },
+            )
             return
         record.state = jobstate.QUEUED
         record.started_at = None
         record.worker = None
         self.store.record_state(record, redispatches=record.redispatches)
-        self.metrics.counter("fabric.redispatched").inc()
+        self.ledger.counter("redispatched").inc()
         self._enqueue(job_id)
 
-    def _worker_lost(
-        self, worker_id: str, cause: Optional[Dict[str, Any]] = None
-    ) -> None:
+    def _worker_lost(self, worker_id: str) -> None:
         """Failure-driven eviction: a dead connection is faster evidence
         than a missed heartbeat deadline.  Requeues everything the worker
         held and re-shards its backlog onto the survivors."""
@@ -1208,10 +658,8 @@ class FabricCoordinator:
         if info is None or not info.alive:
             return
         self.membership.evict(worker_id)
-        self.metrics.counter("fabric.evictions").inc()
-        self.metrics.gauge("fabric.workers_alive").set(
-            len(self.membership.alive_workers())
-        )
+        self.ledger.counter("evictions").inc()
+        self._publish_alive()
         self._stop_pump(worker_id)
         for job_id in sorted(self._forwarded.get(worker_id, set())):
             task = self._forward_tasks.pop(job_id, None)
@@ -1224,17 +672,9 @@ class FabricCoordinator:
     def sweep_once(self, now: Optional[float] = None) -> List[str]:
         """Evict every worker past its heartbeat deadline; returns their
         ids.  Called periodically by the daemon and directly by tests."""
-        evicted = []
-        for info in self.membership.expired(now):
-            self._worker_lost(
-                info.worker_id,
-                cause={
-                    "code": ERR_TIMEOUT,
-                    "message": f"worker {info.worker_id} missed its "
-                    f"heartbeat deadline ({self.config.heartbeat_timeout_s:g}s)",
-                },
-            )
-            evicted.append(info.worker_id)
+        evicted = [info.worker_id for info in self.membership.expired(now)]
+        for worker_id in evicted:
+            self._worker_lost(worker_id)
         return evicted
 
     async def _sweep_loop(self) -> None:
@@ -1294,7 +734,7 @@ class FabricCoordinator:
             digest = str(result["digest"])
             wall_s = float(result.get("wall_s") or 0.0)
             source = str(result.get("source") or "run")
-            key = self._keys[record.job_id]
+            key = self.ledger.key(record.job_id)
             entry = self.shared.cache.get(key)
             if entry is None or entry.digest != digest:
                 outcome = await self._pull_and_publish(
@@ -1340,27 +780,9 @@ class FabricCoordinator:
         self.shared.cache.put(key, report, float(result.get("wall_s") or 0.0))
         return None
 
-    def _notify(self) -> None:
-        """Wake pumps and drain waiters (never blocks: same loop)."""
 
-        async def _poke() -> None:
-            async with self._cond:
-                self._cond.notify_all()
-
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return
-        loop.create_task(_poke())
-
-
-class CoordinatorDaemon:
-    """Runs a :class:`FabricCoordinator` on a background thread.
-
-    Mirrors :class:`~repro.service.server.ServiceDaemon`: :meth:`stop` is
-    graceful, :meth:`kill` stops the loop dead (the crash the coordinator
-    WAL exists to survive).
-    """
+class CoordinatorDaemon(ServerDaemon[FabricCoordinator]):
+    """Runs a :class:`FabricCoordinator` on a background thread."""
 
     def __init__(
         self,
@@ -1368,89 +790,12 @@ class CoordinatorDaemon:
         forward_job: Optional[ForwardJob] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        super().__init__(
+            lambda: FabricCoordinator(config, forward_job=forward_job, clock=clock),
+            "coordinator",
+        )
         self.config = config
-        self.coordinator: Optional[FabricCoordinator] = None
-        self._forward_job = forward_job
-        self._clock = clock
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._boot_error: Optional[BaseException] = None
-        self._killed = False
 
     @property
-    def address(self) -> Union[str, Tuple[str, int], None]:
-        return self.coordinator.address if self.coordinator is not None else None
-
-    def start(self, timeout: float = 10.0) -> "CoordinatorDaemon":
-        self._ready.clear()
-        self._boot_error = None
-        self._killed = False
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-coordinator", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("coordinator daemon did not come up in time")
-        if self._boot_error is not None:
-            self._thread.join(timeout=timeout)
-            raise RuntimeError(
-                f"coordinator daemon failed to start: {self._boot_error}"
-            )
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        coordinator = self.coordinator
-        if coordinator is not None:
-            try:
-                self._loop.call_soon_threadsafe(coordinator.request_stop)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def kill(self, timeout: float = 10.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        self._killed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    # ------------------------------------------------------------------ #
-
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        self.coordinator = FabricCoordinator(
-            self.config, forward_job=self._forward_job, clock=self._clock
-        )
-        try:
-            loop.run_until_complete(self._amain())
-        except RuntimeError:
-            if not self._killed:
-                raise
-        finally:
-            if not self._killed:
-                try:
-                    loop.close()
-                except RuntimeError:
-                    pass
-            asyncio.set_event_loop(None)
-            if not self._ready.is_set():
-                self._ready.set()
-
-    async def _amain(self) -> None:
-        assert self.coordinator is not None
-        try:
-            await self.coordinator.start()
-        except BaseException as exc:
-            self._boot_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.coordinator.wait_stopped()
-        await self.coordinator.shutdown()
+    def coordinator(self) -> Optional[FabricCoordinator]:
+        return self.server

@@ -52,8 +52,8 @@ class WorkerConfig:
     socket_path: Optional[pathlib.Path] = None
     tcp_host: Optional[str] = None
     tcp_port: int = 0
-    jobs: int = 1
-    queue_limit: int = 64
+    jobs: int = ServiceConfig.jobs
+    queue_limit: int = ServiceConfig.queue_limit
     cache_dir: Optional[pathlib.Path] = None
     wal_path: Optional[pathlib.Path] = None
     worker_id: Optional[str] = None

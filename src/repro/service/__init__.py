@@ -17,8 +17,14 @@ Modules:
 
 - :mod:`~repro.service.protocol` — versioned wire schema + RunSpec codec
 - :mod:`~repro.service.store` — crash-tolerant JSONL write-ahead job store
-- :mod:`~repro.service.dispatch` — cache consult, dedup-batching, retries
-- :mod:`~repro.service.server` — the daemon, admission control, lifecycle
+- :mod:`~repro.service.core` — the protocol server (sockets, op table,
+  admission, WAL recovery, shutdown) and its thread-hosted daemon
+  harness: one front end, serving whichever backend runs the jobs
+- :mod:`~repro.service.ledger` — the job lifecycle both backends share
+- :mod:`~repro.service.dispatch` — the local backend: cache consult,
+  dedup-batching, retries, warm workers
+- :mod:`~repro.service.server` — the single daemon: the server wired to
+  the local backend (the fleet backend is :mod:`repro.fabric.coordinator`)
 - :mod:`~repro.service.client` — blocking client used by the CLI and tests
 """
 

@@ -280,6 +280,11 @@ class JobStore:
         event.update(payload)
         self._append(event)
 
+    def record_terminal(self, record: JobRecord) -> None:
+        """Append the terminal event of ``record`` (already mutated) — the
+        same event :meth:`compact` keeps for it."""
+        self._append(_terminal_event(record))
+
     def _append(self, event: Mapping[str, Any]) -> None:
         if self._fh is None:
             return
@@ -309,23 +314,7 @@ class JobStore:
             for record in sorted(self.jobs.values(), key=lambda r: r.seq):
                 fh.write(json.dumps(_submit_event(record), separators=(",", ":")) + "\n")
                 if record.terminal:
-                    event: Dict[str, Any] = {
-                        "v": WAL_SCHEMA,
-                        "type": "state",
-                        "id": record.job_id,
-                        "state": record.state,
-                        "at": record.finished_at,
-                        "digest": record.digest,
-                        "key": record.cache_key,
-                        "wall_s": record.wall_s,
-                        "source": record.source,
-                        "dedup_of": record.dedup_of,
-                        "error": record.error,
-                        "retries": record.retries,
-                        "worker": record.worker,
-                        "redispatches": record.redispatches,
-                    }
-                    fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+                    fh.write(json.dumps(_terminal_event(record), separators=(",", ":")) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
@@ -341,6 +330,25 @@ def _submit_event(record: JobRecord) -> Dict[str, Any]:
         "timeout_s": record.timeout_s,
         "at": record.submitted_at,
         "spec": record.spec_wire,
+    }
+
+
+def _terminal_event(record: JobRecord) -> Dict[str, Any]:
+    return {
+        "v": WAL_SCHEMA,
+        "type": "state",
+        "id": record.job_id,
+        "state": record.state,
+        "at": record.finished_at,
+        "digest": record.digest,
+        "key": record.cache_key,
+        "wall_s": record.wall_s,
+        "source": record.source,
+        "dedup_of": record.dedup_of,
+        "error": record.error,
+        "retries": record.retries,
+        "worker": record.worker,
+        "redispatches": record.redispatches,
     }
 
 

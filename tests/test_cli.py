@@ -235,6 +235,33 @@ class TestServiceVerbs:
         assert args.func.__name__ == "cmd_result"
         assert args.job_id == "j-1"
 
+    def test_daemon_defaults_come_from_the_config_dataclasses(self):
+        """`serve`/`worker` declare no numeric defaults of their own: an
+        omitted flag is dropped and the dataclass default applies, so the
+        CLI and an embedded daemon cannot disagree."""
+        from repro.cli import _daemon_config
+        from repro.fabric.coordinator import CoordinatorConfig
+        from repro.service import ServiceConfig
+
+        parser = build_parser()
+        bare = parser.parse_args(["serve"])
+        for flag in ("jobs", "queue_limit", "max_retries", "retry_backoff",
+                     "heartbeat_timeout", "max_redispatch"):
+            assert getattr(bare, flag) is None, flag
+        assert _daemon_config(bare, retry_backoff_s=bare.retry_backoff) == {}
+        assert ServiceConfig().retry_backoff_s == 0.5  # the documented value
+        given = parser.parse_args(
+            ["serve", "--coordinator", "--queue-limit", "8", "--no-fsync",
+             "--tcp", "127.0.0.1:7000", "--wal", "/tmp/x.wal"]
+        )
+        config = CoordinatorConfig(**_daemon_config(given))
+        assert (config.queue_limit, config.fsync) == (8, False)
+        assert (config.tcp_host, config.tcp_port) == ("127.0.0.1", 7000)
+        assert str(config.resolved_wal_path()) == "/tmp/x.wal"
+        assert config.heartbeat_timeout_s == CoordinatorConfig().heartbeat_timeout_s
+        with pytest.raises(SystemExit, match="--tcp expects HOST:PORT"):
+            _daemon_config(parser.parse_args(["worker", "--tcp", "nope"]))
+
     def test_submit_spec_mirrors_run_defaults(self):
         from repro.config import paper_host_config, paper_target_config
         from repro.cli import _submit_spec

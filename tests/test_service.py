@@ -33,6 +33,7 @@ from repro.config import (
     paper_host_config,
     quick_target_config,
 )
+from repro.fabric.membership import EVICTED
 from repro.harness.cache import ReportCache, RunSpec, spec_key
 from repro.harness.pool import (
     ExecutionTimeoutError,
@@ -64,6 +65,7 @@ from repro.service.protocol import (
 )
 from repro.service.store import DONE, QUEUED, RUNNING, JobStore
 
+from tests.engines import KINDS, Engine, lifecycle_session
 from tests.test_pool_cache import _crash_once_worker, _new_children
 
 SCALE = 0.05
@@ -501,47 +503,34 @@ class TestBackpressureDedupCancel:
 
 
     def test_terminal_jobs_leave_no_bookkeeping(self, tmp_path):
-        """Completed, cancelled and failed jobs all drop their dispatcher
-        entries; a waiter that arrives afterwards is still answered."""
-        gate = threading.Event()
-
-        async def gated(spec, timeout):
-            await asyncio.to_thread(gate.wait)
-            if spec.seed == 13:
-                raise ValueError("spec is cursed")
-            return await inline_run_job(spec, timeout)
-
-        d = ServiceDaemon(make_config(tmp_path), run_job=gated).start()
-        try:
-            with ServiceClient(d.address, timeout=30.0) as c:
-                done = [c.submit(tiny_spec(seed=s))["job_id"] for s in (1, 2, 3)]
-                done.append(c.submit(tiny_spec(seed=1))["job_id"])  # a follower
-                failed = c.submit(tiny_spec(seed=13))["job_id"]
-                cancelled = c.submit(tiny_spec(seed=14))["job_id"]
-                assert c.cancel(cancelled)["state"] == "cancelled"
-                gate.set()
-                c.drain(wait=True)
-                dispatcher = d.service.dispatcher
-                for retained in (
-                    dispatcher._specs,
-                    dispatcher._keys,
-                    dispatcher._probed,
-                    dispatcher._events,
-                ):
-                    assert retained == {}
-                for job_id in done:
-                    late = c.result(job_id, wait=True, timeout_s=5)
-                    assert late["digest"] == c.status(job_id)["digest"]
-                with pytest.raises(ServiceError) as excinfo:
-                    c.result(failed, wait=True, timeout_s=5)
-                assert excinfo.value.code == "INTERNAL"
-                with pytest.raises(ServiceError) as excinfo:
-                    c.result(cancelled, wait=True, timeout_s=5)
-                assert excinfo.value.code == ERR_CANCELLED
-                assert dispatcher._events == {}
-        finally:
-            gate.set()
-            d.stop()
+        """Completed, deduplicated, cancelled, failed and re-dispatched
+        jobs all drop their per-job entries — in the dispatcher and in
+        the fabric coordinator alike — and a waiter that arrives
+        afterwards is still answered at once."""
+        for kind in KINDS:
+            engine = Engine(kind, tmp_path / kind, gated=True)
+            try:
+                with engine.client() as c:
+                    jobs = lifecycle_session(engine, c)
+                    backend = engine.server.backend
+                    ledger = backend.ledger
+                    retained = [ledger._tracked, ledger._events, ledger.inflight]
+                    if kind == "service":
+                        retained.append(backend._probed)
+                    else:
+                        assert backend.membership.workers["w-1"].state == EVICTED
+                        retained += [backend._assignment, *backend._forwarded.values()]
+                    assert [len(kept) for kept in retained] == [0] * len(retained), kind
+                    for job_id in jobs["done"]:
+                        late = c.result(job_id, wait=True, timeout_s=5)
+                        assert late["digest"] == c.status(job_id)["digest"]
+                    for fate, code in (("failed", "INTERNAL"), ("cancelled", ERR_CANCELLED)):
+                        with pytest.raises(ServiceError) as excinfo:
+                            c.result(jobs[fate][0], wait=True, timeout_s=5)
+                        assert excinfo.value.code == code
+                    assert ledger._events == {}
+            finally:
+                engine.stop()
 
 
 class TestRetriesAndTimeouts:
