@@ -224,9 +224,9 @@ class FabricCoordinator(ProtocolServer):
     def inflight_count(self) -> int:
         return len(self._forward_tasks)
 
-    def admit(self, record: JobRecord, spec: RunSpec) -> None:
+    def admit(self, record: JobRecord, spec: RunSpec, key: str) -> None:
         """Route an admitted job: store hit, coalesce, or shard."""
-        key = self.ledger.track(record, spec)
+        self.ledger.track(record, spec, key)
         entry = self.shared.get(key)
         if entry is not None:
             self.ledger.complete(record, key, entry.digest, entry.wall_s, source="cache")

@@ -42,8 +42,8 @@ class SharedReportStore:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.root = pathlib.Path(root)
-        self.cache = ReportCache(self.root)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.cache = ReportCache(self.root, self.metrics)
 
     def get(self, key: str) -> Optional[CacheEntry]:
         """A digest-self-consistent entry, or ``None`` (counted) on miss.

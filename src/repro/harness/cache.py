@@ -31,17 +31,25 @@ time, which :mod:`repro.harness.pool` reuses as the recorded-cost hint
 for longest-job-first scheduling.  Writes are atomic (tmp + rename) and
 reads treat any undecodable file as a miss, so concurrent pool workers
 can share the cache without locking.
+
+A long-lived :class:`ReportCache` (a daemon's, the coordinator's) is
+asked for the same few entries over and over, so each instance keeps its
+last :data:`ENTRY_MEMO_SIZE` loaded entries keyed on the file's
+``(st_ino, st_size, st_mtime_ns)``: a repeat :meth:`ReportCache.get`
+costs one ``os.stat`` and one digest re-derivation instead of a file
+read, a JSON parse and a report rebuild.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.config import (
     CheckpointConfig,
@@ -50,13 +58,17 @@ from repro.config import (
     TargetConfig,
 )
 from repro.core.report import SimulationReport
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.util import LruMemo
 
 __all__ = [
     "CACHE_SCHEMA",
+    "ENTRY_MEMO_SIZE",
     "CacheEntry",
     "ReportCache",
     "RunSpec",
     "default_cache_dir",
+    "field_names",
     "fingerprint",
     "semantics_tag",
     "spec_key",
@@ -64,6 +76,9 @@ __all__ = [
 
 #: Bumped whenever the entry layout or key derivation changes shape.
 CACHE_SCHEMA = 1
+
+#: Loaded entries one :class:`ReportCache` instance keeps in memory.
+ENTRY_MEMO_SIZE = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,6 +103,16 @@ class RunSpec:
     host: HostConfig
 
 
+@functools.lru_cache(maxsize=None)
+def field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The field names of a dataclass type in declaration order, ``None``
+    for any other type.  Cached per class: the canonical encoders ask for
+    every value they walk."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def fingerprint(obj) -> object:
     """Render a configuration value as canonical plain data.
 
@@ -96,10 +121,11 @@ def fingerprint(obj) -> object:
     floats are rendered with ``float.hex`` so the fingerprint is exact to
     the last ulp.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    names = field_names(type(obj))
+    if names is not None:
         data = {"__type__": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            data[f.name] = fingerprint(getattr(obj, f.name))
+        for name in names:
+            data[name] = fingerprint(getattr(obj, name))
         return data
     if isinstance(obj, float):
         return obj.hex()
@@ -161,19 +187,51 @@ def default_cache_dir() -> pathlib.Path:
 
 
 class CacheEntry(NamedTuple):
-    """One stored run: the reconstructed report and its recorded cost."""
+    """One stored run: the reconstructed report and its recorded cost.
+
+    ``payload`` is ``report.to_dict()`` as of the load.  Repeat reads of
+    one :class:`ReportCache` return the same entry, so ``report`` and
+    ``payload`` are shared: treat both as read-only.
+    """
 
     report: SimulationReport
     wall_s: float
     digest: str
+    payload: Dict[str, Any]
+
+
+def _parse_entry(text: str) -> CacheEntry:
+    """Decode one stored entry; ``ValueError``/``KeyError``/``TypeError``
+    on anything that is not a current-schema document whose report
+    reproduces its recorded digest (truncated write, report-schema
+    drift, garbage)."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("schema") != CACHE_SCHEMA:
+        raise ValueError("cache schema mismatch")
+    report = SimulationReport.from_dict(doc["report"])
+    entry = CacheEntry(report, float(doc["wall_s"]), doc["digest"], report.to_dict())
+    if entry.digest != report.digest():
+        raise ValueError("stored report does not reproduce its digest")
+    return entry
 
 
 class ReportCache:
     """On-disk report store shared by the runner, the pool, and bench."""
 
-    def __init__(self, root: Optional[pathlib.Path] = None) -> None:
+    def __init__(
+        self,
+        root: Optional[pathlib.Path] = None,
+        metrics: MetricsRegistry = NULL_REGISTRY,
+    ) -> None:
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
         self._reports = self.root / "reports"
+        self._memo: LruMemo[str, Tuple[Tuple[int, int, int], CacheEntry]] = LruMemo(
+            ENTRY_MEMO_SIZE
+        )
+        # A daemon passes its registry (and reads on its loop only), so
+        # `health` shows the hit path; everyone else counts into the void.
+        self._memo_hits = metrics.counter("store.entry_memo_hits")
+        self._io_errors = metrics.counter("store.io_errors")
 
     def _entry_path(self, key: str) -> pathlib.Path:
         return self._reports / key[:2] / f"{key}.json"
@@ -181,30 +239,43 @@ class ReportCache:
     # ------------------------------------------------------------------ #
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        """Load an entry; any unreadable/corrupt file is dropped (miss)."""
+        """Load an entry; a corrupt file is dropped (miss).
+
+        Every entry returned reproduces its recorded digest, whether it
+        came from disk or from the memo: a memoized report a caller has
+        mutated is forgotten and read again.  An I/O error other than
+        "no such file" is a counted miss that leaves the file alone — the
+        store may be shared, and this node's ``EMFILE`` is not the
+        fleet's corruption.
+        """
         path = self._entry_path(key)
         try:
-            doc = json.loads(path.read_text())
-            if doc.get("schema") != CACHE_SCHEMA:
-                raise ValueError("cache schema mismatch")
-            report = SimulationReport.from_dict(doc["report"])
-            entry = CacheEntry(report, float(doc["wall_s"]), doc["digest"])
+            stat = os.stat(path)
+            signature = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            memoized = self._memo.get(key)
+            if (
+                memoized is not None
+                and memoized[0] == signature
+                and memoized[1].digest == memoized[1].report.digest()
+            ):
+                self._memo_hits.inc()
+                return memoized[1]
+            self._memo.drop(key)
+            try:
+                entry = _parse_entry(path.read_text())
+            except (ValueError, KeyError, TypeError):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                return None
         except FileNotFoundError:
+            self._memo.drop(key)
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        except OSError:
+            self._io_errors.inc()
             return None
-        if entry.digest != entry.report.digest():
-            # The stored report no longer reproduces its own recorded
-            # digest (truncated write, report-schema drift): drop it.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        self._memo.put(key, (signature, entry))
         return entry
 
     def wall_hint(self, key: str) -> Optional[float]:

@@ -14,7 +14,9 @@ op table:
   ``QUEUE_FULL`` (carrying depth and limit); a draining server answers
   ``DRAINING``.  An accepted submission is appended (flushed, fsynced)
   to the :class:`~repro.service.store.JobStore` WAL *before* the client
-  sees the acknowledgment, then handed to the backend.
+  sees the acknowledgment, then handed to the backend.  A spec the
+  server has decoded before is not decoded, re-encoded or fingerprinted
+  again (:meth:`ProtocolServer.admitted_spec`).
 - **Recovery.**  :meth:`ProtocolServer.start` replays the WAL and
   re-admits every job that was queued or running when the last daemon
   died — determinism makes re-running always safe.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -49,6 +52,8 @@ from typing import (
     ClassVar,
     Dict,
     Generic,
+    Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Set,
@@ -57,7 +62,7 @@ from typing import (
     Union,
 )
 
-from repro.harness.cache import CacheEntry, RunSpec, default_cache_dir
+from repro.harness.cache import CacheEntry, RunSpec, default_cache_dir, spec_key
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
     ERR_BAD_REQUEST,
@@ -84,11 +89,15 @@ from repro.service.protocol import (
 )
 from repro.service.store import CANCELLED, FAILED, JobRecord, JobStore
 from repro.telemetry import MetricsRegistry
+from repro.util import LruMemo
 
-__all__ = ["Backend", "ProtocolServer", "ServerConfig", "ServerDaemon"]
+__all__ = ["AdmittedSpec", "Backend", "ProtocolServer", "ServerConfig", "ServerDaemon"]
 
 #: Maximum accepted protocol line length (a wire-encoded spec is ~2 KB).
 LINE_LIMIT = 1 << 20
+
+#: Distinct submitted specs a server keeps decoded.
+SPEC_MEMO_SIZE = 256
 
 Response = Dict[str, Any]
 Handler = Callable[[Dict[str, Any]], Union[Response, Awaitable[Response]]]
@@ -150,8 +159,9 @@ class Backend(Protocol):
     def inflight_count(self) -> int:
         """Jobs handed to an executor and not yet settled."""
 
-    def admit(self, record: JobRecord, spec: RunSpec) -> None:
-        """Take over a journaled QUEUED job (new, or replayed from the WAL)."""
+    def admit(self, record: JobRecord, spec: RunSpec, key: str) -> None:
+        """Take over a journaled QUEUED job (new, or replayed from the WAL);
+        ``key`` is the spec's :func:`~repro.harness.cache.spec_key`."""
 
     def cancel(self, record: JobRecord) -> bool:
         """Cancel ``record`` if it has not started; False when it has."""
@@ -188,6 +198,16 @@ def _timeout_s(request: Dict[str, Any]) -> Optional[float]:
     )
 
 
+class AdmittedSpec(NamedTuple):
+    """One submitted spec, decoded once: the :class:`RunSpec`, its
+    canonical wire form (shared, read-only, by every
+    :class:`JobRecord` of the spec) and its store key."""
+
+    spec: RunSpec
+    wire: Dict[str, Any]
+    key: str
+
+
 class ProtocolServer:
     """The daemon front end.  Subclasses construct and set :attr:`backend`."""
 
@@ -205,6 +225,28 @@ class ProtocolServer:
         self._stop_event = asyncio.Event()
         self._draining = False
         self._recovered = 0
+        self._spec_memo: LruMemo[str, AdmittedSpec] = LruMemo(SPEC_MEMO_SIZE)
+        self._spec_memo_hits = self.metrics.counter("service.spec_memo_hits")
+
+    def admitted_spec(self, doc: Mapping[str, Any]) -> AdmittedSpec:
+        """Decode a wire spec, or recall it: a repeat costs one
+        ``json.dumps``.
+
+        The memo is keyed on the compact, key-sorted JSON text of ``doc``,
+        never on :class:`RunSpec` equality: ``1``, ``1.0`` and ``true``
+        compare and hash equal in Python but fingerprint — and so key the
+        report store — differently.  A spec that fails to decode raises
+        before anything is remembered.
+        """
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        admitted = self._spec_memo.get(text)
+        if admitted is None:
+            spec = spec_from_wire(doc)
+            admitted = AdmittedSpec(spec, spec_to_wire(spec), spec_key(spec))
+            self._spec_memo.put(text, admitted)
+        else:
+            self._spec_memo_hits.inc()
+        return admitted
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -216,13 +258,13 @@ class ProtocolServer:
         self._recovered = 0
         for record in self.store.pending():
             try:
-                spec = spec_from_wire(record.spec_wire)
+                admitted = self.admitted_spec(record.spec_wire)
             except ServiceError as exc:
                 self.backend.ledger.fail(
                     record, {"code": exc.code, "message": exc.message}
                 )
                 continue
-            self.backend.admit(record, spec)
+            self.backend.admit(record, admitted.spec, admitted.key)
             self._recovered += 1
         self.backend.start_tasks()
         if self.config.tcp_host is not None:
@@ -374,7 +416,7 @@ class ProtocolServer:
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ServiceError(ERR_BAD_REQUEST, "priority must be an integer")
         timeout_s = _timeout_s(request)
-        spec = spec_from_wire(request.get("spec", {}))
+        admitted = self.admitted_spec(request.get("spec", {}))
         ledger = self.backend.ledger
         depth, limit = ledger.queued, self.config.queue_limit
         if depth >= limit:
@@ -386,12 +428,12 @@ class ProtocolServer:
                 details={"queue_depth": depth, "queue_limit": limit},
             )
         record = self.store.new_job(
-            spec_to_wire(spec),
+            admitted.wire,
             priority=priority,
             timeout_s=timeout_s,
             submitted_at=time.time(),
         )
-        self.backend.admit(record, spec)
+        self.backend.admit(record, admitted.spec, admitted.key)
         ledger.counter("submitted").inc()
         return ok_response(
             "submit",
@@ -475,7 +517,7 @@ class ProtocolServer:
         if request.get("report", True):
             # v2: the fabric coordinator asks for the summary only — the
             # report itself travels through the shared store.
-            doc["report"] = entry.report.to_dict()
+            doc["report"] = entry.payload
         return doc
 
     def _op_cancel(self, request: Dict[str, Any]) -> Response:

@@ -122,9 +122,9 @@ class Dispatcher:
     def inflight_count(self) -> int:
         return len(self.ledger.inflight)
 
-    def admit(self, record: JobRecord, spec: RunSpec) -> None:
+    def admit(self, record: JobRecord, spec: RunSpec, key: str) -> None:
         """Queue one job (admission control already passed at the server)."""
-        self.ledger.track(record, spec)
+        self.ledger.track(record, spec, key)
         heapq.heappush(self._heap, (-record.priority, record.seq, record.job_id))
         self.ledger.add_queued(1)
         self.ledger.notify()

@@ -27,7 +27,7 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.cache import RunSpec, spec_key
+from repro.harness.cache import RunSpec
 from repro.service import store as jobstate
 from repro.service.store import JobRecord, JobStore
 from repro.telemetry import Counter, MetricsRegistry
@@ -73,11 +73,9 @@ class JobLedger:
     # Per-job bookkeeping
     # ------------------------------------------------------------------ #
 
-    def track(self, record: JobRecord, spec: RunSpec) -> str:
-        """Remember an admitted job's spec until it ends; returns its key."""
-        key = spec_key(spec)
+    def track(self, record: JobRecord, spec: RunSpec, key: str) -> None:
+        """Remember an admitted job's spec and store key until it ends."""
         self._tracked[record.job_id] = (spec, key)
-        return key
 
     def spec(self, job_id: str) -> RunSpec:
         return self._tracked[job_id][0]

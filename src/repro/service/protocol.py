@@ -34,7 +34,6 @@ come back as tuples), which is what makes the service's digest contract
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
@@ -56,7 +55,7 @@ from repro.config import (
     TargetConfig,
 )
 from repro.errors import ReproError
-from repro.harness.cache import RunSpec
+from repro.harness.cache import RunSpec, field_names
 from repro.memory.dram import DramConfig
 
 __all__ = [
@@ -212,15 +211,16 @@ _SCALARS = (bool, int, float, str)
 
 
 def _encode_value(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    fields = field_names(type(value))
+    if fields is not None:
         name = type(value).__name__
         if name not in CONFIG_CLASSES:
             raise ServiceError(
                 ERR_BAD_REQUEST, f"unregistered configuration class {name!r}"
             )
         doc: Dict[str, Any] = {"__type__": name}
-        for f in dataclasses.fields(value):
-            doc[f.name] = _encode_value(getattr(value, f.name))
+        for field in fields:
+            doc[field] = _encode_value(getattr(value, field))
         return doc
     if value is None or isinstance(value, _SCALARS):
         return value
@@ -240,7 +240,7 @@ def _decode_value(doc: Any) -> Any:
                 ERR_BAD_REQUEST, f"unknown configuration class tag {name!r}"
             )
         cls: Type[Any] = CONFIG_CLASSES[name]
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = field_names(cls) or ()
         kwargs = {
             key: _decode_value(value)
             for key, value in doc.items()

@@ -60,7 +60,7 @@ class SimulationService(ProtocolServer):
         self, config: ServiceConfig, run_job: Optional[RunJob] = None
     ) -> None:
         super().__init__(config)
-        self.cache = ReportCache(config.resolved_cache_dir())
+        self.cache = ReportCache(config.resolved_cache_dir(), self.metrics)
         self.dispatcher = Dispatcher(
             self.store, self.cache, self.metrics, config, run_job=run_job
         )

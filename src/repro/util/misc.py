@@ -1,6 +1,12 @@
-"""Arithmetic helpers used across the library."""
+"""Arithmetic helpers and a bounded memo used across the library."""
 
 from __future__ import annotations
+
+import collections
+from typing import Generic, Hashable, Optional, TypeVar
+
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -27,3 +33,33 @@ def log2_int(n: int) -> int:
     if not is_power_of_two(n):
         raise ValueError(f"{n} is not a positive power of two")
     return n.bit_length() - 1
+
+
+class LruMemo(Generic[K, V]):
+    """A map that keeps its ``limit`` most recently used entries."""
+
+    def __init__(self, limit: int) -> None:
+        if limit <= 0:
+            raise ValueError(f"limit must be positive, got {limit}")
+        self.limit = limit
+        self._items: collections.OrderedDict[K, V] = collections.OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: K) -> Optional[V]:
+        """The value stored under ``key`` (now the most recent), or None."""
+        value = self._items.get(key)
+        if value is not None:
+            self._items.move_to_end(key)
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        """Store ``value`` as the most recent entry, evicting the oldest."""
+        self._items[key] = value
+        self._items.move_to_end(key)
+        if len(self._items) > self.limit:
+            self._items.popitem(last=False)
+
+    def drop(self, key: K) -> None:
+        self._items.pop(key, None)

@@ -407,6 +407,9 @@ class TestServiceEndToEnd:
         counters = health["metrics"]["counters"]
         assert counters["service.workers_spawned"] == 0
         assert counters["service.worker_reuses"] == 0
+        assert counters["service.spec_memo_hits"] == 0
+        assert counters["store.entry_memo_hits"] == 0
+        assert counters["store.io_errors"] == 0
         assert pathlib.Path(health["wal"]["path"]).name == "jobs.wal"
 
 
