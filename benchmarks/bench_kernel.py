@@ -39,13 +39,11 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--update-golden", action="store_true")
     parser.add_argument("--output", default="BENCH_kernel.json")
-    parser.add_argument("--profile-calls", action="store_true")
     args = parser.parse_args(argv)
     run_bench(
         smoke=args.smoke,
         update_golden=args.update_golden,
         output=args.output,
-        profile_calls=args.profile_calls,
     )
     return 0
 

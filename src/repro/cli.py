@@ -76,6 +76,7 @@ from repro.errors import ReproError
 from repro.harness import ExperimentRunner
 from repro.harness import experiments as experiments_mod
 from repro.harness.export import to_csv, to_json
+from repro.harness.pool import execute_spec, new_sanitizer
 from repro.workloads import WORKLOADS, make_workload
 
 def _frontier_experiment(runner):
@@ -108,12 +109,30 @@ EXPERIMENTS = {
 }
 
 
+#: The argument each parameterised scheme spec takes after its colon.
+_SCHEME_ARGUMENT = {
+    "slack": "N",
+    "quantum": "N",
+    "adaptive-quantum": "N",
+    "aq": "N",
+    "adaptive": "RATE",
+    "p2p": "PERIOD[,LEAD]",
+    "speculative": "INTERVAL",
+}
+
+
 def parse_scheme(spec: str) -> SchemeConfig:
     """Parse a scheme spec: ``cc``, ``slack:N``, ``unbounded``,
     ``quantum:N``, ``adaptive:RATE``, ``p2p:PERIOD,LEAD``,
     ``speculative:INTERVAL``."""
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     name = name.lower()
+    if colon and not arg and name in _SCHEME_ARGUMENT:
+        raise argparse.ArgumentTypeError(
+            f"scheme {name!r} expects {name}:{_SCHEME_ARGUMENT[name]} but "
+            f"nothing follows the colon in {spec!r} (write {name!r} alone "
+            "for its default)"
+        )
     if name in ("cc", "cycle-by-cycle"):
         return SlackConfig(bound=0)
     if name in ("unbounded", "su"):
@@ -153,39 +172,55 @@ def _print_report(report) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.sample:
-        return _run_sampled_cli(args)
-    if args.time_parallel > 1:
-        return _run_time_parallel_cli(args)
+    """``repro run``: one spec, one telemetry session and one metrics
+    writer; ``--sample`` and ``--time-parallel`` only change who drives
+    the run handle (``Simulation.start()``).
+
+    Both drive it from outside one plain run — the sampling loop cuts and
+    restores it, epoch workers are separate processes — so neither can
+    share a tracer or the sanitizer, and time-series sampling
+    (``--sample-period``) is the plain run's alone.
+    """
+    timepar = args.time_parallel > 1
+    tracing = bool(args.trace or args.trace_jsonl)
+    if args.sample and (timepar or tracing or args.sanitize):
+        print(
+            "error: --sample cannot be combined with --time-parallel/"
+            "--trace/--trace-jsonl/--sanitize (the sampling loop owns the "
+            "scheduler; --metrics is supported)",
+            file=sys.stderr,
+        )
+        return 2
+    if timepar and (tracing or args.sanitize):
+        print(
+            "error: --time-parallel cannot be combined with --trace/"
+            "--trace-jsonl/--sanitize (epochs run in worker processes; "
+            "--metrics is supported and reports the epoch counters)",
+            file=sys.stderr,
+        )
+        return 2
+    plain = not (args.sample or timepar)
     telemetry = None
-    want_trace = bool(args.trace or args.trace_jsonl)
-    want_metrics = bool(args.metrics)
-    if want_trace or want_metrics:
+    if tracing or args.metrics:
         from repro.telemetry import TelemetrySession
 
         telemetry = TelemetrySession(
-            trace=want_trace,
+            trace=tracing,
             metrics=True,
-            sample_period=args.sample_period,
+            sample_period=args.sample_period if plain else None,
         )
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.sanitizer import SlackSanitizer
-
-        sanitizer = SlackSanitizer()
-    workload = make_workload(args.benchmark, num_threads=args.threads, scale=args.scale)
-    simulation = Simulation(
-        workload,
-        scheme=args.scheme,
-        detection=not args.no_detection,
-        seed=args.seed,
-        telemetry=telemetry,
-        sanitizer=sanitizer,
-    )
-    report = simulation.run()
+    spec = _submit_spec(args)
+    if args.sample:
+        report, lines = _run_sampled(args, spec, telemetry)
+    elif timepar:
+        report, lines = _run_time_parallel(args, spec, telemetry)
+    else:
+        sanitizer = new_sanitizer(args.sanitize)
+        report, _ = execute_spec(spec, telemetry=telemetry, sanitizer=sanitizer)
+        lines = [] if sanitizer is None else [sanitizer.summary()]
     _print_report(report)
-    if sanitizer is not None:
-        print(f"  {sanitizer.summary()}")
+    for line in lines:
+        print(f"  {line}")
     if telemetry is not None:
         tracer = telemetry.tracer
         if args.trace:
@@ -210,42 +245,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sampled_cli(args: argparse.Namespace) -> int:
-    """``repro run --sample``: live statistical sampling.
-
-    The sampling loop drives the scheduler directly through the interval
-    cut seam, so the process-crossing (--time-parallel) and probe-sharing
-    (--trace/--sanitize) modes are rejected; at --sample-rate 1.0 the
-    report digest is byte-identical to the plain run's.
-    """
-    if args.time_parallel > 1 or args.trace or args.trace_jsonl or args.sanitize:
-        print(
-            "error: --sample cannot be combined with --time-parallel/"
-            "--trace/--trace-jsonl/--sanitize (the sampling loop owns the "
-            "scheduler; --metrics is supported)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.config import paper_host_config, paper_target_config
-    from repro.harness.cache import RunSpec
+def _run_sampled(args: argparse.Namespace, spec, telemetry):
+    """``repro run --sample``: live statistical sampling; at
+    --sample-rate 1.0 the report digest is byte-identical to the plain
+    run's.  Returns the report and the mode's summary lines."""
     from repro.sampling import SamplingConfig, run_sampled
 
-    telemetry = None
-    if args.metrics:
-        from repro.telemetry import TelemetrySession
-
-        telemetry = TelemetrySession(trace=False, metrics=True, sample_period=None)
-    spec = RunSpec(
-        benchmark=args.benchmark,
-        scheme=args.scheme,
-        scale=args.scale,
-        checkpoint=None,
-        detection=not args.no_detection,
-        seed=args.seed,
-        num_threads=args.threads,
-        target=paper_target_config(),
-        host=paper_host_config(),
-    )
     config = SamplingConfig(
         rate=args.sample_rate,
         interval=args.sample_interval,
@@ -253,100 +258,52 @@ def _run_sampled_cli(args: argparse.Namespace) -> int:
         seed=args.sample_seed,
     )
     result = run_sampled(spec, config, telemetry=telemetry)
-    _print_report(result.report)
     stats = result.stats
     est = result.estimate
-    print(f"  digest            : {result.digest}")
-    print(f"  sampling          : rate={config.rate:g} interval={config.interval} "
-          f"warmup={config.warmup} seed={config.seed}")
-    print(f"  intervals         : {stats.intervals} total, "
-          f"{stats.measured_intervals} measured, {stats.fast_intervals} "
-          f"fast-forwarded, {stats.restored_intervals} restored, "
-          f"{stats.phases} phases")
-    print(f"  CPI estimate      : {est.cpi}")
-    print(f"  violation rate    : {est.violation_rate}")
-    print(f"  slowdown          : {est.slowdown_ns_per_cycle} ns/cycle")
-    print(f"  modeled speedup   : {stats.estimated_speedup:.2f}x over "
-          f"extrapolated detailed run "
-          f"(section-5.2 model predicts {stats.predicted_speedup:.2f}x)")
-    if telemetry is not None and args.metrics:
-        telemetry.write_metrics(
-            args.metrics,
-            meta={
-                "benchmark": result.report.benchmark,
-                "scheme": result.report.scheme,
-                "cores": result.report.num_cores,
-                "seed": result.report.seed,
-                "digest": result.digest,
-            },
-        )
-        print(f"  metrics           : {args.metrics}")
-    return 0
+    return result.report, [
+        f"digest            : {result.digest}",
+        f"sampling          : rate={config.rate:g} interval={config.interval} "
+        f"warmup={config.warmup} seed={config.seed}",
+        f"intervals         : {stats.intervals} total, "
+        f"{stats.measured_intervals} measured, {stats.fast_intervals} "
+        f"fast-forwarded, {stats.restored_intervals} restored, "
+        f"{stats.phases} phases",
+        f"CPI estimate      : {est.cpi}",
+        f"violation rate    : {est.violation_rate}",
+        f"slowdown          : {est.slowdown_ns_per_cycle} ns/cycle",
+        f"modeled speedup   : {stats.estimated_speedup:.2f}x over "
+        f"extrapolated detailed run "
+        f"(section-5.2 model predicts {stats.predicted_speedup:.2f}x)",
+    ]
 
 
-def _run_time_parallel_cli(args: argparse.Namespace) -> int:
-    """``repro run --time-parallel N``: speculative epoch pipelining.
-
-    The stitched report is bit-identical to the serial run's (asserted in
-    tests/CI by digest); tracing and the sanitizer are rejected because
-    epoch workers run in separate processes and cannot share a tracer.
-    """
-    if args.trace or args.trace_jsonl or args.sanitize:
-        print(
-            "error: --time-parallel cannot be combined with --trace/"
-            "--trace-jsonl/--sanitize (epochs run in worker processes; "
-            "--metrics is supported and reports the epoch counters)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.config import paper_host_config, paper_target_config
-    from repro.harness.cache import RunSpec
+def _run_time_parallel(args: argparse.Namespace, spec, telemetry):
+    """``repro run --time-parallel N``: speculative epoch pipelining; the
+    stitched report is bit-identical to the serial run's (asserted in
+    tests/CI by digest).  Returns the report and the mode's summary lines."""
     from repro.harness.timepar import run_time_parallel
 
-    telemetry = None
-    if args.metrics:
-        from repro.telemetry import TelemetrySession
-
-        telemetry = TelemetrySession(trace=False, metrics=True, sample_period=None)
-    spec = RunSpec(
-        benchmark=args.benchmark,
-        scheme=args.scheme,
-        scale=args.scale,
-        checkpoint=None,
-        detection=not args.no_detection,
-        seed=args.seed,
-        num_threads=args.threads,
-        target=paper_target_config(),
-        host=paper_host_config(),
-    )
     result = run_time_parallel(
         spec, epochs=args.time_parallel, jobs=args.jobs, telemetry=telemetry
     )
-    _print_report(result.report)
     stats = result.stats
-    print(f"  digest            : {result.digest}")
-    print(f"  time-parallel     : mode={stats.mode} epochs={stats.epochs} "
-          f"launched={stats.launched}")
+    lines = [
+        f"digest            : {result.digest}",
+        f"time-parallel     : mode={stats.mode} epochs={stats.epochs} "
+        f"launched={stats.launched}",
+    ]
     if stats.mode == "warm":
-        print(f"  epoch stitching   : hits={stats.hits}/{stats.predicted} "
-              f"(hit rate {stats.hit_rate:.2f}), diverged={stats.diverged}, "
-              f"re-executed={stats.reexecuted}, wasted={stats.wasted}")
-    elif stats.mode == "cold":
-        print("  epoch stitching   : cold pass (cut states recorded; rerun "
-              "to speculate in parallel)")
-    if telemetry is not None and args.metrics:
-        telemetry.write_metrics(
-            args.metrics,
-            meta={
-                "benchmark": result.report.benchmark,
-                "scheme": result.report.scheme,
-                "cores": result.report.num_cores,
-                "seed": result.report.seed,
-                "digest": result.digest,
-            },
+        lines.append(
+            f"epoch stitching   : hits={stats.hits}/{stats.predicted} "
+            f"(hit rate {stats.hit_rate:.2f}), diverged={stats.diverged}, "
+            f"re-executed={stats.reexecuted}, wasted={stats.wasted}"
         )
-        print(f"  metrics           : {args.metrics}")
-    return 0
+    elif stats.mode == "cold":
+        lines.append(
+            "epoch stitching   : cold pass (cut states recorded; rerun "
+            "to speculate in parallel)"
+        )
+    return result.report, lines
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -440,7 +397,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         update_golden=args.update_golden,
         output=args.output,
-        profile_calls=args.profile_calls,
         golden_file=args.golden,
         jobs=resolve_jobs(args.jobs),
         use_cache=args.cached,
@@ -1054,9 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="result file (default BENCH_kernel.json)")
     bench_parser.add_argument("--golden", default=None,
                               help="override the golden-digest file path")
-    bench_parser.add_argument("--profile-calls", action="store_true",
-                              help="also cProfile the reference run and "
-                                   "record its total function calls")
     bench_parser.add_argument("--telemetry-guard", action="store_true",
                               help="instead of the matrix, bound the "
                                    "disabled-telemetry overhead on the "

@@ -21,7 +21,7 @@ estimate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.config import HostCostModel
 from repro.core import snapshot as cow
@@ -89,3 +89,45 @@ def restore_snapshot(snapshot: Optional[Snapshot]) -> SimulationState:
 def checkpoint_cost_ns(cost: HostCostModel, pages: int) -> float:
     """Modeled host cost of taking one global checkpoint."""
     return cost.checkpoint_base_ns + pages * cost.checkpoint_per_page_ns
+
+
+def charged_checkpoint(
+    scheduler, state: SimulationState, boundary: int, cost: HostCostModel
+) -> Tuple[Snapshot, float]:
+    """Take a checkpoint of ``state`` and charge it to the modeled host.
+
+    "All threads must synchronize, establish a consistent checkpoint, and
+    then proceed" (section 5.1): every context pauses for the measured
+    cost, the snapshot is stamped with the host time they resume at, the
+    run's checkpoint statistics are charged and every thread is woken.
+    The capture happens before the pause — snapshot content is pure
+    simulation state, so the order is immaterial — because the snapshot
+    itself measures the touched-page count the cost is derived from.
+    Returns ``(snapshot, cost_ns)``.
+    """
+    snapshot = take_snapshot(state, boundary, 0.0)
+    cost_ns = checkpoint_cost_ns(cost, snapshot.pages)
+    snapshot.host_time = scheduler.pause_all_contexts(cost_ns)
+    scheduler.stats.checkpoints += 1
+    scheduler.stats.checkpoint_cost_ns += cost_ns
+    scheduler.wake_all(snapshot.host_time)
+    return snapshot, cost_ns
+
+
+def charged_rollback(
+    scheduler, sim, snapshot: Optional[Snapshot], cost: HostCostModel, wasted: int
+) -> float:
+    """Restore ``snapshot`` as ``sim``'s working state and account it.
+
+    ``wasted`` is the target progress the rollback discards.  Every
+    context pauses for the modeled rollback cost and every thread is
+    woken against the restored cores; returns the host time they resume.
+    """
+    sim.state = restore_snapshot(snapshot)
+    stats = scheduler.stats
+    stats.rollbacks += 1
+    stats.wasted_target_cycles += wasted
+    stats.rollback_cost_ns += cost.rollback_ns
+    resume = scheduler.pause_all_contexts(cost.rollback_ns)
+    scheduler.wake_all(resume)
+    return resume

@@ -1,4 +1,4 @@
-"""Machine-state wire codec and epoch cuts for time-parallel runs.
+"""Machine-state wire codec for time-parallel runs.
 
 One long simulation is split into N *epochs* at deterministic cut points
 along its trajectory; each epoch can then be executed speculatively in a
@@ -7,16 +7,9 @@ chain is stitched back together by comparing each epoch's actual end state
 against its successor's predicted start state (``repro.harness.timepar``
 drives the protocol; this module provides the mechanisms).
 
-Three mechanisms live here:
-
-- :func:`make_stop_predicate` — the epoch *cut rule*, evaluated by the
-  scheduler at the end of every manager step (the one program point where
-  every loop invariant holds).  Plain schemes cut at the first manager
-  step whose global time reaches the boundary; checkpointing runs cut
-  only when a checkpoint at/past the boundary has just been taken and no
-  replay is in flight, so the cut always lands on a consistent
-  checkpoint.  Cuts never mutate clocks or state: they merely partition
-  the deterministic trajectory.
+The epoch *cut rule* is the :class:`~repro.core.simulation.Run` handle's
+(``Run.advance(until)``; its predicate is re-exported below under its
+historical name).  Two mechanisms live here:
 
 - :func:`encode_machine` — a **versioned, pickle-free wire codec** for
   the full machine state (mirroring the ``RunSpec`` codec discipline of
@@ -53,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.config import (
     AdaptiveConfig,
@@ -79,6 +72,7 @@ from repro.core.schemes.adaptive import AdaptiveSlackPolicy
 from repro.core.schemes.adaptive_quantum import AdaptiveQuantumPolicy
 from repro.core.schemes.fixed import FixedSlackPolicy, QuantumPolicy
 from repro.core.schemes.p2p import P2PPolicy
+from repro.core.simulation import cut_rule as make_stop_predicate
 from repro.core.speculative import IntervalRecord
 from repro.core.state import CoreState, SimulationState
 from repro.core.violations import (
@@ -266,41 +260,6 @@ STATE_FIELDS: Dict[str, Tuple[str, ...]] = {
     "CheckpointConfig": ("interval",),
     "SpeculativeConfig": ("base", "checkpoint", "tracked"),
 }
-
-
-# --------------------------------------------------------------------- #
-# Epoch cut rule
-# --------------------------------------------------------------------- #
-
-
-def make_stop_predicate(sim: Any, boundary: int) -> Callable[[ServiceOutcome], bool]:
-    """Build the ``Scheduler.run(stop_when=...)`` predicate for one cut.
-
-    Plain schemes cut at the first manager step whose global time has
-    reached ``boundary``.  Checkpointing runs (a
-    :class:`~repro.core.speculative.CheckpointController` is attached) cut
-    only at the end of the manager step in which a checkpoint at or past
-    ``boundary`` was taken, outside any replay window — so the captured
-    state always coincides with the controller's own rollback snapshot
-    and a mid-replay trajectory is never split.
-    """
-    controller = sim.controller
-    if controller is not None:
-
-        def stop_at_checkpoint(outcome: ServiceOutcome) -> bool:
-            snap = controller.snapshot
-            return (
-                not controller.replaying
-                and snap is not None
-                and snap.boundary >= boundary
-            )
-
-        return stop_at_checkpoint
-
-    def stop_at_global_time(outcome: ServiceOutcome) -> bool:
-        return outcome.global_time >= boundary
-
-    return stop_at_global_time
 
 
 # --------------------------------------------------------------------- #

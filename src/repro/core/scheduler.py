@@ -160,8 +160,8 @@ class Scheduler:
         membership, parked list, context clocks, statistics) is left
         exactly as the loop maintains it, so a subsequent ``run`` call on
         the same scheduler continues the simulation bit-for-bit as if it
-        had never stopped.  This is the epoch-cut seam used by
-        ``repro.core.epochs`` / ``repro.harness.timepar``.
+        had never stopped.  This is the cut seam that
+        :class:`repro.core.simulation.Run` drives.
         """
         sim = self.sim
         stats = self.stats

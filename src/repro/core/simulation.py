@@ -14,12 +14,17 @@ workload's per-thread programs, the slack-scheme policy, violation
 detection, and — when requested — the checkpoint/speculation controller,
 then runs everything on the modeled host and produces a
 :class:`~repro.core.report.SimulationReport`.
+
+:meth:`Simulation.start` returns the :class:`Run` handle — the one
+cut / resume driver.  ``Simulation.run()`` is ``start()`` advanced to
+completion; the time-parallel harness, live sampling and the CLI drive
+the same handle one cut at a time.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.config import (
     CheckpointConfig,
@@ -31,7 +36,7 @@ from repro.config import (
     paper_host_config,
     paper_target_config,
 )
-from repro.core.manager import ManagerState
+from repro.core.manager import ManagerState, ServiceOutcome
 from repro.core.report import IntervalSummary, SimulationReport
 from repro.core.scheduler import Scheduler
 from repro.core.schemes import make_policy
@@ -141,12 +146,18 @@ class Simulation:
 
     # ------------------------------------------------------------------ #
 
-    def run(self, max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES) -> SimulationReport:
-        """Run to workload completion; return the report.
+    def start(
+        self,
+        max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES,
+        at_time_zero: bool = True,
+    ) -> "Run":
+        """Begin the (single) run of this Simulation; return its handle.
 
         A Simulation is single-shot: its state is consumed by the run.
         Build a fresh Simulation (same arguments, same seed) to repeat a
-        run bit-for-bit.
+        run bit-for-bit.  ``at_time_zero=False`` says the caller installs
+        a captured machine (``repro.core.epochs.install_machine``) before
+        the first advance, so no time-zero checkpoint is taken.
         """
         if self._ran:
             raise ConfigError(
@@ -154,25 +165,18 @@ class Simulation:
                 "(same arguments and seed reproduce the run exactly)"
             )
         self._ran = True
-        scheduler = Scheduler(self, self.host)
-        if self.controller is not None:
-            self.controller.on_run_start(scheduler)
-        # The run allocates heavily but creates almost no cyclic garbage;
-        # collector pauses are pure overhead here.  Refcounting still frees
-        # everything promptly; cycles (if any) are collected afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            stats = scheduler.run(max_target_cycles)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return self._build_report(scheduler, stats)
+        return Run(self, max_target_cycles, at_time_zero)
+
+    def run(self, max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES) -> SimulationReport:
+        """Run to workload completion; return the report."""
+        run = self.start(max_target_cycles)
+        run.advance()
+        return run.report()
 
     # ------------------------------------------------------------------ #
 
-    def _build_report(self, scheduler: Scheduler, stats) -> SimulationReport:
+    def _build_report(self, scheduler: Scheduler) -> SimulationReport:
+        stats = scheduler.stats
         state = self.state
         manager = state.manager
         detector = manager.detector
@@ -252,3 +256,102 @@ class Simulation:
                 for r in self.controller.finalize()
             ]
         return report
+
+
+def cut_rule(sim: Simulation, boundary: int) -> Callable[[ServiceOutcome], bool]:
+    """The ``Scheduler.run(stop_when=...)`` predicate for one cut.
+
+    Evaluated at the end of every manager step, the one program point
+    where every scheduler loop invariant holds.  Plain schemes cut at the
+    first manager step whose global time has reached ``boundary``.
+    Checkpointing runs (a :class:`CheckpointController` is attached) cut
+    only at the end of the manager step in which a checkpoint at or past
+    ``boundary`` was taken, outside any replay window — so the cut state
+    always coincides with the controller's own rollback snapshot and a
+    mid-replay trajectory is never split.  A cut never mutates clocks or
+    state: it merely partitions the deterministic trajectory.
+    """
+    controller = sim.controller
+    if controller is not None:
+
+        def stop_at_checkpoint(outcome: ServiceOutcome) -> bool:
+            snap = controller.snapshot
+            return (
+                not controller.replaying
+                and snap is not None
+                and snap.boundary >= boundary
+            )
+
+        return stop_at_checkpoint
+
+    def stop_at_global_time(outcome: ServiceOutcome) -> bool:
+        return outcome.global_time >= boundary
+
+    return stop_at_global_time
+
+
+class Run:
+    """The resumable execution of one :class:`Simulation`.
+
+    Owns the :class:`Scheduler`, the time-zero checkpoint, the GC
+    discipline and the cut rule.  :meth:`advance` suspends at a *cut*;
+    the scheduler leaves every piece of its state exactly as its loop
+    maintains it, so the next ``advance`` continues the trajectory
+    bit-for-bit as if it had never stopped.  ``sim`` and ``scheduler``
+    are public: checkpoint charging and the machine codec act on them.
+    """
+
+    def __init__(
+        self, sim: Simulation, max_target_cycles: Optional[int], at_time_zero: bool
+    ) -> None:
+        self.sim = sim
+        self.scheduler = Scheduler(sim, sim.host)
+        self._max_target_cycles = max_target_cycles
+        if at_time_zero and sim.controller is not None:
+            sim.controller.on_run_start(self.scheduler)
+
+    @property
+    def completed(self) -> bool:
+        """The scheduler loop's own termination condition: workload done
+        and every queue drained — what tells 'finished' from 'cut'."""
+        state = self.sim.state
+        return (
+            state.all_finished
+            and state.manager.quiescent(state)
+            and all(not cs.inq for cs in state.cores)
+        )
+
+    @property
+    def position(self) -> int:
+        """Where the run is cut: the controller's checkpoint boundary on
+        a checkpointing run (cuts land exactly on checkpoints), else the
+        global time.  Both are first-manager-step-reaching positions, so
+        a later run advanced to a recorded position stops at the
+        *identical* machine state."""
+        controller = self.sim.controller
+        if controller is not None and controller.snapshot is not None:
+            return controller.snapshot.boundary
+        return self.sim.state.global_time()
+
+    def advance(self, until: Optional[int] = None) -> bool:
+        """Run to the first cut at or past target time ``until`` (None:
+        to completion); return whether the workload completed."""
+        stop = None if until is None else cut_rule(self.sim, until)
+        # The run allocates heavily but creates almost no cyclic garbage;
+        # collector pauses are pure overhead here.  Refcounting still frees
+        # everything promptly; cycles (if any) are collected afterwards.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            self.scheduler.run(self._max_target_cycles, stop)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return self.completed
+
+    def report(self) -> SimulationReport:
+        """The completed run's report."""
+        if not self.completed:
+            raise ConfigError("the run is cut, not completed; advance() it first")
+        return self.sim._build_report(self.scheduler)

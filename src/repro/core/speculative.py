@@ -22,12 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CheckpointConfig, HostCostModel
-from repro.core.checkpoint import (
-    Snapshot,
-    checkpoint_cost_ns,
-    restore_snapshot,
-    take_snapshot,
-)
+from repro.core.checkpoint import Snapshot, charged_checkpoint, charged_rollback
 from repro.core.manager import ServiceOutcome
 
 
@@ -77,24 +72,7 @@ class CheckpointController:
 
     def on_run_start(self, scheduler) -> None:
         """Take the initial (time-zero) checkpoint before simulation."""
-        # The capture happens before the pause: snapshot content is pure
-        # simulation state, so the host time the contexts resume at does
-        # not affect it (only the snapshot's host_time stamp, set below).
-        snapshot = take_snapshot(self.sim.state, 0, 0.0)
-        pages = snapshot.pages  # nothing written yet; cost is the bare fork
-        cost = checkpoint_cost_ns(self.cost, pages)
-        resume = scheduler.pause_all_contexts(cost)
-        snapshot.host_time = resume
-        self.snapshot = snapshot
-        scheduler.stats.checkpoints += 1
-        scheduler.stats.checkpoint_cost_ns += cost
-        tel = self.sim.telemetry
-        if tel is not None and tel.enabled:
-            tel.on_checkpoint(resume - cost, cost, 0, pages, snapshot.host_pages)
-        san = getattr(self.sim, "sanitizer", None)
-        if san is not None and san.enabled:
-            san.on_checkpoint(snapshot, self.sim.state)
-        scheduler.wake_all(resume)
+        self._checkpoint(scheduler, 0)
 
     def overrides(self) -> Dict[str, object]:
         """Manager-service overrides for the current mode."""
@@ -121,7 +99,7 @@ class CheckpointController:
         if state.all_finished:
             return
         if self._parked(state) and state.manager.quiescent(state):
-            self._take_checkpoint(scheduler)
+            self._checkpoint(scheduler, self.next_boundary)
 
     def finalize(self) -> List[IntervalRecord]:
         """Close the trailing partial interval and return all records."""
@@ -163,16 +141,13 @@ class CheckpointController:
         if record.first_offset is None:
             record.first_offset = offset
 
-    def _take_checkpoint(self, scheduler) -> None:
-        # Capture first: the snapshot measures the touched-page count and
-        # the cost is charged from that measurement (no separate caller
-        # estimate).  Snapshot content is host-time independent, so taking
-        # it before the pause is equivalent.
-        snapshot = take_snapshot(self.sim.state, self.next_boundary, 0.0)
-        pages = snapshot.pages
-        cost = checkpoint_cost_ns(self.cost, pages)
-        resume = scheduler.pause_all_contexts(cost)
-        snapshot.host_time = resume
+    def _checkpoint(self, scheduler, boundary: int) -> None:
+        """Checkpoint at ``boundary``; every one but the time-zero
+        checkpoint also ends a replay and closes the current interval."""
+        snapshot, cost = charged_checkpoint(
+            scheduler, self.sim.state, boundary, self.cost
+        )
+        began = snapshot.host_time - cost
         tel = self.sim.telemetry
         if self.replaying:
             scheduler.stats.replay_target_cycles += self.config.interval
@@ -180,37 +155,29 @@ class CheckpointController:
             if tel is not None and tel.enabled:
                 # Close the replay span before the checkpoint span opens so
                 # the controller track stays in timestamp order.
-                tel.on_replay_end(resume - cost)
+                tel.on_replay_end(began)
         self.snapshot = snapshot
-        scheduler.stats.checkpoints += 1
-        scheduler.stats.checkpoint_cost_ns += cost
         if tel is not None and tel.enabled:
             tel.on_checkpoint(
-                resume - cost, cost, self.next_boundary, pages, snapshot.host_pages
+                began, cost, boundary, snapshot.pages, snapshot.host_pages
             )
         san = getattr(self.sim, "sanitizer", None)
         if san is not None and san.enabled:
             san.on_checkpoint(snapshot, self.sim.state)
-
-        self.records.append(self._current)
-        start = self.next_boundary
-        self.next_boundary += self.config.interval
-        self._current = IntervalRecord(self._current.index + 1, start, self.next_boundary)
-        scheduler.wake_all(resume)
+        if boundary:
+            self.records.append(self._current)
+            self.next_boundary = boundary + self.config.interval
+            self._current = IntervalRecord(
+                self._current.index + 1, boundary, self.next_boundary
+            )
 
     def _rollback(self, scheduler, outcome: ServiceOutcome, host_end: float) -> None:
         """Restore the last checkpoint; replay conservatively to the next
         boundary (forward progress)."""
         self._current.rolled_back = True
         interval_start = self.next_boundary - self.config.interval
-        wasted = outcome.global_time - interval_start
-        if wasted < 0:
-            wasted = 0
-        scheduler.stats.rollbacks += 1
-        scheduler.stats.wasted_target_cycles += wasted
-        scheduler.stats.rollback_cost_ns += self.cost.rollback_ns
-
-        self.sim.state = restore_snapshot(self.snapshot)
+        wasted = max(outcome.global_time - interval_start, 0)
+        resume = charged_rollback(scheduler, self.sim, self.snapshot, self.cost, wasted)
         san = getattr(self.sim, "sanitizer", None)
         if san is not None and san.enabled:
             # Digest-check the restored root *before* the post-rollback
@@ -218,7 +185,6 @@ class CheckpointController:
             # clocks so monotonicity checks restart from the checkpoint.
             san.on_rollback(self.sim.state, self.snapshot)
         self._throttle_after_rollback()
-        resume = scheduler.pause_all_contexts(self.cost.rollback_ns)
         self.replaying = True
         tel = self.sim.telemetry
         if tel is not None and tel.enabled:
@@ -226,7 +192,6 @@ class CheckpointController:
                 resume - self.cost.rollback_ns, self.cost.rollback_ns,
                 outcome.global_time, wasted,
             )
-        scheduler.wake_all(resume)
 
     def _throttle_after_rollback(self) -> None:
         """Clamp an adaptive base scheme to its minimum bound.

@@ -34,12 +34,10 @@ from repro.config import (
     paper_host_config,
     paper_target_config,
 )
-from repro.core.simulation import Simulation
 from repro.harness.cache import ReportCache, RunSpec, spec_key
 from repro.harness.hostinfo import fingerprint_mismatches, host_fingerprint
-from repro.harness.pool import ParallelExecutor, execute_spec
+from repro.harness.pool import ParallelExecutor, execute_spec, new_sanitizer
 from repro.telemetry import TelemetrySession
-from repro.workloads import make_workload
 
 #: Scheme factories for the benchmark matrix.  Factories (not instances)
 #: because each run must get a fresh config-derived policy.
@@ -199,7 +197,6 @@ def run_bench(
     smoke: bool = False,
     update_golden: bool = False,
     output: Optional[str] = "BENCH_kernel.json",
-    profile_calls: bool = False,
     golden_file: Optional[str] = None,
     jobs: int = 1,
     use_cache: bool = False,
@@ -274,11 +271,7 @@ def run_bench(
             cache.put(spec_key(matrix[i].spec()), outcome.report, outcome.wall_s)
     else:
         for i in to_run:
-            sanitizer = None
-            if sanitize:
-                from repro.analysis.sanitizer import SlackSanitizer
-
-                sanitizer = SlackSanitizer()
+            sanitizer = new_sanitizer(sanitize)
             report, wall_s = execute_spec(matrix[i].spec(), sanitizer=sanitizer)
             if sanitizer is not None:
                 print(f"  {matrix[i].case_id:<28} {sanitizer.summary()}")
@@ -309,11 +302,6 @@ def run_bench(
         for case_id, expected, actual in drifted:
             print(f"    {case_id}: expected {expected} actual {actual}")
 
-    calls: Optional[int] = None
-    if profile_calls:
-        calls = _count_calls(BenchCase(**REFERENCE_CASE))
-        print(f"  reference-run function calls: {calls}")
-
     # Wall-clock numbers are only comparable on the same host/interpreter:
     # warn when the previous artifact was measured elsewhere, so a perf
     # "regression" caused by a host change cannot pass as real.
@@ -338,7 +326,6 @@ def run_bench(
         "elapsed_s": elapsed_s,
         "cached_hits": sum(1 for r in results if r["cached"]),
         "aggregate_steps_per_s": sum(r["steps"] for r in results) / total_wall,
-        "reference_calls": calls,
         "results": results,
     }
     if output:
@@ -389,6 +376,8 @@ def run_telemetry_guard(
     :class:`SystemExit`) on digest drift or when either disabled/baseline
     wall ratio exceeds the threshold (default 5%).
     """
+    from repro.analysis.sanitizer import SlackSanitizer
+
     if threshold is None:
         threshold = float(
             os.environ.get(
@@ -401,37 +390,24 @@ def run_telemetry_guard(
     )
     expected = golden.get(case.case_id)
 
-    def best_of(make_session) -> Dict[str, object]:
+    def best_of(
+        what: str = "", telemetry=lambda: None, sanitizer=lambda: None
+    ) -> Dict[str, object]:
         best = None
         for _ in range(repeats):
-            record = run_case(case, telemetry=make_session())
+            record = run_case(case, telemetry=telemetry(), sanitizer=sanitizer())
             if expected is not None and record["digest"] != expected:
                 raise SystemExit(
-                    f"telemetry guard: digest drift on {case.case_id} "
+                    f"telemetry guard: digest drift on {case.case_id}{what} "
                     f"({record['digest']} != golden {expected})"
                 )
             if best is None or record["wall_s"] < best["wall_s"]:
                 best = record
         return best
 
-    def best_of_sanitizer_off() -> Dict[str, object]:
-        from repro.analysis.sanitizer import SlackSanitizer
-
-        best = None
-        for _ in range(repeats):
-            record = run_case(case, sanitizer=SlackSanitizer.disabled())
-            if expected is not None and record["digest"] != expected:
-                raise SystemExit(
-                    f"telemetry guard: digest drift on {case.case_id} with a "
-                    f"disabled sanitizer ({record['digest']} != golden {expected})"
-                )
-            if best is None or record["wall_s"] < best["wall_s"]:
-                best = record
-        return best
-
-    baseline = best_of(lambda: None)
-    disabled = best_of(TelemetrySession.disabled)
-    san_off = best_of_sanitizer_off()
+    baseline = best_of()
+    disabled = best_of(telemetry=TelemetrySession.disabled)
+    san_off = best_of(" with a disabled sanitizer", sanitizer=SlackSanitizer.disabled)
     ratio = (
         disabled["wall_s"] / baseline["wall_s"] if baseline["wall_s"] > 0 else 1.0
     )
@@ -469,22 +445,3 @@ def run_telemetry_guard(
             f"exceeds {threshold:.3f}x on {case.case_id}"
         )
     return doc
-
-
-def _count_calls(case: BenchCase) -> int:
-    """Total Python function calls for one run of ``case`` (cProfile)."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    workload = make_workload(_BENCHMARK, num_threads=case.cores, scale=case.scale)
-    simulation = Simulation(
-        workload,
-        scheme=case.scheme_config(),
-        target=paper_target_config(num_cores=case.cores),
-        seed=_SEED,
-    )
-    profiler.enable()
-    simulation.run()
-    profiler.disable()
-    return int(pstats.Stats(profiler).total_calls)

@@ -48,8 +48,7 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.config import (
     CheckpointConfig,
@@ -59,7 +58,7 @@ from repro.config import (
 )
 from repro.core.report import SimulationReport
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.util import LruMemo
+from repro.util import LruMemo, atomic_write
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -299,29 +298,29 @@ class ReportCache:
             "report": report.to_dict(),
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            os.replace(tmp, path)
+            atomic_write(path, json.dumps(doc, separators=(",", ":")).encode("utf-8"))
         except OSError:
             pass
 
     # ------------------------------------------------------------------ #
 
+    def _entry_files(self) -> Iterator[pathlib.Path]:
+        """Every stored entry.  A ``.tmp-*`` name is a writer's in-flight
+        file (or one an older version leaked), never an entry."""
+        for path in self._reports.glob("*/*.json"):
+            if not path.name.startswith(".tmp-"):
+                yield path
+
     def info(self) -> Dict[str, object]:
         """Entry count, total bytes, and location (for ``repro cache info``)."""
         entries = 0
         total_bytes = 0
-        if self._reports.is_dir():
-            for path in self._reports.glob("*/*.json"):
-                try:
-                    total_bytes += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    pass
+        for path in self._entry_files():
+            try:
+                total_bytes += path.stat().st_size
+                entries += 1
+            except OSError:
+                pass
         return {
             "path": str(self.root),
             "schema": CACHE_SCHEMA,
@@ -343,14 +342,13 @@ class ReportCache:
         """
         entries = []
         total = 0
-        if self._reports.is_dir():
-            for path in self._reports.glob("*/*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
+        for path in self._entry_files():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
         removed = 0
         freed = 0
         entries.sort()  # oldest mtime first
@@ -369,16 +367,15 @@ class ReportCache:
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
-        if self._reports.is_dir():
-            for path in self._reports.glob("*/*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for sub in self._reports.glob("*"):
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
+        for path in self._entry_files():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        for sub in self._reports.glob("*"):
+            try:
+                sub.rmdir()
+            except OSError:
+                pass
         return removed

@@ -57,8 +57,10 @@ __all__ = [
     "ParallelExecutor",
     "PoolResult",
     "WorkerCrashError",
+    "build_simulation",
     "execute_spec",
     "expected_cost",
+    "new_sanitizer",
     "resolve_jobs",
     "spec_label",
 ]
@@ -128,19 +130,12 @@ def expected_cost(spec: RunSpec) -> float:
     return cost
 
 
-def execute_spec(spec: RunSpec, telemetry=None, sanitizer=None):
-    """Run one configuration; return ``(report, wall_s)``.
-
-    The single execution path shared by the serial runner, the bench, and
-    pool workers — so "parallel equals serial" reduces to determinism of
-    the simulation itself.  ``sanitizer`` attaches a
-    :class:`~repro.analysis.sanitizer.SlackSanitizer` (observation-only,
-    like telemetry; raises :class:`SanitizerError` on an invariant breach).
-    """
+def build_simulation(spec: RunSpec, telemetry=None, sanitizer=None) -> Simulation:
+    """The one place a :class:`RunSpec` becomes a machine."""
     workload = make_workload(
         spec.benchmark, num_threads=spec.num_threads, scale=spec.scale
     )
-    simulation = Simulation(
+    return Simulation(
         workload,
         scheme=spec.scheme,
         target=spec.target,
@@ -151,6 +146,28 @@ def execute_spec(spec: RunSpec, telemetry=None, sanitizer=None):
         telemetry=telemetry,
         sanitizer=sanitizer,
     )
+
+
+def new_sanitizer(enabled: bool):
+    """A fresh :class:`~repro.analysis.sanitizer.SlackSanitizer` (vector
+    clocks are per-run) when ``--sanitize`` asked for one, else None."""
+    if not enabled:
+        return None
+    from repro.analysis.sanitizer import SlackSanitizer
+
+    return SlackSanitizer()
+
+
+def execute_spec(spec: RunSpec, telemetry=None, sanitizer=None):
+    """Run one configuration; return ``(report, wall_s)``.
+
+    The single execution path shared by the serial runner, the bench, the
+    CLI and pool workers — so "parallel equals serial" reduces to
+    determinism of the simulation itself.  ``sanitizer`` attaches a
+    :class:`~repro.analysis.sanitizer.SlackSanitizer` (observation-only,
+    like telemetry; raises :class:`SanitizerError` on an invariant breach).
+    """
+    simulation = build_simulation(spec, telemetry, sanitizer)
     start = time.perf_counter()
     report = simulation.run()
     return report, time.perf_counter() - start
@@ -171,12 +188,9 @@ def _pool_worker(
         from repro.telemetry import TelemetrySession
 
         telemetry = TelemetrySession(trace=False, metrics=True, sample_period=None)
-    sanitizer = None
-    if sanitize:
-        from repro.analysis.sanitizer import SlackSanitizer
-
-        sanitizer = SlackSanitizer()
-    report, wall_s = execute_spec(spec, telemetry=telemetry, sanitizer=sanitizer)
+    report, wall_s = execute_spec(
+        spec, telemetry=telemetry, sanitizer=new_sanitizer(sanitize)
+    )
     metrics = telemetry.metrics.to_dict() if telemetry is not None else None
     return index, report, wall_s, metrics
 

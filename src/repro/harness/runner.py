@@ -33,7 +33,7 @@ from repro.config import (
 )
 from repro.core.report import SimulationReport
 from repro.harness.cache import ReportCache, RunSpec, spec_key
-from repro.harness.pool import ParallelExecutor, execute_spec
+from repro.harness.pool import ParallelExecutor, execute_spec, new_sanitizer
 
 
 class ExperimentRunner:
@@ -179,17 +179,10 @@ class ExperimentRunner:
                 if entry is not None:
                     self._memo[spec] = entry.report
                     return entry.report
-        sanitizer = None
-        if self.sanitize:
-            from repro.analysis.sanitizer import SlackSanitizer
-
-            sanitizer = SlackSanitizer()  # fresh vector clocks per run
-        if sanitizer is not None:
-            report, wall_s = execute_spec(
-                spec, telemetry=telemetry, sanitizer=sanitizer
-            )
-        else:
-            report, wall_s = execute_spec(spec, telemetry=telemetry)
+        # Named only when asked for, so a stand-in for execute_spec need
+        # not know the sanitizer exists.
+        probes = {"sanitizer": new_sanitizer(True)} if self.sanitize else {}
+        report, wall_s = execute_spec(spec, telemetry=telemetry, **probes)
         self._memo[spec] = report
         if self.cache is not None:
             self.cache.put(spec_key(spec), report, wall_s)

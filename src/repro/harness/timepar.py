@@ -22,9 +22,10 @@ axis, the way parti-gem5 partitions a gem5 run:
    **bit-identical** to the serial run's for every scheme kind.
 
 The first run of a configuration has no recorded states; it executes the
-*cold* path — one in-process chained pass over the same cut seam (cut,
-capture, resume on the same scheduler), which costs only the capture
-overhead, primes the cache, and still produces the exact report.
+*cold* path — one in-process chained pass over the same
+:class:`~repro.core.simulation.Run` handle (advance to a cut, capture,
+advance again), which costs only the capture overhead, primes the cache,
+and still produces the exact report.
 
 Machine states cross process boundaries as the versioned, pickle-free
 wire of :mod:`repro.core.epochs` rendered to canonical JSON bytes here
@@ -35,29 +36,20 @@ plain data, floats via ``float.hex``, structured errors on skew).
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.epochs import (
-    MACHINE_WIRE_VERSION,
-    encode_machine,
-    install_machine,
-    make_stop_predicate,
-)
+from repro.core.epochs import MACHINE_WIRE_VERSION, encode_machine, install_machine
 from repro.core.report import SimulationReport
-from repro.core.scheduler import Scheduler
-from repro.core.simulation import DEFAULT_MAX_TARGET_CYCLES, Simulation
+from repro.core.simulation import Run
 from repro.errors import EpochError
 from repro.harness.cache import RunSpec, default_cache_dir, spec_key
-from repro.harness.pool import ParallelExecutor
+from repro.harness.pool import ParallelExecutor, build_simulation
 from repro.telemetry import TelemetrySession
-from repro.workloads import make_workload
+from repro.util import atomic_write
 
 __all__ = [
     "EpochJob",
@@ -109,36 +101,9 @@ class EpochJob:
 # --------------------------------------------------------------------- #
 
 
-def _build_machine(spec: RunSpec) -> Tuple[Simulation, Scheduler]:
-    """Construct the simulation + scheduler pair for one epoch worker.
-
-    Mirrors :func:`repro.harness.pool.execute_spec` (the single execution
-    path contract) but stops short of running, because epochs drive the
-    scheduler directly through the cut seam.
-    """
-    workload = make_workload(
-        spec.benchmark, num_threads=spec.num_threads, scale=spec.scale
-    )
-    sim = Simulation(
-        workload,
-        scheme=spec.scheme,
-        target=spec.target,
-        host=spec.host,
-        checkpoint=spec.checkpoint,
-        detection=spec.detection,
-        seed=spec.seed,
-    )
-    sim._ran = True  # the epoch machinery owns the scheduler lifecycle
-    return sim, Scheduler(sim, sim.host)
-
-
-def _completed(sim: Simulation) -> bool:
-    """The scheduler loop's own termination condition (workload done and
-    every queue drained) — distinguishes 'finished' from 'cut'."""
-    state = sim.state
-    if not state.all_finished:
-        return False
-    return state.manager.quiescent(state) and all(not cs.inq for cs in state.cores)
+def _capture(run: Run) -> bytes:
+    """The machine at the run's current cut, as canonical wire bytes."""
+    return machine_wire(encode_machine(run.sim, run.scheduler))
 
 
 def _run_epoch(job: EpochJob) -> Dict[str, Any]:
@@ -149,55 +114,24 @@ def _run_epoch(job: EpochJob) -> Dict[str, Any]:
     "wire": ..., "digest": ..., "position": ...}`` with the machine state
     at the cut.
     """
-    sim, scheduler = _build_machine(job.spec)
-    if job.start_wire is None:
-        if sim.controller is not None:
-            sim.controller.on_run_start(scheduler)
-    else:
-        install_machine(sim, scheduler, json.loads(job.start_wire.decode("utf-8")))
-    stop = (
-        None
-        if job.stop_boundary is None
-        else make_stop_predicate(sim, job.stop_boundary)
-    )
-    # Same GC discipline as Simulation.run: the epoch allocates heavily
-    # but creates almost no cyclic garbage.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        stats = scheduler.run(DEFAULT_MAX_TARGET_CYCLES, stop)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if stop is None or _completed(sim):
-        report = sim._build_report(scheduler, stats)
+    sim = build_simulation(job.spec)
+    run = sim.start(at_time_zero=job.start_wire is None)
+    if job.start_wire is not None:
+        install_machine(sim, run.scheduler, json.loads(job.start_wire.decode("utf-8")))
+    if run.advance(job.stop_boundary):
+        report = run.report()
         return {
             "status": "finished",
             "report": report.to_dict(),
             "digest": report.digest(),
         }
-    wire = machine_wire(encode_machine(sim, scheduler))
+    wire = _capture(run)
     return {
         "status": "cut",
         "wire": wire,
         "digest": wire_digest(wire),
-        "position": _cut_position(sim),
+        "position": run.position,
     }
-
-
-def _cut_position(sim: Simulation) -> int:
-    """The epoch-cache key for the machine's current cut.
-
-    Checkpointing runs key by the controller's checkpoint boundary (cuts
-    land exactly on checkpoints); plain runs key by global time.  Both
-    are first-manager-step-reaching positions, so a later run stopping at
-    the recorded position stops at the *identical* machine state.
-    """
-    controller = sim.controller
-    if controller is not None and controller.snapshot is not None:
-        return controller.snapshot.boundary
-    return sim.state.global_time()
 
 
 def _epoch_worker(index: int, job: EpochJob, collect_metrics: bool):
@@ -274,11 +208,7 @@ class EpochStateCache:
         """Atomic best-effort write (the cache is an accelerator, not a
         correctness dependency)."""
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
+            atomic_write(path, blob)
         except OSError:
             pass
 
@@ -346,12 +276,11 @@ def _report_from(payload: Dict[str, Any]) -> Tuple[SimulationReport, str]:
 def _run_cold(
     spec: RunSpec, epochs: int, cache: EpochStateCache
 ) -> TimeParallelResult:
-    """Chained pass: cut, capture, resume on one scheduler — costs only
-    the capture overhead, records every cut state, and produces the exact
-    report (the cut seam leaves the scheduler bit-for-bit resumable)."""
-    sim, scheduler = _build_machine(spec)
-    if sim.controller is not None:
-        sim.controller.on_run_start(scheduler)
+    """Chained pass: advance to a cut, capture, advance again on one
+    :class:`Run` — costs only the capture overhead, records every cut
+    state, and produces the exact report (a cut leaves the run
+    bit-for-bit resumable)."""
+    run = build_simulation(spec).start()
     stride = DEFAULT_COLD_STRIDE
     if spec.checkpoint is not None:
         stride = max(stride, spec.checkpoint.interval)
@@ -360,30 +289,18 @@ def _run_cold(
         stride = max(stride, kind.interval)
 
     boundaries: List[int] = []
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        target = stride
-        for _ in range(_MAX_COLD_CUTS):
-            stats = scheduler.run(
-                DEFAULT_MAX_TARGET_CYCLES, make_stop_predicate(sim, target)
-            )
-            if _completed(sim):
-                break
-            position = _cut_position(sim)
-            cache.store_state(position, machine_wire(encode_machine(sim, scheduler)))
-            boundaries.append(position)
-            target = position + stride
-        else:
+    target = stride
+    while not run.advance(target):
+        if len(boundaries) >= _MAX_COLD_CUTS:
             raise EpochError(
                 f"cold pass exceeded {_MAX_COLD_CUTS} cuts without finishing "
                 "(runaway simulation or zero-width cut stride)"
             )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    report = sim._build_report(scheduler, stats)
+        position = run.position
+        cache.store_state(position, _capture(run))
+        boundaries.append(position)
+        target = position + stride
+    report = run.report()
     cache.store_meta(report.target_cycles, boundaries)
     run_stats = TimeParallelStats(
         mode="cold", epochs=epochs, boundaries=boundaries, launched=len(boundaries) + 1

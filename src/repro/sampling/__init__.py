@@ -14,7 +14,7 @@ The subsystem composes three layers plus the harness glue:
   (``repro.telemetry.features``) on an injectable seeded RNG;
 - :class:`~repro.sampling.engine.SamplingConfig` /
   :func:`~repro.sampling.engine.run_sampled` — the interval-cut loop on
-  the resumable ``Scheduler.run(stop_when=...)`` seam, with COW
+  the resumable :class:`~repro.core.simulation.Run` handle, with COW
   snapshots guarding speculative skips;
 - :func:`~repro.sampling.estimator.estimate` — stratified per-phase
   ratio estimators with Welch-combined confidence intervals

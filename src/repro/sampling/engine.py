@@ -1,7 +1,7 @@
 """The sampled-execution engine: interval cuts, fast-forward, warmup.
 
-One simulation is driven through the same resumable cut seam the
-time-parallel harness uses (``Scheduler.run(stop_when=...)``), one
+One simulation is driven through the same resumable handle the
+time-parallel harness uses (:class:`~repro.core.simulation.Run`), one
 *interval* at a time.  At each interval entry the phase detector
 predicts whether the upcoming interval repeats a well-sampled phase:
 
@@ -27,9 +27,9 @@ warmup discipline of SMARTS-style samplers, applied to slack distortion
 rather than cache cold-start.
 
 Cost honesty: snapshots and restores are charged to the modeled host
-clock through the same ``pause_all_contexts``/``wake_all`` seam and the
-same :func:`~repro.core.checkpoint.checkpoint_cost_ns` model as the
-paper's speculation controller, and they count into the report's
+clock by the same :func:`~repro.core.checkpoint.charged_checkpoint` /
+:func:`~repro.core.checkpoint.charged_rollback` helpers as the paper's
+speculation controller, and they count into the report's
 ``checkpoints``/``rollbacks`` fields.  The sampled report's
 ``sim_time_s`` therefore includes every overhead the sampling scheme
 introduces.
@@ -46,24 +46,18 @@ to the unsampled run's for every scheme kind.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import time
 from typing import List, Optional, Tuple
 
 from repro.config import SlackConfig, SpeculativeConfig
 from repro.core.analytical import SpeculativeModelInputs, speculative_time
-from repro.core.checkpoint import (
-    checkpoint_cost_ns,
-    restore_snapshot,
-    take_snapshot,
-)
-from repro.core.epochs import make_stop_predicate
+from repro.core.checkpoint import charged_checkpoint, charged_rollback
 from repro.core.report import SimulationReport
-from repro.core.scheduler import Scheduler
 from repro.core.schemes.fixed import FixedSlackPolicy
-from repro.core.simulation import DEFAULT_MAX_TARGET_CYCLES, Simulation
+from repro.core.simulation import Run
 from repro.errors import ConfigError, SimulationError
 from repro.harness.cache import RunSpec
+from repro.harness.pool import build_simulation
 from repro.sampling.estimator import IntervalSample, SampledEstimate, estimate
 from repro.sampling.phases import (
     DEFAULT_DISTANCE_THRESHOLD,
@@ -71,9 +65,8 @@ from repro.sampling.phases import (
     PhaseDetector,
 )
 from repro.telemetry import TelemetrySession
-from repro.telemetry.features import CounterSnapshot
+from repro.telemetry.features import CounterSnapshot, IntervalFeatures
 from repro.util.rng import SplitMix64
-from repro.workloads import make_workload
 
 __all__ = ["SampledRunResult", "SamplingConfig", "SamplingStats", "run_sampled"]
 
@@ -171,44 +164,6 @@ class SampledRunResult:
 # --------------------------------------------------------------------- #
 
 
-def _build_machine(
-    spec: RunSpec, telemetry: Optional[TelemetrySession]
-) -> Tuple[Simulation, Scheduler]:
-    """Construct the sim + scheduler pair the sampling loop drives
-    (mirrors ``repro.harness.timepar._build_machine``)."""
-    workload = make_workload(
-        spec.benchmark, num_threads=spec.num_threads, scale=spec.scale
-    )
-    sim = Simulation(
-        workload,
-        scheme=spec.scheme,
-        target=spec.target,
-        host=spec.host,
-        checkpoint=spec.checkpoint,
-        detection=spec.detection,
-        seed=spec.seed,
-        telemetry=telemetry,
-    )
-    sim._ran = True  # the sampling loop owns the scheduler lifecycle
-    return sim, Scheduler(sim, sim.host)
-
-
-def _completed(sim: Simulation) -> bool:
-    """Workload done and every queue drained (the scheduler loop's own
-    termination condition) — distinguishes 'finished' from 'cut'."""
-    state = sim.state
-    if not state.all_finished:
-        return False
-    return state.manager.quiescent(state) and all(not cs.inq for cs in state.cores)
-
-
-def _charge(scheduler: Scheduler, cost_ns: float) -> None:
-    """Charge a sampling action to the modeled host clock (all contexts
-    pause for the action, exactly like checkpoint/rollback charging)."""
-    resume = scheduler.pause_all_contexts(cost_ns)
-    scheduler.wake_all(resume)
-
-
 def run_sampled(
     spec: RunSpec,
     config: SamplingConfig,
@@ -235,9 +190,9 @@ def run_sampled(
             )
 
     wall_start = time.perf_counter()  # repro: noqa[RPR001] sampling-wall telemetry; never feeds the digest
-    sim, scheduler = _build_machine(spec, telemetry)
-    if sim.controller is not None:
-        sim.controller.on_run_start(scheduler)
+    sim = build_simulation(spec, telemetry)
+    run = sim.start()
+    scheduler = run.scheduler
     detector = PhaseDetector(
         rng=SplitMix64(config.seed),
         distance_threshold=config.distance_threshold,
@@ -250,110 +205,62 @@ def run_sampled(
     fast_policy = FixedSlackPolicy(SlackConfig(bound=None))
     last_phase = -1  # "no phase yet": forces the first interval detailed
     needs_warmup = False
-    host_stats = scheduler.stats
 
-    def capture() -> CounterSnapshot:
-        return CounterSnapshot.capture(sim.state, scheduler.simulation_time_ns())
+    while not run.completed:
+        if stats.intervals >= _MAX_INTERVALS:
+            raise SimulationError(
+                f"sampling runaway: {_MAX_INTERVALS} intervals without "
+                f"completion (interval={config.interval})"
+            )
+        index = stats.intervals
+        stats.intervals += 1
+        start_cycle = sim.state.global_time()
+        boundary = start_cycle + config.interval
 
-    def run_to(boundary: int):
-        return scheduler.run(
-            DEFAULT_MAX_TARGET_CYCLES, make_stop_predicate(sim, boundary)
-        )
-
-    # Same GC discipline as Simulation.run: heavy allocation, almost no
-    # cyclic garbage.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        while not _completed(sim):
-            if stats.intervals >= _MAX_INTERVALS:
-                raise SimulationError(
-                    f"sampling runaway: {_MAX_INTERVALS} intervals without "
-                    f"completion (interval={config.interval})"
-                )
-            index = stats.intervals
-            stats.intervals += 1
-            start_cycle = sim.state.global_time()
-            boundary = start_cycle + config.interval
-
-            if detector.should_measure(last_phase, config.rate):
-                last_phase = _measure_interval(
-                    sim, scheduler, detector, config, samples, stats,
-                    index, boundary, needs_warmup, restored=False,
-                    capture=capture, run_to=run_to,
-                )
-                host_stats = scheduler.stats
-                needs_warmup = False
-                continue
-
+        restored = False
+        if not detector.should_measure(last_phase, config.rate):
             # ---- fast-forward attempt -------------------------------- #
             entry_ns = scheduler.simulation_time_ns()
-            snap = take_snapshot(sim.state, start_cycle, entry_ns)
-            snap_cost = checkpoint_cost_ns(cost_model, snap.pages)
-            scheduler.stats.checkpoints += 1
-            scheduler.stats.checkpoint_cost_ns += snap_cost
-            _charge(scheduler, snap_cost)
+            snap, _ = charged_checkpoint(scheduler, sim.state, start_cycle, cost_model)
             stats.snapshots += 1
 
             state = sim.state
             saved_policy = state.scheme
             state.scheme = fast_policy
             state.manager._limits_stale = True  # repopulate the limit bank
-            entry = capture()
-            host_stats = run_to(boundary)
-            exit_snap = capture()
+            entry = _counters(run)
+            run.advance(boundary)
+            feats = _counters(run).delta(entry)
             state.scheme = saved_policy
             state.manager._limits_stale = True
             # Fast-mode violations are not the scheme's; keep them out of
             # the adaptive controller's next control window.
             state.manager.detector.reset_window()
 
-            feats = exit_snap.delta(entry)
-            stats.planned_host_ns += (
-                scheduler.simulation_time_ns() - entry_ns
-            )
+            stats.planned_host_ns += scheduler.simulation_time_ns() - entry_ns
             phase, is_new = detector.classify(feats.vector(), partial=True)
             if not is_new and not detector.needs_samples(phase):
                 # Commit the skip: the interval stays fast-forwarded.
                 stats.fast_intervals += 1
-                samples.append(
-                    IntervalSample(
-                        index=index,
-                        phase=phase,
-                        measured=False,
-                        restored=False,
-                        cycles=feats.cycles,
-                        core_cycles=feats.core_cycles,
-                        instructions=feats.instructions,
-                        violations=feats.violations,
-                        host_ns=feats.host_ns,
-                    )
-                )
+                samples.append(_sample(index, phase, feats, measured=False))
                 last_phase = phase
                 needs_warmup = True
                 continue
 
             # Unknown or under-sampled: roll back and measure in detail.
-            wasted = sim.state.global_time() - start_cycle
-            sim.state = restore_snapshot(snap)
-            scheduler.stats.rollbacks += 1
-            scheduler.stats.wasted_target_cycles += wasted
-            scheduler.stats.rollback_cost_ns += cost_model.rollback_ns
-            _charge(scheduler, cost_model.rollback_ns)
-            stats.restored_intervals += 1
-            last_phase = _measure_interval(
-                sim, scheduler, detector, config, samples, stats,
-                index, boundary, needs_warmup, restored=True,
-                capture=capture, run_to=run_to,
+            charged_rollback(
+                scheduler, sim, snap, cost_model, sim.state.global_time() - start_cycle
             )
-            host_stats = scheduler.stats
-            needs_warmup = False
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+            stats.restored_intervals += 1
+            restored = True
 
-    report = sim._build_report(scheduler, host_stats)
+        last_phase = _measure_interval(
+            run, detector, config, samples, stats, index, boundary,
+            needs_warmup, restored,
+        )
+        needs_warmup = False
+
+    report = run.report()
     est = estimate(samples, confidence=config.confidence)
     stats.phases = detector.num_phases
     stats.actual_host_ns = scheduler.simulation_time_ns()
@@ -386,9 +293,28 @@ def run_sampled(
     )
 
 
+def _counters(run: Run) -> CounterSnapshot:
+    return CounterSnapshot.capture(run.sim.state, run.scheduler.simulation_time_ns())
+
+
+def _sample(
+    index: int, phase: int, feats: IntervalFeatures, measured: bool, restored: bool = False
+) -> IntervalSample:
+    return IntervalSample(
+        index=index,
+        phase=phase,
+        measured=measured,
+        restored=restored,
+        cycles=feats.cycles,
+        core_cycles=feats.core_cycles,
+        instructions=feats.instructions,
+        violations=feats.violations,
+        host_ns=feats.host_ns,
+    )
+
+
 def _measure_interval(
-    sim: Simulation,
-    scheduler: Scheduler,
+    run: Run,
     detector: PhaseDetector,
     config: SamplingConfig,
     samples: List[IntervalSample],
@@ -397,42 +323,27 @@ def _measure_interval(
     boundary: int,
     needs_warmup: bool,
     restored: bool,
-    capture,
-    run_to,
 ) -> int:
     """Run one interval in detail; record its sample; return its phase."""
+    scheduler = run.scheduler
     planned_start_ns = scheduler.simulation_time_ns()
-    if needs_warmup and config.warmup > 0 and not _completed(sim):
+    if needs_warmup and config.warmup > 0 and not run.completed:
         # The preceding fast-forward distorted the trajectory; run the
         # window head in detail but keep it out of the measurement.
         stats.warmup_windows += 1
-        run_to(sim.state.global_time() + config.warmup)
-    entry = capture()
-    if not _completed(sim):
-        run_to(boundary)
-    exit_snap = capture()
+        run.advance(run.sim.state.global_time() + config.warmup)
+    entry = _counters(run)
+    run.advance(boundary)  # a no-op on a completed run
+    feats = _counters(run).delta(entry)
     if not restored:
         # First-attempt cost only: a restored interval's plan was its
         # fast traversal, already accounted by the caller.
         stats.planned_host_ns += scheduler.simulation_time_ns() - planned_start_ns
-    feats = exit_snap.delta(entry)
     if feats.cycles <= 0:
         # Completion landed exactly on the previous cut; nothing to
         # measure and no phase transition.
         return -1
     phase, _ = detector.observe(feats.vector())
     stats.measured_intervals += 1
-    samples.append(
-        IntervalSample(
-            index=index,
-            phase=phase,
-            measured=True,
-            restored=restored,
-            cycles=feats.cycles,
-            core_cycles=feats.core_cycles,
-            instructions=feats.instructions,
-            violations=feats.violations,
-            host_ns=feats.host_ns,
-        )
-    )
+    samples.append(_sample(index, phase, feats, measured=True, restored=restored))
     return phase

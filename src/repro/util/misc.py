@@ -35,6 +35,30 @@ def log2_int(n: int) -> int:
     return n.bit_length() - 1
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` (a :class:`pathlib.Path`) through a temp
+    file in the same directory and a rename: readers see the old content
+    or the new, never a torn file.  The temp file is removed on *any*
+    failure — an attempt on a full disk must not leave it fuller — and the
+    error propagates (callers decide whether the write was best-effort).
+    """
+    import os
+    import tempfile  # here, not at the top: every kernel run imports repro.util
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class LruMemo(Generic[K, V]):
     """A map that keeps its ``limit`` most recently used entries."""
 

@@ -61,6 +61,31 @@ class TestParseScheme:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_scheme("warp-drive")
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("slack", "slack:N"),
+            ("quantum", "quantum:N"),
+            ("adaptive", "adaptive:RATE"),
+            ("speculative", "speculative:INTERVAL"),
+            ("aq", "aq:N"),
+            ("adaptive-quantum", "adaptive-quantum:N"),
+            ("p2p", "p2p:PERIOD[,LEAD]"),
+        ],
+    )
+    def test_empty_argument_after_the_colon_raises(self, name, expected):
+        """``slack:`` used to fall back to the default bound silently."""
+        with pytest.raises(argparse.ArgumentTypeError) as caught:
+            parse_scheme(f"{name}:")
+        assert repr(name) in str(caught.value) and expected in str(caught.value)
+        parse_scheme(name)  # the bare spelling keeps its default
+
+    def test_empty_argument_is_a_usage_error_on_the_command_line(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "fft", "--scheme", "Slack:"])
+        assert caught.value.code == 2
+        assert "expects slack:N" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

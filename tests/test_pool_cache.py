@@ -8,7 +8,9 @@ ordering) protects that property under failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -234,6 +236,111 @@ class TestReportCache:
         removed, freed = cache.prune(max_bytes=0)
         assert removed == 1
         assert cache.info() == {**cache.info(), "entries": 0, "bytes": 0}
+
+
+# --------------------------------------------------------------------- #
+# Full disk: a failed write leaves nothing behind
+
+
+class _FullDisk:
+    """A file handle whose every write fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """A context manager inside which created files cannot be written."""
+
+    @contextlib.contextmanager
+    def scope():
+        real = os.fdopen
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen", lambda *a, **k: _FullDisk(real(*a, **k)))
+            yield
+
+    return scope
+
+
+def _files_under(root):
+    return sorted(p.name for p in root.rglob("*") if p.is_file())
+
+
+class TestFullDisk:
+    def test_report_cache_put_leaves_no_temp_file(self, full_disk):
+        runner = make_runner()
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        report, wall_s = execute_spec(spec)
+        cache = ReportCache()
+        key = spec_key(spec)
+        with full_disk():
+            cache.put(key, report, wall_s)  # best-effort: swallowed
+        assert _files_under(cache.root) == []
+        assert cache.info()["entries"] == 0 and cache.info()["bytes"] == 0
+        assert cache.get(key) is None
+        cache.put(key, report, wall_s)  # space came back
+        assert cache.get(key).digest == report.digest()
+        assert _files_under(cache.root) == [f"{key}.json"]
+
+    def test_epoch_state_cache_leaves_no_temp_file(self, full_disk):
+        from repro.harness.timepar import EpochStateCache
+
+        runner = make_runner()
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        cache = EpochStateCache(spec)
+        with full_disk():
+            cache.store_state(500, b"wire")
+            cache.store_meta(1000, [500])
+        assert _files_under(cache.dir) == []
+        assert cache.load_state(500) is None and cache.load_meta() is None
+        cache.store_state(500, b"wire")
+        cache.store_meta(1000, [500])
+        assert cache.load_state(500) == b"wire"
+        assert cache.load_meta()["boundaries"] == [500]
+        assert _files_under(cache.dir) == ["b500.wire", "meta.json"]
+
+    def test_atomic_write_removes_its_temp_file_on_any_exception(self, tmp_path):
+        from repro.util import atomic_write
+
+        class NotBytes:
+            pass
+
+        target = tmp_path / "sub" / "entry.json"
+        with pytest.raises(TypeError):
+            atomic_write(target, NotBytes())
+        assert _files_under(tmp_path) == []
+        atomic_write(target, b"old")
+        atomic_write(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert _files_under(tmp_path) == ["entry.json"]
+
+    def test_a_leaked_temp_file_is_not_an_entry(self):
+        """A parent-commit writer that died on a full disk left
+        ``.tmp-*.json`` files in shared stores; they are not entries."""
+        runner = make_runner()
+        spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
+        report, wall_s = execute_spec(spec)
+        cache = ReportCache()
+        key = spec_key(spec)
+        cache.put(key, report, wall_s)
+        leaked = cache._entry_path(key).parent / ".tmp-abc123.json"
+        leaked.write_bytes(b"")
+        size = cache._entry_path(key).stat().st_size
+        assert (cache.info()["entries"], cache.info()["bytes"]) == (1, size)
+        assert cache.prune(max_bytes=0) == (1, size)
+        assert cache.info()["entries"] == 0
+        assert cache.clear() == 0
+        assert leaked.exists()
 
 
 # --------------------------------------------------------------------- #

@@ -1,0 +1,211 @@
+"""The one resumable run: ``Simulation.start()`` and its ``Run`` handle.
+
+The contract under test (ISSUE 18): a run advanced one cut at a time is
+the run — same report, byte for byte, for every scheme kind, with the
+sanitizer watching — and the handle is the only place in ``src/repro``
+that builds a scheduler, disables the collector or decides what a cut is.
+"""
+
+import dataclasses
+import pathlib
+import re
+
+import pytest
+
+from repro.analysis.sanitizer import SlackSanitizer
+from repro.config import (
+    AdaptiveQuantumConfig,
+    CheckpointConfig,
+    P2PConfig,
+    QuantumConfig,
+    SlackConfig,
+)
+from repro.core import simulation as simulation_module
+from repro.core.epochs import encode_machine, make_stop_predicate
+from repro.errors import ConfigError
+from repro.harness.bench import BenchCase, golden_path, load_golden
+from repro.harness.pool import build_simulation, execute_spec
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+GOLDEN = load_golden(golden_path())
+
+
+def spec_for(scheme=None, checkpoint=None, case="bounded"):
+    """The 4-core quarter-scale fft of the smoke matrix (golden digests
+    exist for its four bench schemes), optionally under another scheme."""
+    spec = BenchCase(case, 4, 0.25).spec()
+    if scheme is not None:
+        spec = dataclasses.replace(spec, scheme=scheme)
+    return dataclasses.replace(spec, checkpoint=checkpoint)
+
+
+#: (spec, golden case id or None) — every scheme kind, plus plain slack
+#: under periodic checkpointing.
+KINDS = [
+    pytest.param(spec_for(case="cc"), "fft-cc-c4-s0.25", id="cc"),
+    pytest.param(spec_for(case="bounded"), "fft-bounded-c4-s0.25", id="slack:16"),
+    pytest.param(spec_for(QuantumConfig(quantum=10)), None, id="quantum"),
+    pytest.param(spec_for(case="adaptive"), "fft-adaptive-c4-s0.25", id="adaptive"),
+    pytest.param(spec_for(P2PConfig()), None, id="p2p"),
+    pytest.param(spec_for(AdaptiveQuantumConfig()), None, id="adaptive-quantum"),
+    pytest.param(
+        spec_for(case="speculative"), "fft-speculative-c4-s0.25", id="speculative"
+    ),
+    pytest.param(
+        spec_for(SlackConfig(bound=16), CheckpointConfig(interval=2000)),
+        None,
+        id="slack+checkpoint",
+    ),
+]
+
+
+class TestCutsAreInvisible:
+    @pytest.mark.parametrize("spec, golden_id", KINDS)
+    def test_three_advances_equal_one_run(self, spec, golden_id):
+        whole, _ = execute_spec(spec)
+        total = whole.target_cycles
+        sanitizer = SlackSanitizer()
+        run = build_simulation(spec, sanitizer=sanitizer).start()
+        assert not run.completed
+        assert run.advance(total // 3) is False
+        first = run.position
+        assert first >= total // 3
+        assert run.advance(2 * total // 3) is False
+        assert run.position >= max(first, 2 * total // 3)
+        assert run.advance() is True
+        assert run.completed
+        report = run.report()
+        assert report.digest() == whole.digest()
+        assert report.to_dict() == whole.to_dict()
+        if golden_id is not None:
+            assert report.digest() == GOLDEN[golden_id]
+        assert not sanitizer.violations and sanitizer.total_checks() > 0
+
+    def test_advance_on_a_completed_run_changes_nothing(self):
+        run = build_simulation(spec_for()).start()
+        assert run.advance() is True
+        before = run.report().to_dict(), run.position, run.scheduler.stats.manager_steps
+        assert run.advance() is True
+        assert run.advance(1) is True
+        assert run.advance(10**9) is True
+        after = run.report().to_dict(), run.position, run.scheduler.stats.manager_steps
+        assert after == before
+
+    def test_a_cut_past_the_end_completes(self):
+        spec = spec_for()
+        whole, _ = execute_spec(spec)
+        run = build_simulation(spec).start()
+        assert run.advance(whole.target_cycles + 1) is True
+        assert run.report().digest() == whole.digest()
+
+    def test_a_cut_landing_exactly_on_completion_reports_completed(self):
+        """The workload's last act is a core step and the cut rule is
+        only asked at manager steps, so a cut *at* the final target time
+        is never taken — the run just completes — while a cut at the
+        largest global time the manager ever reports is taken and leaves
+        only the tail to finish.  'Finished or cut' is read off the
+        machine either way."""
+        spec = spec_for()
+        whole, _ = execute_spec(spec)
+        run = build_simulation(spec).start()
+        assert run.advance(whole.target_cycles) is True
+        assert run.report().digest() == whole.digest()
+
+        spy = build_simulation(spec).start()
+        seen = []
+        spy.scheduler.run(None, lambda outcome: seen.append(outcome.global_time))
+        assert max(seen) < whole.target_cycles
+        run = build_simulation(spec).start()
+        assert run.advance(max(seen)) is False
+        assert run.advance(max(seen) + 1) is True
+        assert run.report().digest() == whole.digest()
+
+    def test_report_of_a_cut_run_is_refused(self):
+        run = build_simulation(spec_for()).start()
+        assert run.advance(1000) is False
+        with pytest.raises(ConfigError, match="cut, not completed"):
+            run.report()
+
+
+class TestSingleShot:
+    def test_start_twice_raises(self):
+        sim = build_simulation(spec_for())
+        sim.start()
+        with pytest.raises(ConfigError, match="already run"):
+            sim.start()
+
+    def test_run_after_start_raises(self):
+        sim = build_simulation(spec_for())
+        sim.start()
+        with pytest.raises(ConfigError, match="already run"):
+            sim.run()
+
+    def test_start_after_run_raises(self):
+        sim = build_simulation(spec_for())
+        sim.run()
+        with pytest.raises(ConfigError, match="already run"):
+            sim.start()
+
+
+class TestSpeculativeCuts:
+    def test_a_cut_never_lands_inside_a_replay_window(self):
+        spec = spec_for(case="speculative")
+        whole, _ = execute_spec(spec)
+        assert whole.rollbacks > 0, "the case must actually replay"
+        interval = spec.scheme.checkpoint.interval
+        sim = build_simulation(spec)
+        run = sim.start()
+        assert run.position == 0  # the time-zero checkpoint
+        target, cuts = 1, 0
+        while not run.advance(target):
+            controller = sim.controller
+            assert not controller.replaying
+            assert run.position == controller.snapshot.boundary
+            assert run.position >= target and run.position % interval == 0
+            encode_machine(sim, run.scheduler)  # refuses a mid-replay machine
+            cuts += 1
+            target = run.position + 1
+        assert cuts == whole.target_cycles // interval
+        assert run.report().digest() == whole.digest()
+
+    def test_at_time_zero_false_takes_no_checkpoint(self):
+        sim = build_simulation(spec_for(case="speculative"))
+        run = sim.start(at_time_zero=False)
+        assert sim.controller.snapshot is None
+        assert run.scheduler.stats.checkpoints == 0
+
+
+# --------------------------------------------------------------------- #
+# Structural pin: one driver
+# --------------------------------------------------------------------- #
+
+
+def occurrences(pattern):
+    """``{relative path: count}`` of a regex over the source tree."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        count = len(re.findall(pattern, path.read_text()))
+        if count:
+            found[str(path.relative_to(SRC))] = count
+    return found
+
+
+class TestOneDriver:
+    def test_the_collector_is_disabled_in_one_place(self):
+        assert occurrences(r"gc\.disable\(") == {"core/simulation.py": 1}
+
+    def test_a_scheduler_is_built_in_one_place(self):
+        assert occurrences(r"(?<![A-Za-z_])Scheduler\(") == {"core/simulation.py": 1}
+
+    @pytest.mark.parametrize(
+        "pattern", [r"def _build_machine", r"def _completed", r"def _cut_position"]
+    )
+    def test_the_hand_rolled_copies_are_gone(self, pattern):
+        assert occurrences(pattern) == {}
+
+    def test_nobody_else_marks_a_simulation_as_run(self):
+        assert set(occurrences(r"_ran = True")) == {"core/simulation.py"}
+
+    def test_the_cut_rule_has_one_body(self):
+        assert set(occurrences(r"make_stop_predicate")) == {"core/epochs.py"}
+        assert make_stop_predicate is simulation_module.cut_rule

@@ -40,3 +40,17 @@ def test_strict_paths_are_clean(tool, arguments):
         timeout=600,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("command", ["ruff check", "mypy"])
+def test_ci_lint_job_names_the_same_paths(command):
+    """The list above and the ``lint`` job's stay in step: neither can
+    drop a path the other still claims to check."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lines = [
+        line.split()
+        for line in workflow.replace("\\\n", " ").splitlines()
+        if line.strip().startswith(command + " ")
+    ]
+    assert len(lines) == 1, f"expected one `{command}` line in the lint job"
+    assert sorted(lines[0][len(command.split()):]) == sorted(STRICT_PATHS)

@@ -21,14 +21,12 @@ from repro.config import (
     quick_target_config,
 )
 from repro.core.epochs import MACHINE_WIRE_VERSION, encode_machine, install_machine
-from repro.core.scheduler import Scheduler
 from repro.errors import EpochError
 from repro.harness.cache import RunSpec
-from repro.harness.pool import execute_spec
+from repro.harness.pool import build_simulation, execute_spec
 from repro.harness.timepar import (
     EpochJob,
     EpochStateCache,
-    _build_machine,
     _plan_boundaries,
     _run_epoch,
     run_time_parallel,
@@ -147,31 +145,31 @@ class TestTelemetryCounters:
 class TestWireCodec:
     def test_version_skew_raises_structured_error(self):
         spec = spec_for(SlackConfig(bound=16))
-        sim, scheduler = _build_machine(spec)
-        payload = encode_machine(sim, scheduler)
+        run = build_simulation(spec).start()
+        payload = encode_machine(run.sim, run.scheduler)
         assert payload["v"] == MACHINE_WIRE_VERSION
         payload["v"] = MACHINE_WIRE_VERSION + 1
-        sim2, scheduler2 = _build_machine(spec)
+        run2 = build_simulation(spec).start(at_time_zero=False)
         with pytest.raises(EpochError, match="wire version"):
-            install_machine(sim2, scheduler2, payload)
+            install_machine(run2.sim, run2.scheduler, payload)
 
     def test_program_structure_mismatch_raises(self):
         """A capture installed into a differently-shaped workload must be
         rejected by the anchor count, not misdecode."""
         spec = spec_for(SlackConfig(bound=16))
-        sim, scheduler = _build_machine(spec)
-        payload = encode_machine(sim, scheduler)
+        run = build_simulation(spec).start()
+        payload = encode_machine(run.sim, run.scheduler)
         other = spec_for(SlackConfig(bound=16), scale=0.4)
-        sim2, scheduler2 = _build_machine(other)
+        run2 = build_simulation(other).start(at_time_zero=False)
         with pytest.raises(EpochError, match="mismatch"):
-            install_machine(sim2, scheduler2, payload)
+            install_machine(run2.sim, run2.scheduler, payload)
 
     def test_wire_is_plain_json_data(self):
         """The machine payload survives a JSON round trip unchanged — the
         pickle-free discipline (mirrors service/protocol.py's codec)."""
         spec = spec_for(SlackConfig(bound=16))
-        sim, scheduler = _build_machine(spec)
-        payload = encode_machine(sim, scheduler)
+        run = build_simulation(spec).start()
+        payload = encode_machine(run.sim, run.scheduler)
         assert json.loads(json.dumps(payload)) == payload
 
     def test_epoch_resume_is_bit_identical_mid_run(self, tmp_path):
