@@ -13,7 +13,10 @@ averages about one target cycle per pick at the default batch size, so a
 pick interval tracks the speculative scheme's cycle interval).  The
 first capture of a run syncs every page ever written and is reported
 separately; the steady-state mean covers the captures a speculative run
-actually repeats.  Writes ``BENCH_checkpoint.json``.
+actually repeats.  Prints one row per interval and exits non-zero when
+capture at the finest interval is not at least ``MIN_SPEEDUP`` times
+cheaper than the deepcopy; ``--output FILE`` also writes the rows as
+host-stamped JSON.
 
 Run directly::
 
@@ -157,11 +160,17 @@ def bench_interval(interval: int, cores: int, max_checkpoints: int) -> dict:
     }
 
 
+#: The floor ``main`` (and CI through it) holds the finest interval to.
+#: The recorded figure is 11-14x on a quiet host (EXPERIMENTS.md); shared
+#: runners only guard the order of magnitude.
+MIN_SPEEDUP = 3.0
+
+
 def run_bench_checkpoint(
     intervals=(500, 2000, 5000),
     cores: int = 4,
     max_checkpoints: int = 12,
-    output: Optional[str] = "BENCH_checkpoint.json",
+    output: Optional[str] = None,
 ) -> dict:
     rows = []
     for interval in intervals:
@@ -183,12 +192,13 @@ def run_bench_checkpoint(
         "finest_interval": finest["interval"],
         "finest_speedup_take_vs_deepcopy": finest["speedup_take_vs_deepcopy"],
     }
+    print(f"finest interval {finest['interval']}: "
+          f"{finest['speedup_take_vs_deepcopy']}x vs deepcopy")
     if output:
         with open(output, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {output} (finest interval {finest['interval']}: "
-              f"{finest['speedup_take_vs_deepcopy']}x vs deepcopy)")
+        print(f"wrote {output}")
     return doc
 
 
@@ -204,14 +214,20 @@ def main(argv=None) -> int:
     parser.add_argument("--intervals", type=int, nargs="+", default=[500, 2000, 5000])
     parser.add_argument("--cores", type=int, default=4)
     parser.add_argument("--max-checkpoints", type=int, default=12)
-    parser.add_argument("--output", default="BENCH_checkpoint.json")
+    parser.add_argument("--output", default=None,
+                        help="also write the rows as host-stamped JSON")
     args = parser.parse_args(argv)
-    run_bench_checkpoint(
+    doc = run_bench_checkpoint(
         intervals=args.intervals,
         cores=args.cores,
         max_checkpoints=args.max_checkpoints,
         output=args.output,
     )
+    ratio = doc["finest_speedup_take_vs_deepcopy"]
+    if ratio is None or ratio < MIN_SPEEDUP:
+        print(f"FAIL: COW capture only {ratio}x cheaper than deepcopy "
+              f"(floor {MIN_SPEEDUP}x)", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,7 +18,8 @@ Measures, on the long bounded/adaptive cases, what epoch pipelining
   wall-clock cost are recorded.
 
 Every digest is asserted against the serial run: a speedup that changes
-results is a bug, not a result.  Writes ``BENCH_timepar.json``.
+results is a bug, not a result.  Prints the curves; ``--output FILE``
+also writes them as host-stamped JSON.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def bench_case(case_id: str, root: pathlib.Path) -> Dict[str, Any]:
     }
 
 
-def run_bench_timepar(output: Optional[str] = "BENCH_timepar.json") -> Dict[str, Any]:
+def run_bench_timepar(output: Optional[str] = None) -> Dict[str, Any]:
     root = pathlib.Path(tempfile.mkdtemp(prefix="bench-timepar-"))
     try:
         cases = [bench_case(case_id, root) for case_id in CASES]
@@ -180,18 +181,20 @@ def run_bench_timepar(output: Optional[str] = "BENCH_timepar.json") -> Dict[str,
         "best_projected_speedup": best["speedup_projected_critical_path"],
         "cases": cases,
     }
+    print(
+        f"best projected speedup {doc['best_projected_speedup']}x "
+        f"on {doc['host']['cpu_count']} CPU(s)"
+    )
     if output:
         pathlib.Path(output).write_text(json.dumps(doc, indent=2) + "\n")
-        print(
-            f"wrote {output} (best projected speedup "
-            f"{doc['best_projected_speedup']}x on {host_fingerprint()['cpu_count']} CPU(s))"
-        )
+        print(f"wrote {output}")
     return doc
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_timepar.json")
+    parser.add_argument("--output", default=None,
+                        help="also write the curves as host-stamped JSON")
     args = parser.parse_args(argv)
     run_bench_timepar(args.output)
     return 0

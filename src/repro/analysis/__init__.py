@@ -2,8 +2,8 @@
 
 The reproduction's whole value rests on two fragile properties:
 
-- **bit-for-bit determinism** — the 13-case digest matrix in
-  ``BENCH_kernel.json`` gates every PR, and
+- **bit-for-bit determinism** — ``repro bench`` checks the digest matrix
+  against ``benchmarks/golden_kernel.json`` on every PR, and
 
 - **the paper's timing invariants** — bounded slack never exceeds ``b``,
   ``global_time == min(local_time)`` over running cores, and a rollback

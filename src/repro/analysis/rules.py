@@ -228,7 +228,7 @@ class WallClockRule(Rule):
         "A wall-clock read (time.time, time.perf_counter, datetime.now, ...)\n"
         "inside core/, cpu/, memory/, workloads/, isa/, or sync/ leaks host\n"
         "timing into simulation state, so two identical runs diverge and the\n"
-        "digest matrix in BENCH_kernel.json can no longer gate refactors.\n"
+        "digests in benchmarks/golden_kernel.json can no longer gate refactors.\n"
         "Wall-clock measurement belongs in the harness (bench walls) or the\n"
         "telemetry layer, both outside the digest-affecting packages."
     )
@@ -613,7 +613,7 @@ class DeepcopyOutsideSnapshotRule(Rule):
         "pages plus a residue walk whose cost scales with *writes*, not with\n"
         "state size.  A stray copy.deepcopy of simulation state anywhere\n"
         "else in the critical packages reintroduces the O(state) full-copy\n"
-        "cost the BENCH_checkpoint.json acceptance number forbids — and,\n"
+        "cost benchmarks/bench_checkpoint.py exists to keep out — and,\n"
         "worse, bypasses the memo stubs that keep the flat cache banks\n"
         "shared, so the copy silently diverges from the snapshot protocol.\n"
         "Only core/snapshot.py and core/checkpoint.py may call it; class\n"

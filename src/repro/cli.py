@@ -20,8 +20,8 @@ Subcommands::
     worker      run a fleet worker: a service daemon registered with (and
                 heartbeating to) a fabric coordinator
     fabric      show fleet status (workers, ring, backlogs, counters)
-    loadtest    replay a synthetic submission stream against a coordinator
-                and record the SLO bench (BENCH_service.json)
+    loadtest    fleet smoke: replay a synthetic submission stream against a
+                coordinator; pass/fail on the digest gate
     submit      submit one run to a running service (optionally wait)
     jobs        list service jobs, or show health / drain the daemon
     result      fetch a finished job's report from the service
@@ -396,7 +396,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     run_bench(
         smoke=args.smoke,
         update_golden=args.update_golden,
-        output=args.output,
         golden_file=args.golden,
         jobs=resolve_jobs(args.jobs),
         use_cache=args.cached,
@@ -738,25 +737,17 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     import pathlib
     import tempfile
 
-    from repro.fabric.loadtest import (
-        LoadtestConfig,
-        SpawnedFabric,
-        run_loadtest,
-        write_bench,
-    )
+    from repro.fabric.loadtest import LoadtestConfig, SpawnedFabric, run_loadtest
 
     config = LoadtestConfig(
         requests=args.requests,
         concurrency=args.concurrency,
         duplicate_ratio=args.duplicate_ratio,
-        pattern=args.pattern,
-        rate=args.rate,
         distinct_specs=args.specs,
         seed=args.seed,
         scale=args.scale,
         slack_bound=args.slack_bound,
         submit_timeout_s=args.timeout if args.timeout else 300.0,
-        verify_local=args.verify_local,
     )
     try:
         config.validate()
@@ -764,49 +755,33 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.socket or args.tcp:
-        doc = run_loadtest(_service_address(args), config, execution="external")
+        doc = run_loadtest(_service_address(args), config)
+    elif args.spawn < 1:
+        # A coordinator with no workers answers nothing: every request
+        # would wait out the submit timeout before the run ends FAIL.
+        print("error: --spawn must be >= 1", file=sys.stderr)
+        return 2
     else:
         with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
-            fleet = SpawnedFabric(
-                pathlib.Path(tmp),
-                workers=args.spawn,
-                jobs_per_worker=args.spawn_jobs,
-                queue_limit=args.spawn_queue_limit,
-                isolated=args.isolated,
-            ).start()
+            fleet = SpawnedFabric(pathlib.Path(tmp), workers=args.spawn).start()
             try:
-                doc = run_loadtest(
-                    fleet.address,
-                    config,
-                    fleet=fleet.info(),
-                    execution=fleet.info()["execution"],
-                )
+                doc = run_loadtest(fleet.address, config)
             finally:
                 fleet.stop()
-    output = pathlib.Path(args.output)
-    write_bench(doc, output)
     results = doc["results"]
-    latency = results["latency_ms"]
     print(f"loadtest: {results['completed']}/{results['submitted']} completed, "
           f"{results['rejected']} rejected (structured), "
           f"{results['failed']} failed, "
           f"{results['transport_errors']} transport error(s)")
-    print(f"  latency   : p50 {latency['p50']:.0f} ms, "
-          f"p90 {latency['p90']:.0f} ms, p99 {latency['p99']:.0f} ms "
-          f"(mean {latency['mean']:.0f}, max {latency['max']:.0f})")
-    print(f"  throughput: {results['throughput_jobs_s']:.2f} jobs/s over "
-          f"{results['duration_s']:.1f}s; "
-          f"rejection rate {results['rejection_rate']:.1%}")
     print(f"  sources   : "
           + json.dumps(results["sources"], sort_keys=True))
     gate = doc["digest_gate"]
     verdict = "PASS" if doc["passed"] else "FAIL"
     print(f"  digest    : {gate['distinct_completed']} distinct spec(s), "
           f"{gate['wire_verified']} wire-verified, "
-          f"{len(gate['local_checks'])} local re-run(s) — {verdict}")
+          f"first one re-run locally — {verdict}")
     for problem in gate["problems"]:
         print(f"    problem: {problem}", file=sys.stderr)
-    print(f"wrote {output}")
     return 0 if doc["passed"] else 1
 
 
@@ -1000,14 +975,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="run the kernel-throughput benchmark matrix (digest-checked)",
+        help="run the golden-digest gate: the kernel matrix checked against "
+             "benchmarks/golden_kernel.json",
     )
     bench_parser.add_argument("--smoke", action="store_true",
                               help="small CI matrix (4/8 cores, quarter scale)")
     bench_parser.add_argument("--update-golden", action="store_true",
                               help="re-record golden report digests")
-    bench_parser.add_argument("--output", default="BENCH_kernel.json",
-                              help="result file (default BENCH_kernel.json)")
     bench_parser.add_argument("--golden", default=None,
                               help="override the golden-digest file path")
     bench_parser.add_argument("--telemetry-guard", action="store_true",
@@ -1198,7 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest_parser = sub.add_parser(
         "loadtest",
         parents=[conn_parser],
-        help="replay a synthetic submission stream; record BENCH_service.json",
+        help="fleet smoke: replay a synthetic submission stream, pass/fail "
+             "on the digest gate",
     )
     loadtest_parser.add_argument("--requests", type=int, default=48, metavar="N",
                                  help="total submissions in the stream")
@@ -1209,13 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  metavar="R",
                                  help="fraction of submissions repeating an "
                                       "earlier spec (dedup/cache fodder)")
-    loadtest_parser.add_argument("--pattern",
-                                 choices=("uniform", "poisson", "burst"),
-                                 default="uniform",
-                                 help="arrival pattern for open-loop runs")
-    loadtest_parser.add_argument("--rate", type=float, default=0.0, metavar="R",
-                                 help="open-loop arrival rate in jobs/s "
-                                      "(0 = closed loop)")
     loadtest_parser.add_argument("--specs", type=int, default=6, metavar="K",
                                  help="distinct specs in the pool")
     loadtest_parser.add_argument("--seed", type=int, default=1)
@@ -1227,26 +1195,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest_parser.add_argument("--timeout", type=float, default=None,
                                  metavar="S",
                                  help="per-submission wait limit (default 300)")
-    loadtest_parser.add_argument("--verify-local", type=int, default=1,
-                                 metavar="N",
-                                 help="re-run N distinct specs locally and "
-                                      "require digest equality with the fabric")
     loadtest_parser.add_argument("--spawn", type=int, default=2, metavar="N",
                                  help="without --socket/--tcp: spawn an "
                                       "in-process fleet of N workers")
-    loadtest_parser.add_argument("--spawn-jobs", type=int, default=1,
-                                 metavar="N",
-                                 help="slots per spawned worker")
-    loadtest_parser.add_argument("--spawn-queue-limit", type=int, default=256,
-                                 metavar="N",
-                                 help="spawned coordinator's admission limit "
-                                      "(lower it to measure saturation)")
-    loadtest_parser.add_argument("--isolated", action="store_true",
-                                 help="spawned workers run jobs in real "
-                                      "worker processes instead of inline "
-                                      "threads (slower, fully isolated)")
-    loadtest_parser.add_argument("--output", default="BENCH_service.json",
-                                 help="result file (default BENCH_service.json)")
     loadtest_parser.set_defaults(func=cmd_loadtest)
 
     submit_parser = sub.add_parser(

@@ -17,8 +17,9 @@ configuration no matter which host computes it.
   fleet by a registration/heartbeat agent;
 - :mod:`repro.fabric.shared_store` — the content-addressed report store
   every node shares, with digest re-verification on cross-node reads;
-- :mod:`repro.fabric.loadtest` — the SLO bench behind ``repro loadtest``
-  and ``BENCH_service.json``.
+- :mod:`repro.fabric.loadtest` — the in-process fleet fixture
+  (``SpawnedFabric``) and the digest-gated pass/fail smoke behind
+  ``repro loadtest``.
 
 The invariant the whole package inherits rather than invents: a report
 fetched through the fabric is byte-identical to a local ``repro run`` of

@@ -1,21 +1,17 @@
-"""Load generator and SLO bench for the simulation fabric.
+"""Fleet fixture and pass/fail smoke for the simulation fabric.
 
-``repro loadtest`` replays a synthetic submission stream — configurable
-concurrency, duplicate ratio, and arrival pattern — against a
-coordinator (an external one, or a fleet this module spawns in-process)
-and records the service-level numbers that matter for "simulation as a
-service": p50/p99 submit→result latency, sustained throughput, and the
-rejection rate under saturation.  The output, ``BENCH_service.json``, is
-the service counterpart of the kernel-bench wall-clock files.
+:class:`SpawnedFabric` is a coordinator plus N inline workers in this
+process — the fixture ``benchmarks/e2e`` (which owns every latency and
+throughput number) and ``repro loadtest`` both drive.  ``repro loadtest``
+replays a seeded, duplicate-bearing submission stream from concurrent
+closed-loop clients against a coordinator (an external one, or a spawned
+fleet) and answers one question — did every request get the right
+answer:
 
-Two properties make the bench meaningful rather than a vanity number:
-
-- **Digest-gated.** Latency of a wrong answer is not latency.  Every
-  completed result's digest must agree with every other result of the
-  same spec, a sample of wire reports must reproduce their own digests,
-  and a sample of specs is re-run locally to pin the fabric's output to
-  ``repro run``'s.  A gate failure zeroes the bench (the JSON records
-  the failure; there is no number to report).
+- **Digest-gated.** Every completed result's digest must agree with
+  every other result of the same spec, a wire report per distinct spec
+  must reproduce its own digest, and one spec is re-run locally to pin
+  the fabric's output to ``repro run``'s.
 - **Structured saturation.** Past the admission high-water mark the
   coordinator must answer ``QUEUE_FULL`` — a rejected submission is a
   *successful* protocol exchange.  Dropped connections and transport
@@ -26,11 +22,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import pathlib
 import random
 import threading
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import SlackConfig
@@ -38,8 +32,7 @@ from repro.config.presets import paper_host_config, quick_target_config
 from repro.core.report import SimulationReport
 from repro.fabric.coordinator import CoordinatorConfig, CoordinatorDaemon
 from repro.fabric.worker import FabricWorker, WorkerConfig
-from repro.harness.cache import RunSpec, spec_key
-from repro.harness.hostinfo import host_fingerprint
+from repro.harness.cache import RunSpec
 from repro.harness.pool import PoolResult, execute_spec
 from repro.service.client import Address, ServiceClient
 from repro.service.protocol import (
@@ -57,9 +50,6 @@ __all__ = [
     "run_loadtest",
 ]
 
-#: Arrival patterns for the open-loop generator.
-PATTERNS = ("uniform", "poisson", "burst")
-
 
 @dataclasses.dataclass
 class LoadtestConfig:
@@ -68,18 +58,13 @@ class LoadtestConfig:
     requests: int = 48
     concurrency: int = 8
     duplicate_ratio: float = 0.5
-    pattern: str = "uniform"
-    rate: float = 0.0  # arrivals/s; 0 = closed loop (as fast as answered)
     distinct_specs: int = 6
     seed: int = 1
     scale: float = 0.05
     slack_bound: int = 8
     submit_timeout_s: float = 300.0
-    verify_local: int = 1  # distinct specs to re-run locally as the gate
 
     def validate(self) -> None:
-        if self.pattern not in PATTERNS:
-            raise ValueError(f"pattern must be one of {PATTERNS}")
         if not 0.0 <= self.duplicate_ratio < 1.0:
             raise ValueError("duplicate_ratio must be in [0, 1)")
         if self.requests < 1 or self.concurrency < 1 or self.distinct_specs < 1:
@@ -89,7 +74,7 @@ class LoadtestConfig:
 def build_spec_pool(config: LoadtestConfig) -> List[RunSpec]:
     """``distinct_specs`` fully-resolved specs, distinct only in seed —
     so duplicates are byte-identical submissions and distinct entries
-    still cost roughly the same, keeping latency comparable."""
+    still cost roughly the same."""
     return [
         RunSpec(
             benchmark="fft",
@@ -123,69 +108,26 @@ def generate_stream(config: LoadtestConfig) -> List[int]:
     return stream
 
 
-def arrival_offsets(config: LoadtestConfig) -> List[float]:
-    """Seconds-from-start each submission becomes eligible (0 everywhere
-    for closed-loop runs)."""
-    if config.rate <= 0.0:
-        return [0.0] * config.requests
-    rng = random.Random(config.seed + 1)
-    offsets: List[float] = []
-    now = 0.0
-    for i in range(config.requests):
-        if config.pattern == "poisson":
-            now += rng.expovariate(config.rate)
-        elif config.pattern == "burst":
-            # Whole bursts of ``concurrency`` arrive together, spaced so
-            # the *average* rate matches.
-            if i % config.concurrency == 0 and i > 0:
-                now += config.concurrency / config.rate
-        else:  # uniform
-            now += 1.0 / config.rate
-        offsets.append(now)
-    return offsets
-
-
 @dataclasses.dataclass
 class _Submission:
-    index: int  # position in the stream
     spec_index: int  # which pool spec
-    eligible_at: float  # seconds from stream start
     ok: bool = False
     rejected: bool = False
     transport_error: bool = False
     failed: bool = False
     digest: Optional[str] = None
     source: Optional[str] = None
-    latency_ms: float = 0.0
-    error: Optional[str] = None
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
-
-
-def run_loadtest(
-    address: Address,
-    config: LoadtestConfig,
-    fleet: Optional[Dict[str, Any]] = None,
-    execution: str = "external",
-) -> Dict[str, Any]:
-    """Replay the stream against ``address``; return the bench document."""
+def run_loadtest(address: Address, config: LoadtestConfig) -> Dict[str, Any]:
+    """Replay the stream against ``address`` from ``concurrency``
+    closed-loop clients; return the counts, the digest gate and the
+    verdict (``passed``)."""
     config.validate()
     pool = build_spec_pool(config)
-    keys = [spec_key(spec) for spec in pool]
-    stream = generate_stream(config)
-    offsets = arrival_offsets(config)
-    submissions = [
-        _Submission(index=i, spec_index=spec_index, eligible_at=offsets[i])
-        for i, spec_index in enumerate(stream)
-    ]
+    submissions = [_Submission(spec_index) for spec_index in generate_stream(config)]
     todo = list(submissions)
     todo_lock = threading.Lock()
-    started_at = time.perf_counter()  # repro: noqa[RPR001] loadtest epoch anchor, SLO measurement is the product
 
     def worker_main() -> None:
         client = ServiceClient(address, timeout=config.submit_timeout_s + 30.0)
@@ -195,27 +137,20 @@ def run_loadtest(
                     if not todo:
                         return
                     sub = todo.pop(0)
-                delay = sub.eligible_at - (time.perf_counter() - started_at)  # repro: noqa[RPR001] open-loop arrival pacing, SLO measurement is the product
-                if delay > 0:
-                    time.sleep(delay)
                 _run_one(client, sub)
         finally:
             client.close()
 
     def _run_one(client: ServiceClient, sub: _Submission) -> None:
-        t0 = time.perf_counter()  # repro: noqa[RPR001] latency stopwatch, SLO measurement is the product
         try:
             accepted = client.submit(pool[sub.spec_index])
             result = client.result(
                 accepted["job_id"], wait=True, timeout_s=config.submit_timeout_s
             )
-            sub.latency_ms = (time.perf_counter() - t0) * 1000.0  # repro: noqa[RPR001] latency stopwatch, SLO measurement is the product
             sub.ok = True
             sub.digest = str(result["digest"])
             sub.source = result.get("source")
         except ServiceError as exc:
-            sub.latency_ms = (time.perf_counter() - t0) * 1000.0  # repro: noqa[RPR001] latency stopwatch, SLO measurement is the product
-            sub.error = exc.code
             if exc.code in (ERR_QUEUE_FULL, ERR_DRAINING):
                 sub.rejected = True  # structured backpressure: by design
             elif exc.code == ERR_UNAVAILABLE:
@@ -231,54 +166,25 @@ def run_loadtest(
         thread.start()
     for thread in threads:
         thread.join()
-    duration_s = max(1e-9, time.perf_counter() - started_at)  # repro: noqa[RPR001] throughput denominator, SLO measurement is the product
 
     completed = [s for s in submissions if s.ok]
-    rejected = [s for s in submissions if s.rejected]
-    transport = [s for s in submissions if s.transport_error]
-    failed = [s for s in submissions if s.failed]
-    latencies = sorted(s.latency_ms for s in completed)
-    gate = _digest_gate(address, config, pool, keys, completed)
-
-    doc: Dict[str, Any] = {
-        "bench": "service_fabric_loadtest",
-        "execution": execution,
-        "config": dataclasses.asdict(config),
-        "fleet": fleet or {},
+    transport = sum(s.transport_error for s in submissions)
+    failed = sum(s.failed for s in submissions)
+    gate = _digest_gate(address, pool, completed)
+    return {
         "results": {
             "submitted": len(submissions),
             "completed": len(completed),
-            "rejected": len(rejected),
-            "failed": len(failed),
-            "transport_errors": len(transport),
-            "duration_s": duration_s,
-            "throughput_jobs_s": len(completed) / duration_s,
-            "rejection_rate": len(rejected) / len(submissions),
+            "rejected": sum(s.rejected for s in submissions),
+            "failed": failed,
+            "transport_errors": transport,
             "sources": _count_by(completed, "source"),
-            "latency_ms": {
-                "p50": _percentile(latencies, 0.50),
-                "p90": _percentile(latencies, 0.90),
-                "p99": _percentile(latencies, 0.99),
-                "mean": sum(latencies) / len(latencies) if latencies else 0.0,
-                "max": latencies[-1] if latencies else 0.0,
-            },
         },
         "digest_gate": gate,
         "passed": bool(
             gate["passed"] and not transport and not failed and completed
         ),
     }
-    try:
-        with ServiceClient(address, timeout=10.0) as client:
-            doc["coordinator"] = {
-                key: value
-                for key, value in client.health().items()
-                if key
-                in ("role", "queue_depth", "queue_limit", "workers_alive", "jobs")
-            }
-    except ServiceError:
-        doc["coordinator"] = {}
-    return doc
 
 
 def _count_by(submissions: Sequence[_Submission], field: str) -> Dict[str, int]:
@@ -290,13 +196,9 @@ def _count_by(submissions: Sequence[_Submission], field: str) -> Dict[str, int]:
 
 
 def _digest_gate(
-    address: Address,
-    config: LoadtestConfig,
-    pool: List[RunSpec],
-    keys: List[str],
-    completed: Sequence[_Submission],
+    address: Address, pool: List[RunSpec], completed: Sequence[_Submission]
 ) -> Dict[str, Any]:
-    """The three checks that make the latency numbers trustworthy."""
+    """The three checks that make a completed count mean "right answers"."""
     problems: List[str] = []
     # 1. Every result of the same spec carries the same digest.
     by_spec: Dict[int, set] = {}
@@ -327,28 +229,15 @@ def _digest_gate(
                     wire_verified += 1
     except ServiceError as exc:
         problems.append(f"wire verification failed: {exc.code}")
-    # 3. A sample of specs re-run locally must match the fabric exactly.
-    local_checks: List[Dict[str, Any]] = []
-    for spec_index in sorted(by_spec)[: max(0, config.verify_local)]:
-        fabric_digest = next(iter(by_spec[spec_index]))
+    # 3. One spec re-run locally must match the fabric exactly.
+    if by_spec:
+        spec_index = min(by_spec)
         report, _ = execute_spec(pool[spec_index])
-        local_digest = report.digest()
-        match = local_digest == fabric_digest
-        local_checks.append(
-            {
-                "spec_index": spec_index,
-                "key": keys[spec_index][:16],
-                "fabric_digest": fabric_digest,
-                "local_digest": local_digest,
-                "match": match,
-            }
-        )
-        if not match:
+        if by_spec[spec_index] != {report.digest()}:
             problems.append(f"spec {spec_index}: fabric digest != local run")
     return {
         "distinct_completed": len(by_spec),
         "wire_verified": wire_verified,
-        "local_checks": local_checks,
         "problems": problems,
         "passed": not problems,
     }
@@ -373,7 +262,7 @@ def _job_for(client: ServiceClient, sub: _Submission) -> str:
 async def _inline_run_job(spec: RunSpec, timeout_s: Optional[float]) -> PoolResult:
     """Worker execution seam for spawned fleets: run the simulation on a
     thread of the worker's own process.  Fast (no spawn cost) and digest
-    identical to the process pool — the bench records which was used."""
+    identical to the process pool."""
 
     def _run() -> PoolResult:
         report, wall_s = execute_spec(spec)
@@ -382,30 +271,24 @@ async def _inline_run_job(spec: RunSpec, timeout_s: Optional[float]) -> PoolResu
     return await asyncio.to_thread(_run)
 
 
-class SpawnedFabric:
-    """A coordinator plus N workers in this process, for benches and the
-    CLI's ``loadtest --spawn`` mode."""
+#: Admission limit of a spawned coordinator and of each of its workers.
+_QUEUE_LIMIT = 256
 
-    def __init__(
-        self,
-        root: pathlib.Path,
-        workers: int = 2,
-        jobs_per_worker: int = 1,
-        queue_limit: int = 256,
-        isolated: bool = False,
-        heartbeat_timeout_s: float = 5.0,
-    ) -> None:
+
+class SpawnedFabric:
+    """A coordinator plus N inline workers in this process, for
+    ``benchmarks/e2e``, tests and the CLI's ``loadtest --spawn`` mode."""
+
+    def __init__(self, root: pathlib.Path, workers: int = 2) -> None:
         self.root = pathlib.Path(root)
-        self.isolated = isolated
         store = self.root / "store"
         self.coordinator = CoordinatorDaemon(
             CoordinatorConfig(
                 socket_path=self.root / "coordinator.sock",
                 store_dir=store,
                 wal_path=self.root / "coordinator.wal",
-                queue_limit=queue_limit,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                fsync=False,  # a bench fleet is throwaway state
+                queue_limit=_QUEUE_LIMIT,
+                fsync=False,  # a throwaway fleet: nothing to recover
             )
         )
         self.workers = [
@@ -415,11 +298,10 @@ class SpawnedFabric:
                     socket_path=self.root / f"worker-{i}.sock",
                     cache_dir=store,
                     wal_path=self.root / f"worker-{i}.wal",
-                    jobs=jobs_per_worker,
-                    queue_limit=queue_limit,
+                    queue_limit=_QUEUE_LIMIT,
                     fsync=False,
                 ),
-                run_job=None if isolated else _inline_run_job,
+                run_job=_inline_run_job,
             )
             for i in range(workers)
         ]
@@ -438,16 +320,3 @@ class SpawnedFabric:
         for worker in self.workers:
             worker.stop()
         self.coordinator.stop()
-
-    def info(self) -> Dict[str, Any]:
-        return {
-            "spawned": True,
-            "workers": len(self.workers),
-            "jobs_per_worker": self.workers[0].config.jobs if self.workers else 0,
-            "execution": "process-pool" if self.isolated else "inline-thread",
-        }
-
-
-def write_bench(doc: Dict[str, Any], path: pathlib.Path) -> None:
-    doc = dict(doc, host=host_fingerprint())
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

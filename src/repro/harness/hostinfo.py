@@ -1,14 +1,12 @@
-"""Host fingerprinting for benchmark artifacts.
+"""Host fingerprinting for measurement artifacts.
 
-Every ``BENCH_*.json`` in this repo is a perf claim, and perf claims are
-meaningless without the host they were measured on: PR-6's README had to
-carry a "host budget drifted ~35%" caveat by hand because nothing
-recorded that the baseline and the new numbers came from different
-machines.  :func:`host_fingerprint` is stamped into every bench writer,
-and :func:`fingerprint_mismatches` lets comparisons (bench deltas,
-golden checks) warn loudly when numbers are about to be compared across
-hosts or interpreter versions instead of silently reporting a
-"regression" that is really a hardware change.
+A wall-clock number is meaningless without the host it was measured on:
+PR-6's README had to carry a "host budget drifted ~35%" caveat by hand
+because nothing recorded that the baseline and the new numbers came from
+different machines.  :func:`host_fingerprint` is stamped into every
+document that records one (``benchmarks/bench_checkpoint.py``,
+``bench_timepar.py`` and the sampling frontier, when asked to write a
+file), so a reader can tell a regression from a hardware change.
 """
 
 from __future__ import annotations
@@ -16,9 +14,9 @@ from __future__ import annotations
 import os
 import platform
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-__all__ = ["fingerprint_mismatches", "host_fingerprint"]
+__all__ = ["host_fingerprint"]
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -30,23 +28,3 @@ def host_fingerprint() -> Dict[str, Any]:
         "platform": sys.platform,
         "machine": platform.machine(),
     }
-
-
-def fingerprint_mismatches(
-    old: Optional[Dict[str, Any]], new: Optional[Dict[str, Any]] = None
-) -> List[str]:
-    """Human-readable differences between two fingerprints.
-
-    ``new`` defaults to the current host.  A missing ``old`` (artifact
-    predates fingerprinting) reports itself as one mismatch rather than
-    silently passing.  Returns an empty list when the hosts match.
-    """
-    if new is None:
-        new = host_fingerprint()
-    if not old:
-        return ["recorded artifact carries no host fingerprint (pre-stamp run)"]
-    lines = []
-    for key in sorted(set(old) | set(new)):
-        if old.get(key) != new.get(key):
-            lines.append(f"{key}: recorded {old.get(key)!r} vs current {new.get(key)!r}")
-    return lines

@@ -7,10 +7,9 @@ simulation, so :class:`ParallelExecutor` fans them out over a
 ``concurrent.futures.ProcessPoolExecutor`` with:
 
 - **longest-expected-job-first ordering** — recorded per-case wall times
-  (from the report cache or a previous ``BENCH_kernel.json``) seed the
-  submission order so a long job never starts last and strands the fleet
-  on one straggler; unrecorded specs fall back to a scheme-aware
-  heuristic;
+  (from the report cache) seed the submission order so a long job never
+  starts last and strands the fleet on one straggler; unrecorded specs
+  fall back to a scheme-aware heuristic;
 - **bounded retries on worker crash** — a killed worker (OOM, signal)
   breaks the whole pool, so surviving work is resubmitted to a fresh pool
   and each spec is retried at most ``max_retries`` times before

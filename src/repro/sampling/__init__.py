@@ -20,7 +20,7 @@ The subsystem composes three layers plus the harness glue:
   ratio estimators with Welch-combined confidence intervals
   (``repro.stats.aggregate``);
 - :func:`~repro.sampling.frontier.sampling_frontier` — the schemes ×
-  sampling-rates error-vs-speedup table (``BENCH_sampling.json``).
+  sampling-rates error-vs-speedup table.
 
 Determinism contract: same spec + same sample seed ⇒ byte-identical
 sampled report and estimates; at rate 1.0 the engine degenerates to a

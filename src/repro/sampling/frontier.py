@@ -14,9 +14,9 @@ compares every sampled run's estimates against the scheme's *full*
   observed on this host;
 - phase/interval accounting (how much the detector measured).
 
-The table is written to ``BENCH_sampling.json`` with the host
-fingerprint stamped, mirroring ``BENCH_kernel.json``: the wall-clock
-column is only comparable against runs from the same fingerprint.
+The table is returned for the CLI to print; with ``output=`` the records
+are also written as JSON with the host fingerprint stamped, because the
+wall-clock column is only comparable against runs from the same host.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def sampling_frontier(
     rates: Sequence[float] = FRONTIER_RATES,
     interval: int = 1000,
     warmup: int = 100,
-    output: Optional[str] = "BENCH_sampling.json",
+    output: Optional[str] = None,
 ) -> ExperimentResult:
-    """Sweep schemes x sampling rates; write ``BENCH_sampling.json``.
+    """Sweep schemes x sampling rates; write the records to ``output``
+    when one is given.
 
     ``runner`` is accepted (and ignored) so the function slots into the
     CLI's experiment registry unchanged — sampled runs drive the

@@ -241,6 +241,63 @@ class TestParallelAndCacheFlags:
         assert "zzz-nope" in message
         assert "'fft-cc-c4'" not in message.split("available cases")[0]
 
+    def test_bench_missing_golden_entry_fails_naming_cases_and_file(self, tmp_path):
+        # Same argument as the unmatched filter: a mistyped --golden path
+        # checks nothing, and a gate that checked nothing must not be green.
+        nowhere = tmp_path / "no-such-golden.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--smoke", "--cases", "fft-cc-c4", "--golden", str(nowhere)])
+        assert excinfo.value.code not in (0, None)
+        message = str(excinfo.value)
+        assert "fft-cc-c4-s0.25" in message
+        assert str(nowhere) in message
+        assert "--update-golden" in message
+
+    def test_bench_update_golden_records_a_missing_entry(self, tmp_path, capsys):
+        import json
+
+        recorded = tmp_path / "golden.json"
+        argv = ["bench", "--smoke", "--cases", "fft-cc-c4", "--golden", str(recorded)]
+        assert main(argv + ["--update-golden"]) == 0
+        assert "[missing]" in capsys.readouterr().out
+        assert list(json.loads(recorded.read_text())) == ["fft-cc-c4-s0.25"]
+        assert main(argv) == 0
+        assert "bench: 1/1 ok, 0 cached, 0 sanitized" in capsys.readouterr().out
+
+    def test_telemetry_guard_missing_golden_entry_fails(self, tmp_path):
+        nowhere = tmp_path / "no-such-golden.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--telemetry-guard", "--golden", str(nowhere)])
+        message = str(excinfo.value)
+        assert "fft-bounded-c8-s1" in message
+        assert str(nowhere) in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--output", "x.json"],
+            ["loadtest", "--output", "x.json"],
+            ["loadtest", "--pattern", "poisson"],
+            ["loadtest", "--rate", "5"],
+            ["loadtest", "--isolated"],
+            ["loadtest", "--spawn-jobs", "2"],
+            ["loadtest", "--spawn-queue-limit", "5"],
+            ["loadtest", "--verify-local", "2"],
+        ],
+    )
+    def test_the_second_perf_record_has_no_flags_left(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_loadtest_rejects_a_fleet_without_workers(self, workers, capsys):
+        # A coordinator with no workers answers nothing: every request
+        # would wait out the 300 s submit timeout before the run ends FAIL.
+        assert main(["loadtest", "--spawn", workers]) == 2
+        assert "error: --spawn must be >= 1" in capsys.readouterr().err
+
 
 class TestServiceVerbs:
     def test_parser_accepts_service_verbs(self):

@@ -824,10 +824,8 @@ class TestLoadtest:
                 fleet.address,
                 LoadtestConfig(
                     requests=8, concurrency=4, distinct_specs=2,
-                    duplicate_ratio=0.5, verify_local=1,
+                    duplicate_ratio=0.5,
                 ),
-                fleet=fleet.info(),
-                execution=fleet.info()["execution"],
             )
         finally:
             fleet.stop()
@@ -835,7 +833,7 @@ class TestLoadtest:
         results = doc["results"]
         assert results["completed"] == 8
         assert results["transport_errors"] == 0
-        assert results["latency_ms"]["p99"] >= results["latency_ms"]["p50"]
+        assert sum(results["sources"].values()) == 8
 
     def test_saturation_yields_structured_rejections(self, tmp_path):
         """Queue limit 1 and a blocked pump: extra submissions must be
