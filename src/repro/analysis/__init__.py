@@ -24,8 +24,9 @@ End-to-end digest comparison tells you *that* one of them broke, never
   shared project call graph — interprocedural taint flow from
   nondeterminism sources into digest-critical sinks with full
   source→call-chain→sink witness paths (RPR101), codec/schema drift
-  between the dataclass definitions and the wire manifests in
-  ``service/protocol.py`` / ``core/epochs.py`` (RPR102), and asyncio
+  between the class definitions and the field manifests of the RunSpec
+  wire (``service/protocol.py``) and the machine-state encoding
+  (``core/epochs.py``) (RPR102), and asyncio
   read-modify-write-across-await atomicity in the service and fabric
   layers (RPR103);
 

@@ -1,16 +1,18 @@
 """RPR102 — codec/schema drift checker.
 
-The repository has two hand-maintained wire codecs whose silent drift is
-the nastiest failure mode we have: a field added to a config dataclass or
-a state class simply *vanishes* on the wire, and nothing crashes — the
-decoded object just quietly reverts that field to its default.
+The repository has two hand-maintained encodings whose silent drift is
+the nastiest failure mode we have: a field added to a config dataclass
+simply *vanishes* on the wire, and nothing crashes — the decoded object
+just quietly reverts that field to its default; a field added to a state
+class silently changes what the machine-state encoding (and any state
+hash taken of it) means.
 
 - ``repro.service.protocol`` encodes :class:`RunSpec` and the 16 config
   dataclasses (``CONFIG_CLASSES`` / ``_SPEC_FIELDS``);
-- ``repro.core.epochs`` encodes the full machine state against a
-  ~50-class allowlist (``_REGISTRY`` / ``_SKIP_FIELDS``).
+- ``repro.core.epochs`` encodes (and nothing decodes) the full machine
+  state against a ~50-class allowlist (``_REGISTRY`` / ``_SKIP_FIELDS``).
 
-Both codecs walk ``dataclasses.fields`` / ``__dict__`` generically, so
+Both walk ``dataclasses.fields`` / ``__dict__`` generically, so
 the *code* cannot drift — but that also means the code alone contains no
 second description to diff against.  This pass therefore checks three
 descriptions against each other, all extracted **statically** (pure AST,
@@ -541,7 +543,7 @@ def check_state_codec(graph: ProjectGraph) -> List[Finding]:
                         shape.path, shape.line,
                         f"state class `{class_name}` grew field `{field_name}` "
                         "not recorded in epochs.STATE_FIELDS — the machine "
-                        "wire would silently drop it; update the manifest "
+                        "encoding would silently change; update the manifest "
                         "(and _SKIP_FIELDS or MACHINE_WIRE_VERSION) "
                         "deliberately",
                         _line_text(def_module, shape.line),
@@ -657,8 +659,9 @@ class CodecDriftRule(Rule):
         "the machine-state side.  This pass statically diffs the real class\n"
         "definitions against those tables and fails on any new, renamed,\n"
         "retyped or removed field, unregistered class, or stale entry — the\n"
-        "drift that would otherwise ship as silent state loss past the\n"
-        "structural-signature guard."
+        "drift that would otherwise ship as a config field silently lost on\n"
+        "the wire, or as a machine-state encoding that changed meaning\n"
+        "without a version bump."
     )
     fix_example = (
         "    # after adding `new_knob: int = 0` to AdaptiveConfig:\n"

@@ -12,9 +12,7 @@ Sinks (the functions whose output must be a pure function of
 ==========================================  ===========================
 ``repro.core.report.*.digest``              the report digest the 13-case
                                             bench matrix gates on
-``repro.core.epochs.encode_machine``        machine-state wire encoding
-``repro.harness.timepar.machine_wire``      epoch wire bytes
-``repro.harness.timepar.wire_digest``       epoch stitching digest
+``repro.core.epochs.encode_machine``        machine-state encoding
 ``repro.service.protocol.spec_to_wire``     RunSpec wire encoding
 ``repro.service.protocol.encode_line``      service wire lines
 ``repro.service.store.*._append``           WAL records
@@ -68,9 +66,7 @@ class SinkSpec:
 #: The default sink table for this repository.
 SINKS: Tuple[SinkSpec, ...] = (
     SinkSpec("repro.core.report", "digest", "report digest"),
-    SinkSpec("repro.core.epochs", "encode_machine", "machine-state wire encoding"),
-    SinkSpec("repro.harness.timepar", "machine_wire", "epoch wire encoding"),
-    SinkSpec("repro.harness.timepar", "wire_digest", "epoch stitching digest"),
+    SinkSpec("repro.core.epochs", "encode_machine", "machine-state encoding"),
     SinkSpec("repro.service.protocol", "spec_to_wire", "RunSpec wire encoding"),
     SinkSpec("repro.service.protocol", "encode_line", "service wire line"),
     SinkSpec("repro.service.store", "_append", "WAL record"),
@@ -174,7 +170,7 @@ class TaintFlowRule(Rule):
     summary = "nondeterminism source reaches a digest-critical sink"
     deep = True
     rationale = (
-        "The report digest, the epoch wire encoding, the WAL, the RunSpec\n"
+        "The report digest, the machine-state encoding, the WAL, the RunSpec\n"
         "fingerprint, and checkpoint capture must each be a pure function of\n"
         "(configuration, seed).  The syntactic rules (RPR001-004) guard a\n"
         "hand-listed set of critical packages; this pass instead walks the\n"

@@ -38,18 +38,12 @@ from repro.analysis.findings import Finding
 CRITICAL_PACKAGES = ("core", "cpu", "memory", "workloads", "isa", "sync", "fabric")
 
 #: Individual modules outside those packages that are nonetheless
-#: digest-critical.  The time-parallel stitcher decides which epochs
-#: re-execute by comparing machine-wire digests; a clock or entropy draw
-#: on that path would make stitching host-dependent.  (repro.core.epochs
-#: is already covered by the ``core`` package; it is listed here so the
-#: scope survives a future move out of core.)
-CRITICAL_MODULES = (
-    "repro/core/epochs.py",
-    "repro/harness/timepar.py",
-    "repro/sampling/engine.py",
-    "repro/sampling/phases.py",
-    "repro/sampling/estimator.py",
-)
+#: digest-critical.  Two runs cut at one position must encode byte-equal;
+#: a clock or entropy draw in the machine encoder would make that
+#: host-dependent.  (repro.core.epochs is already covered by the ``core``
+#: package; it is listed here so the scope survives a future move out of
+#: core.)
+CRITICAL_MODULES = ("repro/core/epochs.py",)
 
 #: The marker comment that declares a class hot-path (RPR005 then requires
 #: ``__slots__`` on it, forever).

@@ -79,13 +79,6 @@ from repro.harness.export import to_csv, to_json
 from repro.harness.pool import execute_spec, new_sanitizer
 from repro.workloads import WORKLOADS, make_workload
 
-def _frontier_experiment(runner):
-    """Schemes x sampling-rates error-vs-speedup table (lazy import: the
-    sampling subsystem pulls in the full engine stack)."""
-    from repro.sampling import sampling_frontier
-
-    return sampling_frontier(runner)
-
 
 EXPERIMENTS = {
     "table1": experiments_mod.table1,
@@ -105,7 +98,6 @@ EXPERIMENTS = {
         seed=runner.seed
     ),
     "ablation-tracked": experiments_mod.ablation_tracked,
-    "frontier": _frontier_experiment,
 }
 
 
@@ -172,55 +164,26 @@ def _print_report(report) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``repro run``: one spec, one telemetry session and one metrics
-    writer; ``--sample`` and ``--time-parallel`` only change who drives
-    the run handle (``Simulation.start()``).
-
-    Both drive it from outside one plain run — the sampling loop cuts and
-    restores it, epoch workers are separate processes — so neither can
-    share a tracer or the sanitizer, and time-series sampling
-    (``--sample-period``) is the plain run's alone.
-    """
-    timepar = args.time_parallel > 1
+    """``repro run``: spec -> ``execute_spec`` -> print, with one
+    telemetry session and one metrics writer."""
+    if args.sample_period < 0:
+        print("error: --sample-period must be >= 0", file=sys.stderr)
+        return 2
     tracing = bool(args.trace or args.trace_jsonl)
-    if args.sample and (timepar or tracing or args.sanitize):
-        print(
-            "error: --sample cannot be combined with --time-parallel/"
-            "--trace/--trace-jsonl/--sanitize (the sampling loop owns the "
-            "scheduler; --metrics is supported)",
-            file=sys.stderr,
-        )
-        return 2
-    if timepar and (tracing or args.sanitize):
-        print(
-            "error: --time-parallel cannot be combined with --trace/"
-            "--trace-jsonl/--sanitize (epochs run in worker processes; "
-            "--metrics is supported and reports the epoch counters)",
-            file=sys.stderr,
-        )
-        return 2
-    plain = not (args.sample or timepar)
     telemetry = None
     if tracing or args.metrics:
         from repro.telemetry import TelemetrySession
 
         telemetry = TelemetrySession(
-            trace=tracing,
-            metrics=True,
-            sample_period=args.sample_period if plain else None,
+            trace=tracing, metrics=True, sample_period=args.sample_period
         )
-    spec = _submit_spec(args)
-    if args.sample:
-        report, lines = _run_sampled(args, spec, telemetry)
-    elif timepar:
-        report, lines = _run_time_parallel(args, spec, telemetry)
-    else:
-        sanitizer = new_sanitizer(args.sanitize)
-        report, _ = execute_spec(spec, telemetry=telemetry, sanitizer=sanitizer)
-        lines = [] if sanitizer is None else [sanitizer.summary()]
+    sanitizer = new_sanitizer(args.sanitize)
+    report, _ = execute_spec(
+        _submit_spec(args), telemetry=telemetry, sanitizer=sanitizer
+    )
     _print_report(report)
-    for line in lines:
-        print(f"  {line}")
+    if sanitizer is not None:
+        print(f"  {sanitizer.summary()}")
     if telemetry is not None:
         tracer = telemetry.tracer
         if args.trace:
@@ -243,67 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             print(f"  metrics           : {args.metrics}")
     return 0
-
-
-def _run_sampled(args: argparse.Namespace, spec, telemetry):
-    """``repro run --sample``: live statistical sampling; at
-    --sample-rate 1.0 the report digest is byte-identical to the plain
-    run's.  Returns the report and the mode's summary lines."""
-    from repro.sampling import SamplingConfig, run_sampled
-
-    config = SamplingConfig(
-        rate=args.sample_rate,
-        interval=args.sample_interval,
-        warmup=args.warmup,
-        seed=args.sample_seed,
-    )
-    result = run_sampled(spec, config, telemetry=telemetry)
-    stats = result.stats
-    est = result.estimate
-    return result.report, [
-        f"digest            : {result.digest}",
-        f"sampling          : rate={config.rate:g} interval={config.interval} "
-        f"warmup={config.warmup} seed={config.seed}",
-        f"intervals         : {stats.intervals} total, "
-        f"{stats.measured_intervals} measured, {stats.fast_intervals} "
-        f"fast-forwarded, {stats.restored_intervals} restored, "
-        f"{stats.phases} phases",
-        f"CPI estimate      : {est.cpi}",
-        f"violation rate    : {est.violation_rate}",
-        f"slowdown          : {est.slowdown_ns_per_cycle} ns/cycle",
-        f"modeled speedup   : {stats.estimated_speedup:.2f}x over "
-        f"extrapolated detailed run "
-        f"(section-5.2 model predicts {stats.predicted_speedup:.2f}x)",
-    ]
-
-
-def _run_time_parallel(args: argparse.Namespace, spec, telemetry):
-    """``repro run --time-parallel N``: speculative epoch pipelining; the
-    stitched report is bit-identical to the serial run's (asserted in
-    tests/CI by digest).  Returns the report and the mode's summary lines."""
-    from repro.harness.timepar import run_time_parallel
-
-    result = run_time_parallel(
-        spec, epochs=args.time_parallel, jobs=args.jobs, telemetry=telemetry
-    )
-    stats = result.stats
-    lines = [
-        f"digest            : {result.digest}",
-        f"time-parallel     : mode={stats.mode} epochs={stats.epochs} "
-        f"launched={stats.launched}",
-    ]
-    if stats.mode == "warm":
-        lines.append(
-            f"epoch stitching   : hits={stats.hits}/{stats.predicted} "
-            f"(hit rate {stats.hit_rate:.2f}), diverged={stats.diverged}, "
-            f"re-executed={stats.reexecuted}, wasted={stats.wasted}"
-        )
-    elif stats.mode == "cold":
-        lines.append(
-            "epoch stitching   : cold pass (cut states recorded; rerun "
-            "to speculate in parallel)"
-        )
-    return result.report, lines
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -483,16 +385,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.harness.cache import ReportCache
+    from repro.harness.cache import ORPHANED_EPOCHS_DIR, ReportCache
 
     cache = ReportCache(pathlib.Path(args.dir) if args.dir else None)
     if args.action == "clear":
+        orphaned = (cache.root / ORPHANED_EPOCHS_DIR).is_dir()
         removed = cache.clear()
-        print(f"removed {removed} cached report(s) from {cache.root}")
+        print(
+            f"removed {removed} cached report(s)"
+            + (f" and the orphaned {ORPHANED_EPOCHS_DIR}/ tree" if orphaned else "")
+            + f" from {cache.root}"
+        )
         return 0
     if args.action == "prune":
         if args.max_mb is None:
             print("error: cache prune requires --max-mb", file=sys.stderr)
+            return 2
+        if args.max_mb < 0:
+            print("error: --max-mb must be >= 0", file=sys.stderr)
             return 2
         removed, freed = cache.prune(
             int(args.max_mb * 1024 * 1024), dry_run=args.dry_run
@@ -903,41 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write counters/histograms/samples as JSON")
     run_parser.add_argument("--sample-period", type=int, default=1000,
                             metavar="CYCLES",
-                            help="time-series sampling period in target "
-                                 "cycles (0 disables sampling)")
-    run_parser.add_argument("--time-parallel", type=int, default=0, metavar="N",
-                            help="split the run into N speculative epochs "
-                                 "executed in parallel worker processes and "
-                                 "stitched back bit-identically (first run "
-                                 "of a configuration records cut states; "
-                                 "reruns speculate)")
-    run_parser.add_argument("--jobs", type=int, default=None, metavar="J",
-                            help="worker processes for --time-parallel "
-                                 "(default: all host CPUs)")
+                            help="period, in target cycles, of the telemetry "
+                                 "time series written by --metrics (0 writes "
+                                 "no time series)")
     run_parser.add_argument("--sanitize", action="store_true",
                             help="attach the slack sanitizer: assert timing "
                                  "invariants (local-time monotonicity, slack "
                                  "bounds, global-time derivation, rollback "
                                  "digests) at every step")
-    run_parser.add_argument("--sample", action="store_true",
-                            help="live statistical sampling: detect phases "
-                                 "online, fast-forward repetitive intervals "
-                                 "under unbounded slack, report estimates "
-                                 "with confidence intervals")
-    run_parser.add_argument("--sample-rate", type=float, default=0.25,
-                            metavar="R",
-                            help="probability a well-sampled phase is "
-                                 "measured anyway (1.0 = measure everything; "
-                                 "digest then matches the plain run)")
-    run_parser.add_argument("--sample-interval", type=int, default=1000,
-                            metavar="CYCLES",
-                            help="sampling interval in target cycles")
-    run_parser.add_argument("--warmup", type=int, default=100, metavar="CYCLES",
-                            help="detailed warmup cycles excluded from "
-                                 "measurement after a fast-forwarded interval")
-    run_parser.add_argument("--sample-seed", type=int, default=12345,
-                            help="seed of the sampling policy RNG (same spec "
-                                 "+ same seed = byte-identical sampled run)")
     run_parser.set_defaults(func=cmd_run)
 
     compare_parser = sub.add_parser("compare", help="compare slack bounds vs CC")

@@ -1,45 +1,36 @@
-"""Machine-state wire codec for time-parallel runs.
+"""Canonical encoding of a machine at a cut.
 
-One long simulation is split into N *epochs* at deterministic cut points
-along its trajectory; each epoch can then be executed speculatively in a
-separate worker process starting from a *predicted* machine state, and the
-chain is stitched back together by comparing each epoch's actual end state
-against its successor's predicted start state (``repro.harness.timepar``
-drives the protocol; this module provides the mechanisms).
+:func:`encode_machine` renders the full machine state of a run suspended
+at a cut (``Run.advance(until)``; the cut predicate is re-exported below
+under its historical name ``make_stop_predicate``) as **versioned,
+pickle-free plain data**, mirroring the ``RunSpec`` codec discipline of
+``repro.service.protocol``.  Two runs of one configuration cut at the
+same position encode byte-equal (as canonical JSON) whether or not they
+were cut before — which is what makes the encoding a state hash a trace
+diff can compare, and what the e2e benchmark's layer pass times
+(``epochs.encode_ms`` / ``epochs.encoded_kb``).  Nothing in the tree
+decodes it.
 
-The epoch *cut rule* is the :class:`~repro.core.simulation.Run` handle's
-(``Run.advance(until)``; its predicate is re-exported below under its
-historical name).  Two mechanisms live here:
+The :class:`~repro.core.state.SimulationState` object graph is rendered
+as tagged plain data against a **class allowlist**, with memo references
+preserving aliasing (the flat clock banks shared by root and cores, the
+``_models`` view, shared configs), floats via ``float.hex`` (exact to
+the last ulp), and dict entries in insertion order (which is semantic:
+the manager serves maps and queues in that order).  Program structure —
+statement trees whose ``Emit`` / ``If`` / ``Loop`` nodes hold *callables*
+that are not data — is never serialized: it is a pure function of the
+run configuration, so statements and their body tuples are encoded as
+**anchor references** into a deterministic walk of the simulation's
+programs.
 
-- :func:`encode_machine` — a **versioned, pickle-free wire codec** for
-  the full machine state (mirroring the ``RunSpec`` codec discipline of
-  ``repro.service.protocol``): the :class:`~repro.core.state.SimulationState`
-  object graph is rendered as tagged plain data against a **class
-  allowlist**, with memo references preserving aliasing (the flat clock
-  banks shared by root and cores, the ``_models`` view, shared configs),
-  floats via ``float.hex`` (exact to the last ulp), and dict entries in
-  insertion order (which is semantic: the manager serves maps and queues
-  in that order).  Program structure — statement trees whose ``Emit`` /
-  ``If`` / ``Loop`` nodes hold *callables* that cannot cross a process
-  boundary — is never serialized: both sides derive the identical
-  structure from the run configuration, so statements and their body
-  tuples are encoded as **anchor references** into a deterministic walk
-  of the fresh simulation's programs.
-
-- :func:`install_machine` — the inverse: decode into a freshly
-  constructed simulation + scheduler pair, rebuild the ready heap from
-  exact keys, and (for checkpointing runs) re-arm the controller's
-  rollback snapshot by re-capturing the installed state.
-
-The codec deliberately excludes host-side caches that the engine rebuilds
-on demand (copy-on-write shadows, the status-map undo journal, the
-manager's reused outcome scratch object): resetting them fresh on decode
-keeps the wire bytes — and therefore the epoch digests — a pure function
+The encoding deliberately excludes host-side caches that the engine
+rebuilds on demand (copy-on-write shadows, the status-map undo journal,
+the manager's reused outcome scratch object), keeping it a pure function
 of simulation-visible state.
 
-Wire bytes themselves (canonical JSON + SHA-256 digest) are produced by
-``repro.harness.timepar``; this module deals only in plain data, keeping
-``repro.core`` free of serialization imports.
+This module deals only in plain data (the caller chooses the byte form,
+normally canonical JSON), keeping ``repro.core`` free of serialization
+imports.
 """
 
 from __future__ import annotations
@@ -63,11 +54,9 @@ from repro.config import (
     SpeculativeConfig,
     TargetConfig,
 )
-from repro.core import snapshot as cow
-from repro.core.checkpoint import Snapshot
 from repro.core.events import InMsg, InMsgKind, OutMsg
 from repro.core.hostmodel import ThreadState
-from repro.core.manager import ManagerState, ServiceOutcome
+from repro.core.manager import ManagerState
 from repro.core.schemes.adaptive import AdaptiveSlackPolicy
 from repro.core.schemes.adaptive_quantum import AdaptiveQuantumPolicy
 from repro.core.schemes.fixed import FixedSlackPolicy, QuantumPolicy
@@ -106,17 +95,15 @@ from repro.util import SplitMix64, XorShift64
 __all__ = [
     "MACHINE_WIRE_VERSION",
     "encode_machine",
-    "install_machine",
     "machine_anchors",
     "make_stop_predicate",
 ]
 
 #: Bumped whenever the wire layout, the class allowlist, or the skip-field
-#: table changes shape.  Decoding a mismatched version raises
-#: :class:`~repro.errors.EpochError` (never a silent misparse).
+#: table changes shape; carried as ``"v"`` in every encoding.
 MACHINE_WIRE_VERSION = 1
 
-#: Every class the state-graph codec may encode/reconstruct.  Anything
+#: Every class the state-graph encoder may render.  Anything
 #: outside this allowlist raises a structured error naming the class —
 #: new state classes must be added here *deliberately* (and the wire
 #: version bumped if their shape matters).
@@ -185,9 +172,9 @@ _ENUMS: Dict[str, type] = {
 }
 
 #: Per-class fields excluded from the wire: host-side rebuild-on-demand
-#: caches whose content is history-dependent but simulation-invisible.
-#: They are reset fresh by the decoder (see ``_reset_skipped``), which
-#: keeps epoch digests a pure function of simulation-visible state.
+#: caches whose content is history-dependent but simulation-invisible;
+#: leaving them out keeps the encoding a pure function of
+#: simulation-visible state.
 _SKIP_FIELDS: Dict[type, frozenset] = {
     CacheArray: frozenset({"_dirty", "_shadow", "_snap_epoch"}),
     CacheStatusMap: frozenset({"_journal"}),
@@ -195,8 +182,7 @@ _SKIP_FIELDS: Dict[type, frozenset] = {
 }
 
 #: Observation-only session references (telemetry / sanitizer probes) are
-#: never serialized regardless of the owning class; the worker re-attaches
-#: its own sessions (or none).
+#: never serialized regardless of the owning class.
 _GLOBAL_SKIP = frozenset({"telemetry", "sanitizer"})
 
 #: The state-field manifest: the deliberate, reviewed record of every
@@ -271,11 +257,10 @@ def machine_anchors(state: SimulationState) -> Tuple[Dict[int, int], List[Any]]:
     """Deterministic walk of the state's program structure.
 
     Returns ``(by_id, objects)``: the id->index map the encoder consults
-    and the index->object list the decoder resolves against.  Both sides
-    construct their simulation from the same configuration, so the walks
-    enumerate structurally identical objects in identical order; sharing
-    (a statement reused across threads, the ``()`` empty-body singleton)
-    is first-wins on both sides and therefore symmetric.
+    and the index->object list behind it.  Simulations built from the
+    same configuration enumerate structurally identical objects in
+    identical order; sharing (a statement reused across threads, the
+    ``()`` empty-body singleton) is first-wins.
     """
     by_id: Dict[int, int] = {}
     objects: List[Any] = []
@@ -305,11 +290,11 @@ def machine_anchors(state: SimulationState) -> Tuple[Dict[int, int], List[Any]]:
 
 
 def _anchor_signature(objects: List[Any]) -> List[str]:
-    """Structural shape of the anchor walk, compared on install.
+    """Structural shape of the anchor walk, carried in the encoding.
 
     Two workloads can anchor the *same number* of objects while differing
     in shape (e.g. a scale change that only alters integer loop trip
-    counts), so the guard records per-object structure: body lengths and
+    counts), so the signature records per-object structure: body lengths and
     literal trip counts (callable trip counts reduce to ``?`` — their
     identity is covered by the surrounding structure and the run
     configuration).
@@ -443,96 +428,6 @@ class _Encoder:
         return record
 
 
-class _Decoder:
-    """Tagged plain data -> object graph (against a fresh simulation)."""
-
-    def __init__(self, anchor_objects: List[Any]) -> None:
-        self._anchors = anchor_objects
-        self._memo: Dict[int, Any] = {}
-
-    def decode(self, data: Any) -> Any:
-        if data is None or isinstance(data, (bool, int, str)):
-            return data
-        if not isinstance(data, list) or not data:
-            raise EpochError(f"malformed wire node: {data!r}")
-        tag = data[0]
-        if tag == "f":
-            return float.fromhex(data[1])
-        if tag == "a":
-            index = data[1]
-            if not isinstance(index, int) or not 0 <= index < len(self._anchors):
-                raise EpochError(f"anchor index {index!r} out of range")
-            return self._anchors[index]
-        if tag == "r":
-            try:
-                return self._memo[data[1]]
-            except KeyError:
-                raise EpochError(f"dangling memo reference {data[1]!r}") from None
-        if tag == "t":
-            return tuple(self.decode(v) for v in data[1])
-        if tag == "l":
-            out: List[Any] = []
-            self._memo[data[1]] = out
-            out.extend(self.decode(v) for v in data[2])
-            return out
-        if tag == "d":
-            mapping: Dict[Any, Any] = {}
-            self._memo[data[1]] = mapping
-            for pair in data[2]:
-                mapping[self.decode(pair[0])] = self.decode(pair[1])
-            return mapping
-        if tag == "s":
-            values: set = set()
-            self._memo[data[1]] = values
-            values.update(self.decode(v) for v in data[2])
-            return values
-        if tag == "fs":
-            frozen = frozenset(self.decode(v) for v in data[2])
-            self._memo[data[1]] = frozen
-            return frozen
-        if tag == "q":
-            dq: deque = deque()
-            self._memo[data[1]] = dq
-            dq.extend(self.decode(v) for v in data[2])
-            return dq
-        if tag == "e":
-            enum_cls = _ENUMS.get(data[1])
-            if enum_cls is None:
-                raise EpochError(f"enum class {data[1]!r} is not wire-allowlisted")
-            try:
-                return enum_cls(data[2])
-            except ValueError as exc:
-                raise EpochError(str(exc)) from None
-        if tag == "o":
-            name = data[1]
-            cls = _REGISTRY.get(name)
-            if cls is None:
-                raise EpochError(
-                    f"class {name!r} is not wire-allowlisted on this side "
-                    f"(wire version {MACHINE_WIRE_VERSION} skew?)"
-                )
-            obj = object.__new__(cls)
-            self._memo[data[2]] = obj
-            for entry in data[3]:
-                object.__setattr__(obj, entry[0], self.decode(entry[1]))
-            _reset_skipped(obj)
-            return obj
-        raise EpochError(f"unknown wire tag {tag!r}")
-
-
-def _reset_skipped(obj: Any) -> None:
-    """Re-initialize the skip-table fields the wire deliberately omits."""
-    t = type(obj)
-    if t is CacheArray:
-        obj._dirty = set()
-        obj._shadow = None
-        obj._snap_epoch = 0
-    elif t is CacheStatusMap:
-        obj._journal = {}
-    elif t is ManagerState:
-        obj._outcome = ServiceOutcome(0, False, [], 0, True)
-
-
 # --------------------------------------------------------------------- #
 # Host-side record (hand-rolled: small, flat, no object graph)
 # --------------------------------------------------------------------- #
@@ -578,58 +473,6 @@ def _encode_host(scheduler: Any) -> Dict[str, Any]:
     }
 
 
-def _install_host(scheduler: Any, rec: Dict[str, Any]) -> None:
-    contexts = scheduler.contexts
-    threads = scheduler.threads
-    if len(rec["contexts"]) != len(contexts) or len(rec["threads"]) != len(threads):
-        raise EpochError(
-            "host record shape mismatch: the receiving scheduler was built "
-            "from a different configuration than the captured one"
-        )
-    for thread, trec in zip(threads, rec["threads"]):
-        thread.state = ThreadState(trec[0])
-        thread.ready_time = float.fromhex(trec[1])
-        thread.steps = trec[2]
-        thread.rng.state = trec[3]
-        target_ctx = contexts[trec[4]]
-        if thread.context is not target_ctx:
-            # Only the (migrating) manager normally moves, but the record
-            # is authoritative for every thread.
-            thread.context.threads.remove(thread)
-            target_ctx.threads.append(thread)
-            thread.context = target_ctx
-        thread.queued = False
-    for ctx, crec in zip(contexts, rec["contexts"]):
-        ctx.clock = float.fromhex(crec[0])
-        ctx.last_thread = None if crec[1] is None else threads[crec[1]]
-    # Rebuild the ready heap from exact keys: every READY non-manager
-    # thread is queued (pos order); lazy top validation makes the pop
-    # order identical to the uncut run's.
-    scheduler._heap.clear()
-    for thread in threads:
-        if thread is not scheduler.manager_thread and thread.state == ThreadState.READY:
-            scheduler._enqueue(thread)
-    scheduler._parked = [threads[pos] for pos in rec["parked"]]
-    scheduler._parked_dirty = bool(rec["parked_dirty"])
-    scheduler._migrate_min = None  # recompute-on-demand cache
-
-    stats = scheduler.stats
-    srec = rec["stats"]
-    stats.manager_steps = srec["manager_steps"]
-    stats.core_steps = srec["core_steps"]
-    stats.wakeups = srec["wakeups"]
-    stats.context_busy_ns = [float.fromhex(v) for v in srec["context_busy_ns"]]
-    stats.manager_busy_ns = float.fromhex(srec["manager_busy_ns"])
-    stats.submanager_busy_ns = float.fromhex(srec["submanager_busy_ns"])
-    stats.checkpoints = srec["checkpoints"]
-    stats.checkpoint_cost_ns = float.fromhex(srec["checkpoint_cost_ns"])
-    stats.rollbacks = srec["rollbacks"]
-    stats.rollback_cost_ns = float.fromhex(srec["rollback_cost_ns"])
-    stats.wasted_target_cycles = srec["wasted_target_cycles"]
-    stats.replay_target_cycles = srec["replay_target_cycles"]
-    stats.violations_observed = srec["violations_observed"]
-
-
 # --------------------------------------------------------------------- #
 # Controller record
 # --------------------------------------------------------------------- #
@@ -646,18 +489,10 @@ def _interval_data(record: IntervalRecord) -> List[Any]:
     ]
 
 
-def _interval_from(data: List[Any]) -> IntervalRecord:
-    record = IntervalRecord(data[0], data[1], data[2])
-    record.violations = data[3]
-    record.first_offset = data[4]
-    record.rolled_back = data[5]
-    return record
-
-
 def _encode_controller(controller: Any) -> Dict[str, Any]:
     if controller.replaying:
         raise EpochError(
-            "cannot capture an epoch inside a rollback replay window; the "
+            "cannot encode a machine inside a rollback replay window; the "
             "cut rule only fires outside replays"
         )
     snap = controller.snapshot
@@ -671,24 +506,8 @@ def _encode_controller(controller: Any) -> Dict[str, Any]:
     }
 
 
-def _install_controller(
-    controller: Any, rec: Dict[str, Any], state: SimulationState
-) -> None:
-    controller.next_boundary = rec["next_boundary"]
-    controller.replaying = False
-    controller.records = [_interval_from(r) for r in rec["records"]]
-    controller._current = _interval_from(rec["current"])
-    boundary, host_time_hex, pages = rec["snapshot"]
-    # The cut rule guarantees the captured state *is* the state at the
-    # controller's latest checkpoint, so re-capturing the installed state
-    # reproduces the rollback target exactly (fresh COW generation, same
-    # content); boundary/host_time/pages carry over from the capture.
-    capture = cow.take(state)
-    controller.snapshot = Snapshot(capture, boundary, float.fromhex(host_time_hex), pages)
-
-
 # --------------------------------------------------------------------- #
-# Public entry points
+# Public entry point
 # --------------------------------------------------------------------- #
 
 
@@ -696,8 +515,8 @@ def encode_machine(sim: Any, scheduler: Any) -> Dict[str, Any]:
     """Capture the full machine (simulation root + host scheduler state +
     controller) as versioned plain data.
 
-    Must be called at an epoch cut (the end of a manager step); the
-    result round-trips through :func:`install_machine` bit-for-bit.
+    Must be called at a cut (the end of a manager step, outside a
+    rollback replay window).
     """
     state = sim.state
     by_id, objects = machine_anchors(state)
@@ -711,44 +530,3 @@ def encode_machine(sim: Any, scheduler: Any) -> Dict[str, Any]:
         "host": _encode_host(scheduler),
         "ctrl": None if controller is None else _encode_controller(controller),
     }
-
-
-def install_machine(sim: Any, scheduler: Any, payload: Dict[str, Any]) -> None:
-    """Install a captured machine into a freshly built sim + scheduler.
-
-    ``sim``/``scheduler`` must have been constructed from the *same*
-    configuration as the captured run and must not have executed yet
-    (beyond construction).  After installation, ``scheduler.run``
-    continues the captured trajectory bit-for-bit.
-    """
-    if not isinstance(payload, dict):
-        raise EpochError(f"machine payload must be a mapping, got {type(payload).__name__}")
-    version = payload.get("v")
-    if version != MACHINE_WIRE_VERSION:
-        raise EpochError(
-            f"unsupported machine wire version {version!r} "
-            f"(this side speaks {MACHINE_WIRE_VERSION})"
-        )
-    _, objects = machine_anchors(sim.state)
-    signature = _anchor_signature(objects)
-    if payload.get("anchors") != signature:
-        raise EpochError(
-            "program-structure mismatch: the capture's anchor walk does not "
-            "match the receiver's — different workload, thread count, or "
-            "scale?"
-        )
-    decoder = _Decoder(objects)
-    state = decoder.decode(payload["root"])
-    if not isinstance(state, SimulationState):
-        raise EpochError("machine root did not decode to a SimulationState")
-    sim.state = state
-    _install_host(scheduler, payload["host"])
-    ctrl_rec = payload.get("ctrl")
-    controller = sim.controller
-    if (ctrl_rec is None) != (controller is None):
-        raise EpochError(
-            "checkpoint-controller mismatch between capture and receiver "
-            "(different scheme/checkpoint configuration)"
-        )
-    if controller is not None and ctrl_rec is not None:
-        _install_controller(controller, ctrl_rec, state)

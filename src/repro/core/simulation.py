@@ -17,8 +17,8 @@ then runs everything on the modeled host and produces a
 
 :meth:`Simulation.start` returns the :class:`Run` handle — the one
 cut / resume driver.  ``Simulation.run()`` is ``start()`` advanced to
-completion; the time-parallel harness, live sampling and the CLI drive
-the same handle one cut at a time.
+completion; a caller that needs a mid-run state (encoding the machine at
+a cut, diffing two runs) advances the same handle one cut at a time.
 """
 
 from __future__ import annotations
@@ -147,17 +147,13 @@ class Simulation:
     # ------------------------------------------------------------------ #
 
     def start(
-        self,
-        max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES,
-        at_time_zero: bool = True,
+        self, max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES
     ) -> "Run":
         """Begin the (single) run of this Simulation; return its handle.
 
         A Simulation is single-shot: its state is consumed by the run.
         Build a fresh Simulation (same arguments, same seed) to repeat a
-        run bit-for-bit.  ``at_time_zero=False`` says the caller installs
-        a captured machine (``repro.core.epochs.install_machine``) before
-        the first advance, so no time-zero checkpoint is taken.
+        run bit-for-bit.
         """
         if self._ran:
             raise ConfigError(
@@ -165,7 +161,7 @@ class Simulation:
                 "(same arguments and seed reproduce the run exactly)"
             )
         self._ran = True
-        return Run(self, max_target_cycles, at_time_zero)
+        return Run(self, max_target_cycles)
 
     def run(self, max_target_cycles: Optional[int] = DEFAULT_MAX_TARGET_CYCLES) -> SimulationReport:
         """Run to workload completion; return the report."""
@@ -298,16 +294,14 @@ class Run:
     the scheduler leaves every piece of its state exactly as its loop
     maintains it, so the next ``advance`` continues the trajectory
     bit-for-bit as if it had never stopped.  ``sim`` and ``scheduler``
-    are public: checkpoint charging and the machine codec act on them.
+    are public: checkpoint charging and the machine encoder act on them.
     """
 
-    def __init__(
-        self, sim: Simulation, max_target_cycles: Optional[int], at_time_zero: bool
-    ) -> None:
+    def __init__(self, sim: Simulation, max_target_cycles: Optional[int]) -> None:
         self.sim = sim
         self.scheduler = Scheduler(sim, sim.host)
         self._max_target_cycles = max_target_cycles
-        if at_time_zero and sim.controller is not None:
+        if sim.controller is not None:
             sim.controller.on_run_start(self.scheduler)
 
     @property

@@ -39,11 +39,11 @@ class CheckpointError(ReproError):
 
 
 class EpochError(ReproError):
-    """Time-parallel epoch capture, transfer, or stitching failed.
+    """A machine could not be encoded at a cut.
 
-    Raised by the machine-state wire codec (``repro.core.epochs``) on
-    version/class mismatches and by the time-parallel harness
-    (``repro.harness.timepar``) when an epoch chain cannot be stitched.
+    Raised by the machine-state encoder (``repro.core.epochs``) on a
+    class outside its allowlist, an unorderable set, an unanchored
+    statement, or a cut inside a rollback replay window.
     """
 
 

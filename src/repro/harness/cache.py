@@ -48,6 +48,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.config import (
@@ -63,6 +64,7 @@ from repro.util import LruMemo, atomic_write
 __all__ = [
     "CACHE_SCHEMA",
     "ENTRY_MEMO_SIZE",
+    "ORPHANED_EPOCHS_DIR",
     "CacheEntry",
     "ReportCache",
     "RunSpec",
@@ -78,6 +80,12 @@ CACHE_SCHEMA = 1
 
 #: Loaded entries one :class:`ReportCache` instance keeps in memory.
 ENTRY_MEMO_SIZE = 256
+
+#: Where the removed time-parallel layer kept recorded machine
+#: states (megabytes per spec, beside report entries of a few KB).
+#: Nothing writes or reads it any more and ``info`` / ``prune`` never
+#: counted it; :meth:`ReportCache.clear` removes a leftover one.
+ORPHANED_EPOCHS_DIR = "epochs"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,7 +373,8 @@ class ReportCache:
         return removed, freed
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry (and a leftover :data:`ORPHANED_EPOCHS_DIR`
+        tree); returns the number of entries removed."""
         removed = 0
         for path in self._entry_files():
             try:
@@ -378,4 +387,5 @@ class ReportCache:
                 sub.rmdir()
             except OSError:
                 pass
+        shutil.rmtree(self.root / ORPHANED_EPOCHS_DIR, ignore_errors=True)
         return removed

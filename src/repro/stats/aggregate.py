@@ -1,8 +1,8 @@
 """Small aggregation helpers (no numpy/scipy dependency in the core library).
 
 Besides the classic location aggregates (mean/geomean/median) this module
-carries the dispersion and interval estimators the sampling subsystem
-(``repro.sampling``) builds on: sample variance/stddev and a Student-t
+carries the dispersion and interval estimators a multi-seed error bar
+(ROADMAP 4(e)) needs: sample variance/stddev and a Student-t
 confidence interval that is *small-n safe* — one observation yields an
 infinite interval instead of a crash or a silently overconfident ±0.
 The t critical value is computed from scratch (regularized incomplete

@@ -21,7 +21,6 @@ The hard contract: telemetry (on, off, or disabled) never changes a
 report digest — probes observe, they never perturb.
 """
 
-from repro.telemetry.features import FEATURE_DIMS, CounterSnapshot, IntervalFeatures
 from repro.telemetry.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -46,9 +45,6 @@ from repro.telemetry.tracer import (
 )
 
 __all__ = [
-    "CounterSnapshot",
-    "FEATURE_DIMS",
-    "IntervalFeatures",
     "TelemetrySession",
     "MetricsRegistry",
     "NullMetricsRegistry",

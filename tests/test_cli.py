@@ -212,6 +212,15 @@ class TestParallelAndCacheFlags:
         assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
         assert "removed 0 cached report(s)" in capsys.readouterr().out
 
+    def test_cache_clear_names_an_orphaned_epochs_tree(self, capsys, tmp_path):
+        (tmp_path / "epochs" / "ab").mkdir(parents=True)
+        (tmp_path / "epochs" / "ab" / "b500.wire").write_bytes(b"wire")
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "removed 0 cached report(s) and the orphaned epochs/ tree" in out
+        assert not (tmp_path / "epochs").exists()
+
     def test_cache_prune(self, capsys, tmp_path):
         assert main(["cache", "prune", "--dir", str(tmp_path), "--max-mb", "1"]) == 0
         assert "pruned 0 report(s)" in capsys.readouterr().out
@@ -219,6 +228,23 @@ class TestParallelAndCacheFlags:
     def test_cache_prune_requires_max_mb(self, capsys, tmp_path):
         assert main(["cache", "prune", "--dir", str(tmp_path)]) == 2
         assert "requires --max-mb" in capsys.readouterr().err
+
+    def test_cache_prune_rejects_a_negative_size(self, capsys, tmp_path):
+        """``total - freed <= max_bytes`` can never hold below zero, so a
+        negative size used to evict every entry."""
+        entry = tmp_path / "reports" / "ab" / "abcd.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text("{}")
+        assert main(["cache", "prune", "--dir", str(tmp_path), "--max-mb", "-1"]) == 2
+        assert "error: --max-mb must be >= 0" in capsys.readouterr().err
+        assert entry.exists()
+
+    def test_run_rejects_a_negative_sample_period(self, capsys, tmp_path):
+        metrics = tmp_path / "m.json"
+        argv = ["run", "fft", "--scale", "0.1", "--metrics", str(metrics)]
+        assert main(argv + ["--sample-period", "-5"]) == 2
+        assert "error: --sample-period must be >= 0" in capsys.readouterr().err
+        assert not metrics.exists()
 
     def test_bench_unmatched_cases_fail_listing_names(self):
         from repro.harness.bench import run_bench

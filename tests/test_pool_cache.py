@@ -292,22 +292,26 @@ class TestFullDisk:
         assert cache.get(key).digest == report.digest()
         assert _files_under(cache.root) == [f"{key}.json"]
 
-    def test_epoch_state_cache_leaves_no_temp_file(self, full_disk):
-        from repro.harness.timepar import EpochStateCache
-
+    def test_clear_removes_an_orphaned_epochs_tree(self):
+        """The removed time-parallel layer left megabytes of recorded
+        states under ``<root>/epochs`` that ``info`` and ``prune`` never
+        counted; nothing reads them now, so ``clear`` takes the tree."""
         runner = make_runner()
         spec = runner.plan("fft", SlackConfig(bound=100), scale=SCALE)
-        cache = EpochStateCache(spec)
-        with full_disk():
-            cache.store_state(500, b"wire")
-            cache.store_meta(1000, [500])
-        assert _files_under(cache.dir) == []
-        assert cache.load_state(500) is None and cache.load_meta() is None
-        cache.store_state(500, b"wire")
-        cache.store_meta(1000, [500])
-        assert cache.load_state(500) == b"wire"
-        assert cache.load_meta()["boundaries"] == [500]
-        assert _files_under(cache.dir) == ["b500.wire", "meta.json"]
+        report, wall_s = execute_spec(spec)
+        cache = ReportCache()
+        key = spec_key(spec)
+        cache.put(key, report, wall_s)
+        state = cache.root / "epochs" / key[:2] / key / "b500.wire"
+        state.parent.mkdir(parents=True)
+        state.write_bytes(b"wire")
+        size = cache._entry_path(key).stat().st_size
+        assert (cache.info()["entries"], cache.info()["bytes"]) == (1, size)
+        assert cache.prune(max_bytes=0, dry_run=True) == (1, size)
+        assert cache.clear() == 1
+        assert _files_under(cache.root) == []
+        assert not (cache.root / "epochs").exists()
+        assert cache.clear() == 0  # and a second clear has nothing to do
 
     def test_atomic_write_removes_its_temp_file_on_any_exception(self, tmp_path):
         from repro.util import atomic_write

@@ -4,15 +4,21 @@ The contract under test (ISSUE 18): a run advanced one cut at a time is
 the run — same report, byte for byte, for every scheme kind, with the
 sanitizer watching — and the handle is the only place in ``src/repro``
 that builds a scheduler, disables the collector or decides what a cut is.
+ISSUE 21 removed the two layers that drove it from outside (time-parallel
+epochs, live sampling); the machine encoder stays, witnessed here without
+a decoder, and the removal is pinned.
 """
 
 import dataclasses
+import importlib
+import json
 import pathlib
 import re
 
 import pytest
 
 from repro.analysis.sanitizer import SlackSanitizer
+from repro.cli import EXPERIMENTS, build_parser
 from repro.config import (
     AdaptiveQuantumConfig,
     CheckpointConfig,
@@ -21,7 +27,7 @@ from repro.config import (
     SlackConfig,
 )
 from repro.core import simulation as simulation_module
-from repro.core.epochs import encode_machine, make_stop_predicate
+from repro.core.epochs import MACHINE_WIRE_VERSION, encode_machine, make_stop_predicate
 from repro.errors import ConfigError
 from repro.harness.bench import BenchCase, golden_path, load_golden
 from repro.harness.pool import build_simulation, execute_spec
@@ -59,6 +65,12 @@ KINDS = [
 ]
 
 
+def canonical(run):
+    """The machine at the run's cut as canonical JSON bytes."""
+    payload = encode_machine(run.sim, run.scheduler)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
 class TestCutsAreInvisible:
     @pytest.mark.parametrize("spec, golden_id", KINDS)
     def test_three_advances_equal_one_run(self, spec, golden_id):
@@ -80,6 +92,22 @@ class TestCutsAreInvisible:
         if golden_id is not None:
             assert report.digest() == GOLDEN[golden_id]
         assert not sanitizer.violations and sanitizer.total_checks() > 0
+
+    @pytest.mark.parametrize("case", ["bounded", "speculative"])
+    def test_an_earlier_cut_leaves_the_encoded_machine_unchanged(self, case):
+        """Cut at b1, resume to b2: the machine encodes byte-equal to a
+        fresh run's single advance to b2 — no field of the state, the
+        host scheduler or the controller remembers the earlier stop."""
+        spec = spec_for(case=case)
+        total = execute_spec(spec)[0].target_cycles
+        b1, b2 = total // 3, 2 * total // 3
+        twice = build_simulation(spec).start()
+        assert twice.advance(b1) is False
+        at_b1 = canonical(twice)
+        assert twice.advance(b2) is False
+        once = build_simulation(spec).start()
+        assert once.advance(b2) is False
+        assert canonical(twice) == canonical(once) != at_b1
 
     def test_advance_on_a_completed_run_changes_nothing(self):
         run = build_simulation(spec_for()).start()
@@ -168,11 +196,29 @@ class TestSpeculativeCuts:
         assert cuts == whole.target_cycles // interval
         assert run.report().digest() == whole.digest()
 
-    def test_at_time_zero_false_takes_no_checkpoint(self):
-        sim = build_simulation(spec_for(case="speculative"))
-        run = sim.start(at_time_zero=False)
-        assert sim.controller.snapshot is None
-        assert run.scheduler.stats.checkpoints == 0
+    def test_wire_is_plain_json_data(self):
+        """The machine payload survives a JSON round trip unchanged — the
+        pickle-free discipline (mirrors service/protocol.py's codec)."""
+        run = build_simulation(spec_for()).start()
+        assert run.advance(1000) is False
+        payload = encode_machine(run.sim, run.scheduler)
+        assert payload["v"] == MACHINE_WIRE_VERSION
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_the_e2e_layer_pass_can_still_encode_a_mid_run_cut(self):
+        """``benchmarks/e2e/layers.py`` (frozen) imports exactly the two
+        names imported above and drives a scheduler of its own to the
+        predicate's cut."""
+        from repro.core.scheduler import Scheduler
+
+        spec = spec_for(case="speculative")
+        total = execute_spec(spec)[0].target_cycles
+        sim = build_simulation(spec)
+        scheduler = Scheduler(sim, sim.host)
+        sim.controller.on_run_start(scheduler)
+        scheduler.run(None, make_stop_predicate(sim, total // 2))
+        assert 0 < sim.state.global_time() < total
+        assert len(json.dumps(encode_machine(sim, scheduler))) > 1024
 
 
 # --------------------------------------------------------------------- #
@@ -209,3 +255,41 @@ class TestOneDriver:
     def test_the_cut_rule_has_one_body(self):
         assert set(occurrences(r"make_stop_predicate")) == {"core/epochs.py"}
         assert make_stop_predicate is simulation_module.cut_rule
+
+
+# --------------------------------------------------------------------- #
+# Structural pin: the two speed layers that did not pay are gone
+# --------------------------------------------------------------------- #
+
+
+class TestRemovedLayers:
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.sampling", "repro.harness.timepar", "repro.telemetry.features"],
+    )
+    def test_the_modules_do_not_import(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "name", ["install_machine", "at_time_zero", "timepar", "run_sampled"]
+    )
+    def test_their_names_occur_nowhere(self, name):
+        assert occurrences(name) == {}
+
+    def test_repro_run_help_shows_none_of_the_seven_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        removed = {
+            "--time-parallel", "--jobs", "--sample", "--sample-rate",
+            "--sample-interval", "--warmup", "--sample-seed",
+        }
+        assert not flags & removed
+        assert "--sample-period" in flags  # the telemetry time series stays
+
+    def test_frontier_is_not_an_experiment(self, capsys):
+        assert "frontier" not in EXPERIMENTS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "frontier"])
+        assert "invalid choice: 'frontier'" in capsys.readouterr().err

@@ -22,9 +22,7 @@ STRICT_PATHS = (
     "src/repro/analysis",
     "src/repro/service",
     "src/repro/fabric",
-    "src/repro/sampling",
     "src/repro/core/epochs.py",
-    "src/repro/harness/timepar.py",
 )
 
 
