@@ -20,13 +20,10 @@ End-to-end digest comparison tells you *that* one of them broke, never
   through the guarded probe seams, no heavyweight imports in ``core/``;
 
 - a **whole-program analyzer** (``python -m repro analyze``, or
-  ``repro lint --deep`` to run both layers at once): three passes over a
+  ``repro lint --deep`` to run both layers at once): two passes over a
   shared project call graph — interprocedural taint flow from
   nondeterminism sources into digest-critical sinks with full
-  source→call-chain→sink witness paths (RPR101), codec/schema drift
-  between the class definitions and the field manifests of the RunSpec
-  wire (``service/protocol.py``) and the machine-state encoding
-  (``core/epochs.py``) (RPR102), and asyncio
+  source→call-chain→sink witness paths (RPR101), and asyncio
   read-modify-write-across-await atomicity in the service and fabric
   layers (RPR103);
 

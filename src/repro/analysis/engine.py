@@ -7,17 +7,17 @@ Actions annotations and knows its process exit code.
 
 ``analyze_paths`` is the whole-program layer (``repro analyze`` /
 ``repro lint --deep``): it builds one project call graph over the same
-files and runs the **deep rules** — interprocedural taint flow (RPR101),
-codec drift (RPR102), and asyncio atomicity (RPR103) — through the same
+files and runs the **deep rules** — interprocedural taint flow (RPR101)
+and asyncio atomicity (RPR103) — through the same
 Finding/suppression/baseline plumbing as the per-file rules.
 
-Suppression hygiene (RPR008) is *scoped* so the shallow and deep CI jobs
+Suppression hygiene (RPR008) is *scoped* so the shallow and deep CI steps
 do not flag each other's suppressions as unused: a plain lint checks
 unused-ness only among the shallow codes, a plain analyze only among the
 deep codes, and ``lint --deep`` among both.  Reasonless and
-unregistered-code checks always run (both jobs must see a bad comment),
+unregistered-code checks always run (both steps must see a bad comment),
 and the registered-code universe includes the deep codes, so a
-``noqa[RPR103]`` is never "unregistered" to the shallow job.
+``noqa[RPR103]`` is never "unregistered" to the shallow step.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from repro.analysis.noqa import Suppression, parse_suppressions
 from repro.analysis.rules import RULES, LintContext, Rule
 from repro.analysis.rules import explain_rule as _explain_in
 from repro.analysis.async_rules import AsyncAtomicityRule
-from repro.analysis.codecs import CodecDriftRule
 from repro.analysis.flow import TaintFlowRule
 
 #: Schema tag for ``--format json`` output.
 LINT_SCHEMA = "repro.analysis.lint/v1"
 
 #: The whole-program rules (``deep = True``), in code order.
-DEEP_RULES = (TaintFlowRule(), CodecDriftRule(), AsyncAtomicityRule())
+DEEP_RULES = (TaintFlowRule(), AsyncAtomicityRule())
 
 #: Every registered rule, shallow then deep.
 ALL_RULES = tuple(RULES) + DEEP_RULES
@@ -309,7 +308,7 @@ def deep_findings(
     Deep-code suppressions are consumed here (marking them used); RPR008
     hygiene then covers unused deep codes and — when
     ``check_comment_hygiene`` — reasonless/unregistered comments too (the
-    analyze-only job has no shallow pass to report those).
+    analyze-only step has no shallow pass to report those).
     """
     raw: List[Finding] = []
     for rule in DEEP_RULES:
@@ -357,7 +356,7 @@ def analyze_paths(
 
     With ``include_shallow`` (the ``lint --deep`` spelling) the per-file
     rules run too, with hygiene widened to both code families; otherwise
-    only the deep rules run (plus comment hygiene, which both CI jobs
+    only the deep rules run (plus comment hygiene, which both CI steps
     must enforce).
     """
     files = _read_files(paths, root)

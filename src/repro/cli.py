@@ -13,8 +13,7 @@ Subcommands::
     lint        run the determinism linter over the source tree (--deep adds
                 the whole-program passes; --fix-noqa removes dead noqa)
     analyze     whole-program determinism analysis: interprocedural taint
-                flow (RPR101), codec/schema drift (RPR102), and asyncio
-                atomicity (RPR103)
+                flow (RPR101) and asyncio atomicity (RPR103)
     serve       run the simulation job service daemon (unix socket / TCP);
                 --coordinator runs the fabric front door instead
     worker      run a fleet worker: a service daemon registered with (and
@@ -58,6 +57,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -72,7 +72,7 @@ from repro.config import (
     SpeculativeConfig,
 )
 from repro.core.simulation import Simulation
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.harness import ExperimentRunner
 from repro.harness import experiments as experiments_mod
 from repro.harness.export import to_csv, to_json
@@ -125,32 +125,35 @@ def parse_scheme(spec: str) -> SchemeConfig:
             f"nothing follows the colon in {spec!r} (write {name!r} alone "
             "for its default)"
         )
-    if name in ("cc", "cycle-by-cycle"):
-        return SlackConfig(bound=0)
-    if name in ("unbounded", "su"):
-        return SlackConfig(bound=None)
-    if name == "slack":
-        return SlackConfig(bound=int(arg) if arg else 8)
-    if name == "quantum":
-        return QuantumConfig(quantum=int(arg) if arg else 10)
-    if name in ("adaptive-quantum", "aq"):
-        from repro.config import AdaptiveQuantumConfig
+    try:
+        if name in ("cc", "cycle-by-cycle"):
+            return SlackConfig(bound=0)
+        if name in ("unbounded", "su"):
+            return SlackConfig(bound=None)
+        if name == "slack":
+            return SlackConfig(bound=int(arg) if arg else 8)
+        if name == "quantum":
+            return QuantumConfig(quantum=int(arg) if arg else 10)
+        if name in ("adaptive-quantum", "aq"):
+            from repro.config import AdaptiveQuantumConfig
 
-        if arg:
-            return AdaptiveQuantumConfig(initial_quantum=int(arg))
-        return AdaptiveQuantumConfig()
-    if name == "adaptive":
-        return AdaptiveConfig(target_rate=float(arg) if arg else 1e-3, adjust_period=250)
-    if name == "p2p":
-        if arg:
-            period, _, lead = arg.partition(",")
-            return P2PConfig(period=int(period), max_lead=int(lead or period))
-        return P2PConfig()
-    if name == "speculative":
-        return SpeculativeConfig(
-            base=AdaptiveConfig(target_rate=1e-3, adjust_period=250),
-            checkpoint=CheckpointConfig(interval=int(arg) if arg else 5000),
-        )
+            if arg:
+                return AdaptiveQuantumConfig(initial_quantum=int(arg))
+            return AdaptiveQuantumConfig()
+        if name == "adaptive":
+            return AdaptiveConfig(target_rate=float(arg) if arg else 1e-3, adjust_period=250)
+        if name == "p2p":
+            if arg:
+                period, _, lead = arg.partition(",")
+                return P2PConfig(period=int(period), max_lead=int(lead or period))
+            return P2PConfig()
+        if name == "speculative":
+            return SpeculativeConfig(
+                base=AdaptiveConfig(target_rate=1e-3, adjust_period=250),
+                checkpoint=CheckpointConfig(interval=int(arg) if arg else 5000),
+            )
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown scheme spec {spec!r}")
 
 
@@ -401,8 +404,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.max_mb is None:
             print("error: cache prune requires --max-mb", file=sys.stderr)
             return 2
-        if args.max_mb < 0:
-            print("error: --max-mb must be >= 0", file=sys.stderr)
+        if not 0 <= args.max_mb < math.inf:
+            print(f"error: --max-mb must be >= 0 and finite, got {args.max_mb}",
+                  file=sys.stderr)
             return 2
         removed, freed = cache.prune(
             int(args.max_mb * 1024 * 1024), dry_run=args.dry_run
@@ -910,8 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "example (or 'all') and exit")
     lint_parser.add_argument("--deep", action="store_true",
                              help="also run the whole-program passes "
-                                  "(RPR101 taint flow, RPR102 codec drift, "
-                                  "RPR103 await atomicity)")
+                                  "(RPR101 taint flow, RPR103 await "
+                                  "atomicity)")
     lint_parser.add_argument("--fix-noqa", action="store_true",
                              help="delete noqa codes no finding uses "
                                   "(shallow scope; --deep widens the proof) "
@@ -921,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser = sub.add_parser(
         "analyze",
         help="whole-program determinism analysis: interprocedural taint "
-             "flow, codec/schema drift, and asyncio atomicity",
+             "flow and asyncio atomicity",
     )
     analyze_parser.add_argument("paths", nargs="*",
                                 help="files or directories "

@@ -28,6 +28,12 @@ rebuilds on demand (copy-on-write shadows, the status-map undo journal,
 the manager's reused outcome scratch object), keeping it a pure function
 of simulation-visible state.
 
+Fields are read off the live instances (``__slots__`` / ``__dict__``),
+so there is no second field list to keep in step with the classes: a
+class outside the allowlist raises :class:`~repro.errors.EpochError`
+naming it, and the tests check that every skipped field is a live
+attribute the encoding leaves out.
+
 This module deals only in plain data (the caller chooses the byte form,
 normally canonical JSON), keeping ``repro.core`` free of serialization
 imports.
@@ -184,68 +190,6 @@ _SKIP_FIELDS: Dict[type, frozenset] = {
 #: Observation-only session references (telemetry / sanitizer probes) are
 #: never serialized regardless of the owning class.
 _GLOBAL_SKIP = frozenset({"telemetry", "sanitizer"})
-
-#: The state-field manifest: the deliberate, reviewed record of every
-#: declared field (dataclass fields, ``__slots__``, ``self.x``
-#: assignments) of each allowlisted class.  The encoder walks
-#: ``__slots__``/``__dict__`` generically, so the *code* cannot drift —
-#: this table is the second, independently maintained description that
-#: ``repro analyze`` (RPR102) statically diffs against the real class
-#: definitions.  Growing a state class without recording the field here
-#: (and deciding: wire field, ``_SKIP_FIELDS`` entry, or
-#: :data:`MACHINE_WIRE_VERSION` bump) fails CI.
-STATE_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "SimulationState": ("_models", "cores", "local_times", "manager", "max_local_times", "scheme", "target"),
-    "CoreState": ("_idx", "_limits", "_times", "core_id", "inq", "model", "outq"),
-    "ManagerState": ("_batch_grant_min", "_grant_floor", "_limits_stale", "_outcome", "_serving_conservative", "barriers", "bus", "c2c_latency", "cache_map", "detector", "events_served", "global_time", "gq", "l2", "locks"),
-    "CoreModel": ("_code_base_line", "_code_lines", "_compute_rate", "_compute_remaining", "_current_op", "_fetch_line", "_fetch_seq", "_icache", "_ifetch_pending", "_instrs_per_line", "_issue_seq", "_issue_width", "_page_shift", "_pending_loads", "_window_size", "config", "core_id", "cycles", "finished", "ifetch_stall_cycles", "instructions", "l1", "outbox", "pages_touched", "program", "stall_cycles", "sync_stall_cycles", "waiting_sync"),
-    "CoreRequest": ("bus_op", "kind", "line_addr", "participants", "sync_id"),
-    "ProgramInterpreter": ("_buffer", "_ended", "_frames", "_program", "ctx"),
-    "ProgramContext": ("rng", "tid", "vars"),
-    "_Frame": ("idx", "remaining", "stmts", "trip", "var"),
-    "Op": ("arg1", "arg2", "kind"),
-    "L1Cache": ("_line_bits", "array", "core_id", "hit_latency", "last_bus_op", "load_misses", "loads", "mshrs", "snoop_downgrades", "snoop_invalidations", "store_misses", "stores", "upgrades", "writebacks"),
-    "MshrFile": ("_entries", "allocations", "capacity", "full_stalls", "merges"),
-    "MshrEntry": ("issue_time", "kind", "line_addr", "merged_rob_ids"),
-    "CacheArray": ("_assoc", "_clock", "_dirty", "_index", "_lru", "_set_bits", "_set_mask", "_shadow", "_snap_epoch", "_state", "_tag", "config", "evictions", "hits", "mapper", "misses"),
-    "AddressMapper": ("_set_mask", "line_bits", "num_sets", "set_bits"),
-    "CacheStatusMap": ("_entries", "_journal", "cache_to_cache", "gets_served", "getx_served", "upgr_served", "writebacks"),
-    "SnoopBus": ("_last_request_ts", "config", "request_conflict_cycles", "request_free_at", "requests", "response_conflict_cycles", "response_free_at", "responses", "stale_grants"),
-    "L2Cache": ("_bank_free_at", "accesses", "array", "bank_conflict_cycles", "config", "dram", "misses", "writebacks_received"),
-    "DramModel": ("_bank_free_at", "_lines_per_row", "_open_row", "accesses", "bank_conflict_cycles", "config", "row_hits", "row_misses"),
-    "LockTable": ("_locks", "acquires", "contended_acquires", "timing"),
-    "_LockState": ("holder", "waiters"),
-    "BarrierTable": ("_barriers", "episodes", "timing"),
-    "_BarrierState": ("arrived",),
-    "ViolationDetector": ("_bus_monitor", "_map_monitors", "_pending", "counts", "enabled", "last_violation", "window_counts"),
-    "TimestampMonitor": ("last_ts",),
-    "MapMonitorTable": ("_monitors",),
-    "ViolationRecord": ("core_id", "global_time", "ts", "vtype"),
-    "OutMsg": ("core_id", "host_time", "request", "ts"),
-    "InMsg": ("kind", "line_addr", "state", "ts"),
-    "FixedSlackPolicy": ("_window", "barrier_sync", "config", "conservative_service"),
-    "QuantumPolicy": ("config",),
-    "AdaptiveSlackPolicy": ("_bound_integral", "_integral_from", "_last_control_time", "adjustments", "bound", "config", "decreases", "history", "increases", "rate_estimate"),
-    "AdaptiveQuantumPolicy": ("_last_control_time", "_last_events", "adjustments", "config", "history", "quantum"),
-    "P2PPolicy": ("_active", "_locals", "_next_check", "_peer", "checks", "config", "num_cores", "rng", "waits"),
-    "SplitMix64": ("state",),
-    "XorShift64": ("state",),
-    "TargetConfig": ("bus", "core", "l1d", "l1i", "l2", "memory", "num_cores"),
-    "CoreConfig": ("code_footprint", "fdiv_latency", "fp_latency", "instruction_bytes", "int_alu_latency", "issue_width", "model_icache", "mul_latency", "num_mshrs", "window_size"),
-    "CacheConfig": ("associativity", "hit_latency", "line_size", "size"),
-    "BusConfig": ("arbitration_latency", "request_cycles", "response_cycles"),
-    "L2Config": ("cache", "dram", "miss_latency", "num_banks"),
-    "MemoryConfig": ("page_size",),
-    "DramConfig": ("bank_busy_cycles", "num_banks", "row_bytes", "row_hit_latency", "row_miss_latency"),
-    "SyncTimingConfig": ("barrier_latency", "lock_handoff", "lock_latency"),
-    "SlackConfig": ("bound",),
-    "QuantumConfig": ("quantum",),
-    "AdaptiveConfig": ("adjust_period", "band", "decrease_factor", "increase_step", "initial_bound", "max_bound", "min_bound", "target_rate"),
-    "AdaptiveQuantumConfig": ("adjust_period", "high_traffic", "initial_quantum", "low_traffic", "max_quantum", "min_quantum"),
-    "P2PConfig": ("max_lead", "period"),
-    "CheckpointConfig": ("interval",),
-    "SpeculativeConfig": ("base", "checkpoint", "tracked"),
-}
 
 
 # --------------------------------------------------------------------- #

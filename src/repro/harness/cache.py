@@ -46,6 +46,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -58,6 +59,7 @@ from repro.config import (
     TargetConfig,
 )
 from repro.core.report import SimulationReport
+from repro.errors import ConfigError
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.util import LruMemo, atomic_write
 
@@ -108,6 +110,15 @@ class RunSpec:
     num_threads: int
     target: TargetConfig
     host: HostConfig
+
+    def __post_init__(self) -> None:
+        # Workloads clamp a tiny scale to their minimum size, so scale 0
+        # and -1 would run one workload under two cache keys; NaN and inf
+        # and zero threads would fail only once the run starts.
+        if self.num_threads < 1:
+            raise ConfigError(f"num_threads must be >= 1, got {self.num_threads}")
+        if not 0 < self.scale < math.inf:
+            raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
 
 
 @functools.lru_cache(maxsize=None)

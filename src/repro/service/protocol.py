@@ -30,6 +30,13 @@ round-trip is exact (JSON floats round-trip binary64 bit-for-bit, arrays
 come back as tuples), which is what makes the service's digest contract
 — a report fetched over the wire is byte-identical to a local
 ``repro run`` of the same spec — reduce to determinism of the engine.
+
+The dataclasses are the wire contract: both directions walk
+``dataclasses.fields``, and the decoder requires every object to carry
+exactly its class's fields (the spec exactly :class:`RunSpec`'s), so a
+misspelled, extra or missing field is ``BAD_REQUEST`` rather than a
+silently dropped or defaulted one.  The tests round-trip every class in
+:data:`CONFIG_CLASSES`, the decode allowlist.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from repro.config import (
     SpeculativeConfig,
     TargetConfig,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.harness.cache import RunSpec, field_names
 from repro.memory.dram import DramConfig
 
@@ -232,6 +239,18 @@ def _encode_value(value: Any) -> Any:
     )
 
 
+def _check_keys(owner: str, doc: Mapping[str, Any], expected: Tuple[str, ...]) -> None:
+    """``doc`` must carry exactly ``expected``: an unknown key would be
+    dropped and a missing one defaulted, each a run of a configuration
+    nobody asked for."""
+    for key in doc:
+        if key not in expected:
+            raise ServiceError(ERR_BAD_REQUEST, f"{owner} has unknown field {key!r}")
+    for key in expected:
+        if key not in doc:
+            raise ServiceError(ERR_BAD_REQUEST, f"{owner} is missing field {key!r}")
+
+
 def _decode_value(doc: Any) -> Any:
     if isinstance(doc, dict):
         name = doc.get("__type__")
@@ -240,17 +259,12 @@ def _decode_value(doc: Any) -> Any:
                 ERR_BAD_REQUEST, f"unknown configuration class tag {name!r}"
             )
         cls: Type[Any] = CONFIG_CLASSES[name]
-        known = field_names(cls) or ()
-        kwargs = {
-            key: _decode_value(value)
-            for key, value in doc.items()
-            if key != "__type__" and key in known
-        }
+        fields = field_names(cls) or ()
+        _check_keys(name, doc, ("__type__",) + fields)
+        kwargs = {key: _decode_value(doc[key]) for key in fields}
         try:
             return cls(**kwargs)
-        except ReproError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except (ConfigError, TypeError, ValueError) as exc:
             raise ServiceError(ERR_BAD_REQUEST, f"invalid {name} payload: {exc}") from exc
     if isinstance(doc, list):
         # Config dataclasses only hold tuples (frozen/hashable); JSON has
@@ -277,130 +291,6 @@ _SPEC_FIELDS: Tuple[Tuple[str, Tuple[type, ...], bool], ...] = (
 )
 
 
-#: The wire-field manifest: the deliberate, reviewed record of every
-#: ``(field, declared type)`` each registered class ships on the wire.
-#: ``_encode_value`` walks ``dataclasses.fields`` generically, so the
-#: *code* cannot drift — this table is the second, independently
-#: maintained description that ``repro analyze`` (RPR102) statically
-#: diffs against the real dataclass definitions.  Adding, renaming, or
-#: retyping a config field without updating this manifest (and bumping
-#: :data:`PROTOCOL_VERSION` when the wire shape changes) fails CI.
-WIRE_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "AdaptiveConfig": (
-        ("target_rate", "float"),
-        ("band", "float"),
-        ("initial_bound", "int"),
-        ("min_bound", "int"),
-        ("max_bound", "int"),
-        ("adjust_period", "int"),
-        ("increase_step", "int"),
-        ("decrease_factor", "float"),
-    ),
-    "AdaptiveQuantumConfig": (
-        ("initial_quantum", "int"),
-        ("min_quantum", "int"),
-        ("max_quantum", "int"),
-        ("low_traffic", "float"),
-        ("high_traffic", "float"),
-        ("adjust_period", "int"),
-    ),
-    "BusConfig": (
-        ("request_cycles", "int"),
-        ("response_cycles", "int"),
-        ("arbitration_latency", "int"),
-    ),
-    "CacheConfig": (
-        ("size", "int"),
-        ("line_size", "int"),
-        ("associativity", "int"),
-        ("hit_latency", "int"),
-    ),
-    "CheckpointConfig": (("interval", "int"),),
-    "CoreConfig": (
-        ("issue_width", "int"),
-        ("window_size", "int"),
-        ("num_mshrs", "int"),
-        ("int_alu_latency", "int"),
-        ("mul_latency", "int"),
-        ("fp_latency", "int"),
-        ("fdiv_latency", "int"),
-        ("model_icache", "bool"),
-        ("code_footprint", "int"),
-        ("instruction_bytes", "int"),
-    ),
-    "DramConfig": (
-        ("num_banks", "int"),
-        ("row_bytes", "int"),
-        ("row_hit_latency", "int"),
-        ("row_miss_latency", "int"),
-        ("bank_busy_cycles", "int"),
-    ),
-    "HostConfig": (
-        ("num_contexts", "int"),
-        ("cost", "HostCostModel"),
-        ("seed", "int"),
-        ("max_batch_cycles", "int"),
-        ("max_stall_batch", "int"),
-        ("manager_poll_ns", "float"),
-        ("manager_migrates", "bool"),
-        ("num_submanagers", "int"),
-    ),
-    "HostCostModel": (
-        ("core_cycle_ns", "float"),
-        ("stall_cycle_ns", "float"),
-        ("per_instruction_ns", "float"),
-        ("per_mem_event_ns", "float"),
-        ("slack_check_ns", "float"),
-        ("manager_cycle_ns", "float"),
-        ("per_gq_event_ns", "float"),
-        ("adaptive_adjust_ns", "float"),
-        ("violation_tracking_ns", "float"),
-        ("barrier_ns", "float"),
-        ("wake_latency_ns", "float"),
-        ("context_switch_ns", "float"),
-        ("checkpoint_base_ns", "float"),
-        ("checkpoint_per_page_ns", "float"),
-        ("rollback_ns", "float"),
-        ("jitter_frac", "float"),
-    ),
-    "L2Config": (
-        ("cache", "CacheConfig"),
-        ("num_banks", "int"),
-        ("miss_latency", "int"),
-        ("dram", "Optional[object]"),
-    ),
-    "MemoryConfig": (("page_size", "int"),),
-    "P2PConfig": (("period", "int"), ("max_lead", "int")),
-    "QuantumConfig": (("quantum", "int"),),
-    "SlackConfig": (("bound", "Optional[int]"),),
-    "SpeculativeConfig": (
-        ("base", "SchemeConfig"),
-        ("checkpoint", "CheckpointConfig"),
-        ("tracked", "Tuple[str, ...]"),
-    ),
-    "TargetConfig": (
-        ("num_cores", "int"),
-        ("core", "CoreConfig"),
-        ("l1i", "CacheConfig"),
-        ("l1d", "CacheConfig"),
-        ("bus", "BusConfig"),
-        ("l2", "L2Config"),
-        ("memory", "MemoryConfig"),
-    ),
-    "RunSpec": (
-        ("benchmark", "str"),
-        ("scheme", "SchemeConfig"),
-        ("scale", "float"),
-        ("checkpoint", "Optional[CheckpointConfig]"),
-        ("detection", "bool"),
-        ("seed", "int"),
-        ("num_threads", "int"),
-        ("target", "TargetConfig"),
-        ("host", "HostConfig"),
-    ),
-}
-
-
 def spec_to_wire(spec: RunSpec) -> Dict[str, Any]:
     """Render a fully-resolved :class:`RunSpec` as a plain JSON object."""
     doc: Dict[str, Any] = {}
@@ -413,16 +303,15 @@ def spec_to_wire(spec: RunSpec) -> Dict[str, Any]:
 def spec_from_wire(doc: Mapping[str, Any]) -> RunSpec:
     """Rebuild the exact :class:`RunSpec` a client encoded.
 
-    Raises :class:`ServiceError` (``BAD_REQUEST``) on missing fields,
-    wrong JSON kinds, unknown configuration tags, or values the
-    configuration classes themselves reject.
+    Raises :class:`ServiceError` (``BAD_REQUEST``) on unknown or missing
+    fields, wrong JSON kinds, unknown configuration tags, or values the
+    configuration classes (and :class:`RunSpec`) themselves reject.
     """
     if not isinstance(doc, Mapping):
         raise ServiceError(ERR_BAD_REQUEST, "spec must be a JSON object")
+    _check_keys("spec", doc, field_names(RunSpec) or ())
     kwargs: Dict[str, Any] = {}
     for name, kinds, is_config in _SPEC_FIELDS:
-        if name not in doc:
-            raise ServiceError(ERR_BAD_REQUEST, f"spec is missing field {name!r}")
         value = doc[name]
         if not isinstance(value, kinds) or (
             isinstance(value, bool) and bool not in kinds
@@ -432,10 +321,8 @@ def spec_from_wire(doc: Mapping[str, Any]) -> RunSpec:
                 f"spec field {name!r} has wrong type {type(value).__name__}",
             )
         kwargs[name] = _decode_value(value) if is_config else value
-    kwargs["scale"] = float(kwargs["scale"])
     try:
+        kwargs["scale"] = float(kwargs["scale"])
         return RunSpec(**kwargs)
-    except ReproError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, OverflowError) as exc:
         raise ServiceError(ERR_BAD_REQUEST, f"invalid spec: {exc}") from exc

@@ -6,11 +6,15 @@ tests cover suppressions, baselines, explain output, and the acceptance
 criterion that the repository lints clean.
 """
 
+import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 from repro.analysis import (
     RULES,
@@ -816,6 +820,26 @@ class TestAnalyzeCli:
         assert "RPR101" in proc.stdout  # deep: taint flow
 
     def test_explain_deep_rule(self):
-        proc = self._run("--explain", "RPR102")
+        proc = self._run("--explain", "RPR101")
         assert proc.returncode == 0
-        assert "codec" in proc.stdout.lower()
+        assert "taint" in proc.stdout.lower()
+
+    def test_explain_rpr102_is_an_unknown_rule(self):
+        proc = self._run("--explain", "RPR102")
+        assert proc.returncode != 0
+        assert "unknown rule code RPR102" in proc.stderr
+
+
+class TestTheFieldManifestsAreGone:
+    """The dataclasses are the wire contract: no hand-kept field list, and
+    no analyzer pass to diff one against the classes (the runtime checks
+    live in test_service.py ``TestWireCodec`` and test_run_handle.py)."""
+
+    def test_the_codec_drift_checker_does_not_import(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.analysis.codecs")
+
+    @pytest.mark.parametrize("name", ["WIRE_FIELDS", "STATE_FIELDS", "RPR102"])
+    def test_their_names_occur_nowhere(self, name):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        assert [p for p in src.rglob("*.py") if name in p.read_text()] == []

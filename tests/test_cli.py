@@ -86,6 +86,21 @@ class TestParseScheme:
         assert caught.value.code == 2
         assert "expects slack:N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec", ["slack:-3", "quantum:0", "speculative:0", "adaptive:-1"]
+    )
+    def test_out_of_range_argument_raises(self, spec):
+        """These used to escape argparse as a ConfigError traceback."""
+        with pytest.raises(argparse.ArgumentTypeError) as caught:
+            parse_scheme(spec)
+        assert repr(spec) in str(caught.value)
+
+    def test_out_of_range_argument_is_a_usage_error_on_the_command_line(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "fft", "--scheme", "slack:-3"])
+        assert caught.value.code == 2
+        assert "argument --scheme: 'slack:-3'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -149,6 +164,24 @@ class TestCommands:
         code = main(["run", "barnes", "--threads", "16", "--scale", "0.2"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--threads", "0"),
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--scale", "0"),
+            ("--scale", "-1"),
+        ],
+    )
+    def test_run_rejects_an_out_of_range_spec(self, flag, value, capsys):
+        """``--threads 0`` and ``--scale nan|inf`` were tracebacks; scale
+        0 and -1 both ran the clamped minimum under two cache keys."""
+        assert main(["run", "fft", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag.lstrip("-") in err
 
 
 class TestParallelAndCacheFlags:
@@ -238,6 +271,12 @@ class TestParallelAndCacheFlags:
         assert main(["cache", "prune", "--dir", str(tmp_path), "--max-mb", "-1"]) == 2
         assert "error: --max-mb must be >= 0" in capsys.readouterr().err
         assert entry.exists()
+
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_cache_prune_rejects_a_size_that_is_not_finite(self, size, capsys, tmp_path):
+        """The ``< 0`` guard let NaN through to a traceback."""
+        assert main(["cache", "prune", "--dir", str(tmp_path), "--max-mb", size]) == 2
+        assert "error: --max-mb must be >= 0 and finite" in capsys.readouterr().err
 
     def test_run_rejects_a_negative_sample_period(self, capsys, tmp_path):
         metrics = tmp_path / "m.json"

@@ -27,10 +27,18 @@ from repro.config import (
     SlackConfig,
 )
 from repro.core import simulation as simulation_module
-from repro.core.epochs import MACHINE_WIRE_VERSION, encode_machine, make_stop_predicate
+from repro.core.epochs import (
+    _SKIP_FIELDS,
+    MACHINE_WIRE_VERSION,
+    encode_machine,
+    make_stop_predicate,
+)
+from repro.core.manager import ManagerState
 from repro.errors import ConfigError
 from repro.harness.bench import BenchCase, golden_path, load_golden
 from repro.harness.pool import build_simulation, execute_spec
+from repro.memory.cache import CacheArray
+from repro.memory.cache_map import CacheStatusMap
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 GOLDEN = load_golden(golden_path())
@@ -219,6 +227,42 @@ class TestSpeculativeCuts:
         scheduler.run(None, make_stop_predicate(sim, total // 2))
         assert 0 < sim.state.global_time() < total
         assert len(json.dumps(encode_machine(sim, scheduler))) > 1024
+
+
+def encoded_fields(node, found=None):
+    """``{class name: field names}`` over every object record of an
+    ``encode_machine`` payload."""
+    found = {} if found is None else found
+    if isinstance(node, dict):
+        for value in node.values():
+            encoded_fields(value, found)
+    elif isinstance(node, list):
+        if len(node) == 4 and node[0] == "o" and isinstance(node[3], list):
+            found.setdefault(node[1], set()).update(name for name, _ in node[3])
+        for value in node:
+            encoded_fields(value, found)
+    return found
+
+
+class TestSkipFields:
+    def test_every_skipped_field_is_live_and_left_out(self):
+        """The stale-skip check: each ``_SKIP_FIELDS`` name is an attribute
+        its class still carries in a built simulation at a cut, and no
+        encoded record of that class carries it."""
+        run = build_simulation(spec_for(case="speculative")).start()
+        assert run.advance(1000) is False
+        state = run.sim.state
+        live = {
+            CacheArray: state.cores[0].model.l1.array,
+            CacheStatusMap: state.manager.cache_map,
+            ManagerState: state.manager,
+        }
+        assert set(live) == set(_SKIP_FIELDS)
+        encoded = encoded_fields(encode_machine(run.sim, run.scheduler))
+        for cls, skipped in _SKIP_FIELDS.items():
+            assert type(live[cls]) is cls
+            assert all(hasattr(live[cls], name) for name in skipped), cls
+            assert encoded[cls.__name__] and not encoded[cls.__name__] & skipped
 
 
 # --------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ test_pool_cache.py and the CI smoke job.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import pathlib
@@ -27,14 +28,17 @@ import pytest
 
 from repro.config import (
     AdaptiveConfig,
+    AdaptiveQuantumConfig,
     CheckpointConfig,
+    P2PConfig,
+    QuantumConfig,
     SlackConfig,
     SpeculativeConfig,
     paper_host_config,
     quick_target_config,
 )
 from repro.fabric.membership import EVICTED
-from repro.harness.cache import ReportCache, RunSpec, spec_key
+from repro.harness.cache import ReportCache, RunSpec, field_names, spec_key
 from repro.harness.pool import (
     ExecutionTimeoutError,
     ParallelExecutor,
@@ -51,7 +55,10 @@ from repro.service import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.memory.dram import DramConfig
 from repro.service.protocol import (
+    _SPEC_FIELDS,
+    CONFIG_CLASSES,
     ERR_BAD_REQUEST,
     ERR_CANCELLED,
     ERR_NOT_CANCELLABLE,
@@ -60,6 +67,8 @@ from repro.service.protocol import (
     ERR_TIMEOUT,
     ERR_UNSUPPORTED,
     ERR_WORKER_CRASHED,
+    _decode_value,
+    _encode_value,
     decode_line,
     encode_line,
 )
@@ -118,23 +127,31 @@ def client(daemon):
 # --------------------------------------------------------------------- #
 
 
-class TestWireCodec:
-    @pytest.mark.parametrize(
-        "scheme,checkpoint",
-        [
-            (SlackConfig(bound=0), None),
-            (SlackConfig(bound=None), None),
-            (AdaptiveConfig(target_rate=1e-3), None),
-            (
-                SpeculativeConfig(
-                    base=AdaptiveConfig(), checkpoint=CheckpointConfig(interval=500)
-                ),
-                CheckpointConfig(interval=500),
-            ),
-        ],
-    )
-    def test_roundtrip_exact(self, scheme, checkpoint):
-        spec = RunSpec(
+#: Every scheme kind, plus plain slack under periodic checkpointing.
+ROUNDTRIPS = [
+    (SlackConfig(bound=0), None),
+    (SlackConfig(bound=None), None),
+    (AdaptiveConfig(target_rate=1e-3), None),
+    (
+        SpeculativeConfig(
+            base=AdaptiveConfig(), checkpoint=CheckpointConfig(interval=500)
+        ),
+        CheckpointConfig(interval=500),
+    ),
+    (SlackConfig(bound=16), None),
+    (QuantumConfig(quantum=10), None),
+    (P2PConfig(period=50, max_lead=80), None),
+    (AdaptiveQuantumConfig(initial_quantum=16), None),
+    (SlackConfig(bound=16), CheckpointConfig(interval=2000)),
+]
+
+
+def roundtrip_specs(scheme, checkpoint):
+    """The spec on the flat-latency L2 and on the open-row DRAM L2."""
+    flat = quick_target_config(num_cores=4)
+    dram = dataclasses.replace(flat, l2=dataclasses.replace(flat.l2, dram=DramConfig()))
+    return [
+        RunSpec(
             benchmark="fft",
             scheme=scheme,
             scale=0.25,
@@ -142,13 +159,98 @@ class TestWireCodec:
             detection=True,
             seed=99,
             num_threads=4,
-            target=quick_target_config(num_cores=4),
+            target=target,
             host=paper_host_config(),
         )
-        wire = json.loads(json.dumps(spec_to_wire(spec)))
-        rebuilt = spec_from_wire(wire)
-        assert rebuilt == spec
-        assert spec_key(rebuilt) == spec_key(spec)
+        for target in (flat, dram)
+    ]
+
+
+def wire_tags(doc):
+    """Every ``__type__`` tag in a wire document."""
+    if isinstance(doc, dict):
+        return {doc.get("__type__")} | {t for v in doc.values() for t in wire_tags(v)}
+    if isinstance(doc, list):
+        return {t for v in doc for t in wire_tags(v)}
+    return set()
+
+
+class TestWireCodec:
+    @pytest.mark.parametrize("scheme,checkpoint", ROUNDTRIPS)
+    def test_roundtrip_exact(self, scheme, checkpoint):
+        for spec in roundtrip_specs(scheme, checkpoint):
+            wire = json.loads(json.dumps(spec_to_wire(spec)))
+            rebuilt = spec_from_wire(wire)
+            assert rebuilt == spec
+            assert spec_key(rebuilt) == spec_key(spec)
+
+    def test_the_round_trips_reach_every_config_class(self):
+        """An unregistered class would fail to encode above; this pins
+        that the cases cover the whole decode allowlist."""
+        seen = set()
+        for scheme, checkpoint in ROUNDTRIPS:
+            for spec in roundtrip_specs(scheme, checkpoint):
+                seen |= wire_tags(spec_to_wire(spec))
+        assert seen - {None} == set(CONFIG_CLASSES)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_CLASSES))
+    def test_every_config_class_roundtrips_from_its_defaults(self, name):
+        value = CONFIG_CLASSES[name]()
+        wire = json.loads(json.dumps(_encode_value(value)))
+        assert list(wire) == ["__type__", *field_names(type(value))]
+        assert _decode_value(wire) == value
+
+    def test_spec_fields_are_runspec_fields_in_order(self):
+        assert [n for n, _, _ in _SPEC_FIELDS] == list(field_names(RunSpec))
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(
+                lambda wire: wire["scheme"].update(boundd=16),
+                ("SlackConfig", "'boundd'"),
+                id="misspelled-scheme-field",
+            ),
+            pytest.param(
+                lambda wire: wire["host"]["cost"].update(
+                    core_cycle_nss=wire["host"]["cost"].pop("core_cycle_ns")
+                ),
+                ("HostCostModel", "'core_cycle_nss'"),
+                id="misspelled-nested-field",
+            ),
+            pytest.param(
+                lambda wire: wire["scheme"].pop("bound"),
+                ("SlackConfig", "'bound'"),
+                id="missing-bound",
+            ),
+            pytest.param(
+                lambda wire: wire.update(seeed=7), ("spec", "'seeed'"), id="extra-spec-key"
+            ),
+            pytest.param(
+                lambda wire: wire["scheme"].update(bound=-3),
+                ("SlackConfig", "-3"),
+                id="negative-bound",
+            ),
+            pytest.param(lambda wire: wire.update(num_threads=0), ("num_threads",), id="threads-0"),
+            pytest.param(lambda wire: wire.update(num_threads=-2), ("num_threads",), id="threads--2"),
+            pytest.param(lambda wire: wire.update(scale=float("nan")), ("scale",), id="scale-nan"),
+            pytest.param(lambda wire: wire.update(scale=float("inf")), ("scale",), id="scale-inf"),
+            pytest.param(lambda wire: wire.update(scale=0.0), ("scale",), id="scale-0"),
+            pytest.param(lambda wire: wire.update(scale=-1.0), ("scale",), id="scale--1"),
+            pytest.param(lambda wire: wire.update(scale=10**400), ("spec",), id="scale-overflow"),
+        ],
+    )
+    def test_a_spec_that_is_not_exactly_a_runspec_is_rejected(self, edit, named):
+        """Each of these used to be admitted — a misspelled key dropped, a
+        missing one defaulted (no ``bound`` is CC), NaN journaled to fail
+        only when run — or to escape as a bare ConfigError the daemon
+        answered INTERNAL.  Now each is BAD_REQUEST naming what is wrong."""
+        wire = spec_to_wire(tiny_spec())
+        edit(wire)
+        with pytest.raises(ServiceError) as excinfo:
+            spec_from_wire(json.loads(json.dumps(wire)))
+        assert excinfo.value.code == ERR_BAD_REQUEST
+        assert all(name in excinfo.value.message for name in named), excinfo.value
 
     def test_missing_field_rejected(self):
         wire = spec_to_wire(tiny_spec())
@@ -395,6 +497,20 @@ class TestServiceEndToEnd:
         assert client._roundtrip({"v": 1, "op": "submit", "spec": {"benchmark": 3}})[
             "error"
         ]["code"] == ERR_BAD_REQUEST
+
+    def test_out_of_range_submit_is_bad_request_and_never_journaled(self, client):
+        for edit in (
+            lambda wire: wire.update(num_threads=0),
+            lambda wire: wire.update(scale=float("nan")),
+            lambda wire: wire["scheme"].update(bound=-3),
+        ):
+            wire = spec_to_wire(tiny_spec())
+            edit(wire)
+            response = client._roundtrip(
+                {"v": PROTOCOL_VERSION, "op": "submit", "spec": wire}
+            )
+            assert response["error"]["code"] == ERR_BAD_REQUEST, response
+        assert client.jobs() == []
 
     def test_health_document(self, client):
         health = client.health()
