@@ -5,7 +5,7 @@ simulation and unavoidably disturbs the execution of SlackSim".  Shape:
 detection costs a measurable but small fraction of simulation time.
 """
 
-from repro.harness import ablation_detection
+from repro.harness.experiments import ablation_detection
 
 
 def test_ablation_detection(benchmark, runner):

@@ -8,7 +8,7 @@ load balancing (the default) the burden is spread and the error stays in
 the paper's single-digit regime.
 """
 
-from repro.harness import ablation_manager_placement
+from repro.harness.experiments import ablation_manager_placement
 
 
 def test_ablation_manager_placement(benchmark):

@@ -6,7 +6,7 @@ speculation viable.  Shape: map-only tracking rolls back no more often
 than tracking everything, and is never slower.
 """
 
-from repro.harness import ablation_tracked
+from repro.harness.experiments import ablation_tracked
 
 
 def test_ablation_tracked(benchmark, runner):

@@ -6,7 +6,7 @@ quantum baseline is violation-free but slower to adapt (barrier costs),
 and both beat cycle-by-cycle.
 """
 
-from repro.harness import adaptive_quantum_comparison
+from repro.harness.experiments import adaptive_quantum_comparison
 
 
 def test_adaptive_quantum(benchmark, runner):

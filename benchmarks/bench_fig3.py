@@ -10,7 +10,7 @@ benchmarks and checks the paper's reported shape:
 
 from conftest import full_grids
 
-from repro.harness import figure3
+from repro.harness.experiments import figure3
 from repro.harness.export import ascii_scatter, figure_series
 
 QUICK_BOUNDS = (1, 4, 16, 60, 250, 1000)

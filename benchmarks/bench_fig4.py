@@ -12,7 +12,7 @@ plus bounded slack S1..S9) — and the paper's reported shape:
 
 from conftest import full_grids
 
-from repro.harness import figure4
+from repro.harness.experiments import figure4
 from repro.harness.experiments import FIGURE4_TARGETS
 from repro.harness.export import ascii_scatter, figure_series
 

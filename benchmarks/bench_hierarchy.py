@@ -9,7 +9,7 @@ consistent with the paper's note that the manager's average work is much
 less than each core thread's.
 """
 
-from repro.harness import hierarchy
+from repro.harness.experiments import hierarchy
 
 
 def test_hierarchy(benchmark):

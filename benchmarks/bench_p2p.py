@@ -5,7 +5,7 @@ plan to explore further".  Shape checks: P2P lands in the slack family —
 faster than cycle-by-cycle, accuracy comparable to bounded slack.
 """
 
-from repro.harness import p2p_comparison
+from repro.harness.experiments import p2p_comparison
 
 
 def test_p2p(benchmark, runner):

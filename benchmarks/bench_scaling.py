@@ -11,7 +11,7 @@ multiplexed onto the same 8-context host:
 
 from conftest import full_grids
 
-from repro.harness import scaling
+from repro.harness.experiments import scaling
 
 
 def test_scaling(benchmark):

@@ -11,7 +11,7 @@ rollback, cycle-by-cycle replay).  Shape checks:
   (it omits rollback cost and assumes steady-state F/D_r).
 """
 
-from repro.harness import speculative_full
+from repro.harness.experiments import speculative_full
 
 
 def test_speculative_full(benchmark, runner):

@@ -1,6 +1,6 @@
 """Table 1: the benchmark roster and scaled input sets."""
 
-from repro.harness import table1
+from repro.harness.experiments import table1
 
 
 def test_table1(benchmark):

@@ -8,7 +8,7 @@ Checks the paper's reported shape:
 - 50K/100K intervals land near the plain adaptive time.
 """
 
-from repro.harness import table2
+from repro.harness.experiments import table2
 from repro.harness.experiments import INTERVALS
 
 

@@ -4,7 +4,7 @@ Shape: F grows with the checkpoint interval for every benchmark, and
 benchmarks differ according to how clustered their violations are.
 """
 
-from repro.harness import table3
+from repro.harness.experiments import table3
 
 
 def test_table3(benchmark, runner):

@@ -4,7 +4,7 @@ Shape: the rollback distance D_r is a sizable fraction of the interval
 (so a rollback wastes real work), and it does not exceed the interval.
 """
 
-from repro.harness import table4
+from repro.harness.experiments import table4
 from repro.harness.experiments import INTERVALS
 
 

@@ -5,7 +5,7 @@ cycle-by-cycle for every benchmark at both long intervals — speculation
 does not pay unless violations become much rarer.
 """
 
-from repro.harness import table5
+from repro.harness.experiments import table5
 
 
 def test_table5(benchmark, runner):

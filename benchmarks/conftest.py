@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.harness import ExperimentRunner
+from repro.harness.runner import ExperimentRunner
 
 
 def full_grids() -> bool:

@@ -17,11 +17,12 @@ Usage::
 import pathlib
 import sys
 
-from repro import Simulation, SlackConfig, TelemetrySession
-from repro.harness import ExperimentRunner, figure3
+from repro import Simulation, SlackConfig
+from repro.harness.experiments import figure3
 from repro.harness.export import ascii_scatter, figure_series, to_csv, to_json
+from repro.harness.runner import ExperimentRunner
 from repro.isa.trace import record_workload, trace_workload
-from repro.telemetry import summarize_trace
+from repro.telemetry import TelemetrySession, summarize_trace
 from repro.util import SplitMix64
 from repro.workloads import make_workload
 

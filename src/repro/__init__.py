@@ -49,7 +49,6 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.telemetry import TelemetrySession
 from repro.workloads import make_workload, paper_benchmarks
 
 __version__ = "1.0.0"
@@ -82,8 +81,6 @@ __all__ = [
     # Analytical model
     "speculative_time",
     "SpeculativeModelInputs",
-    # Observability
-    "TelemetrySession",
     # Errors
     "ReproError",
     "ConfigError",

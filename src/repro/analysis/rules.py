@@ -527,7 +527,10 @@ class CoreImportRule(Rule):
         "Only module-level imports are flagged: a function-local import in\n"
         "a cold path (report serialization, an error formatter) is the\n"
         "sanctioned lazy-import escape hatch — it costs nothing at kernel\n"
-        "import time and cannot leak into the deep-copied state."
+        "import time and cannot leak into the deep-copied state.  The rule\n"
+        "reads only repro.core's own import statements; what a whole\n"
+        "kernel or job process loads (package __init__ files included) is\n"
+        "pinned as a module set by tests/test_import_closure.py."
     )
     fix_example = (
         "    # bad (inside repro/core/..., module level):\n"

@@ -73,10 +73,10 @@ from repro.config import (
 )
 from repro.core.simulation import Simulation
 from repro.errors import ConfigError, ReproError
-from repro.harness import ExperimentRunner
 from repro.harness import experiments as experiments_mod
 from repro.harness.export import to_csv, to_json
 from repro.harness.pool import execute_spec, new_sanitizer
+from repro.harness.runner import ExperimentRunner
 from repro.workloads import WORKLOADS, make_workload
 
 

@@ -24,7 +24,7 @@ a cut, diffing two runs) advances the same handle one cut at a time.
 from __future__ import annotations
 
 import gc
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import (
     CheckpointConfig,
@@ -41,15 +41,17 @@ from repro.core.report import IntervalSummary, SimulationReport
 from repro.core.scheduler import Scheduler
 from repro.core.schemes import make_policy
 from repro.core.schemes.adaptive import AdaptiveSlackPolicy
-from repro.core.speculative import CheckpointController
 from repro.core.state import CoreState, SimulationState
 from repro.core.violations import ViolationDetector
 from repro.cpu.core import CoreModel
 from repro.errors import ConfigError
 from repro.isa.program import ProgramInterpreter
 from repro.sync.primitives import SyncTimingConfig
-from repro.telemetry import TelemetrySession
 from repro.util import SplitMix64
+
+if TYPE_CHECKING:
+    from repro.core.speculative import CheckpointController
+    from repro.telemetry import TelemetrySession
 
 #: Default runaway-simulation guard, in target cycles.
 DEFAULT_MAX_TARGET_CYCLES = 20_000_000
@@ -139,6 +141,10 @@ class Simulation:
 
         self.controller: Optional[CheckpointController] = None
         if checkpoint is not None:
+            # Imported here, at set-up, so a run without checkpoints never
+            # loads the controller, the charging helpers or the COW layer.
+            from repro.core.speculative import CheckpointController
+
             self.controller = CheckpointController(
                 self, checkpoint, self.host.cost, speculate=speculate, tracked=tracked
             )

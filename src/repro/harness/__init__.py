@@ -5,54 +5,12 @@ figure of the paper's evaluation section on the reproduction's scaled-down
 workloads (see EXPERIMENTS.md for the scale mapping), returning structured
 rows and printing the same series the paper reports.  ``benchmarks/`` wraps
 these in pytest-benchmark targets.
+
+This package root re-exports nothing: import each name from the module
+that defines it (``repro.harness.cache`` for ``RunSpec`` / ``ReportCache``
+/ ``spec_key``, ``.pool`` for ``execute_spec`` / ``ParallelExecutor``,
+``.runner`` for ``ExperimentRunner``, ``.experiments`` for the paper
+drivers, ``.tables``, ``.bench``).  A kernel process that needs only
+``RunSpec`` then never loads the process pool or the fifteen drivers;
+``tests/test_import_closure.py`` pins that.
 """
-
-from repro.harness.bench import run_bench
-from repro.harness.cache import ReportCache, RunSpec, spec_key
-from repro.harness.pool import ParallelExecutor, WorkerCrashError, execute_spec
-from repro.harness.runner import ExperimentRunner
-from repro.harness.experiments import (
-    ablation_detection,
-    adaptive_quantum_comparison,
-    ablation_manager_placement,
-    ablation_tracked,
-    figure3,
-    figure4,
-    hierarchy,
-    p2p_comparison,
-    scaling,
-    speculative_full,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
-from repro.harness.tables import format_table
-
-__all__ = [
-    "ExperimentRunner",
-    "ParallelExecutor",
-    "ReportCache",
-    "RunSpec",
-    "WorkerCrashError",
-    "execute_spec",
-    "spec_key",
-    "run_bench",
-    "table1",
-    "figure3",
-    "figure4",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "speculative_full",
-    "p2p_comparison",
-    "scaling",
-    "hierarchy",
-    "adaptive_quantum_comparison",
-    "ablation_detection",
-    "ablation_manager_placement",
-    "ablation_tracked",
-    "format_table",
-]

@@ -21,6 +21,8 @@ The hard contract: telemetry (on, off, or disabled) never changes a
 report digest — probes observe, they never perturb.
 """
 
+from typing import Any
+
 from repro.telemetry.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -29,19 +31,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
     sum_counter_docs,
-)
-from repro.telemetry.sampler import SAMPLE_COLUMNS, Sampler
-from repro.telemetry.session import METRICS_SCHEMA, TelemetrySession
-from repro.telemetry.tracer import (
-    PID_HOST,
-    PID_TARGET,
-    TID_CONTROLLER,
-    TID_MANAGER,
-    TRACE_SCHEMA,
-    Tracer,
-    load_trace,
-    summarize_trace,
-    validate_chrome_trace,
 )
 
 __all__ = [
@@ -66,3 +55,32 @@ __all__ = [
     "validate_chrome_trace",
     "summarize_trace",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the sampler, session and tracer on first use (PEP 562).
+
+    The metrics names above are eager: the cache, the service and the
+    fabric use them at start.  Everything else is needed only by a run
+    that records, so a kernel process that never attaches a session never
+    imports them.
+    """
+    if name in ("Sampler", "SAMPLE_COLUMNS"):
+        from repro.telemetry import sampler as module
+    elif name in ("TelemetrySession", "METRICS_SCHEMA"):
+        from repro.telemetry import session as module
+    elif name in (
+        "Tracer",
+        "TRACE_SCHEMA",
+        "PID_TARGET",
+        "PID_HOST",
+        "TID_MANAGER",
+        "TID_CONTROLLER",
+        "load_trace",
+        "validate_chrome_trace",
+        "summarize_trace",
+    ):
+        from repro.telemetry import tracer as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

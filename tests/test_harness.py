@@ -5,14 +5,16 @@ import pytest
 
 from repro import HostConfig, SlackConfig
 from repro.config import quick_target_config
-from repro.harness import ExperimentRunner, format_table, table1
 from repro.harness.experiments import (
     INTERVAL_LABELS,
     INTERVALS,
     ablation_detection,
     figure3,
     p2p_comparison,
+    table1,
 )
+from repro.harness.runner import ExperimentRunner
+from repro.harness.tables import format_table
 
 
 @pytest.fixture

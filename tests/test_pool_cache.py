@@ -30,17 +30,17 @@ from repro.config import (
     SpeculativeConfig,
     quick_target_config,
 )
-from repro.harness import (
-    ExperimentRunner,
+from repro.harness.cache import CACHE_SCHEMA, ReportCache, fingerprint, semantics_tag, spec_key
+from repro.harness.pool import (
+    ExecutionTimeoutError,
     ParallelExecutor,
-    ReportCache,
     WorkerCrashError,
+    _pool_worker,
     execute_spec,
-    spec_key,
+    expected_cost,
+    resolve_jobs,
 )
-from repro.harness.pool import ExecutionTimeoutError
-from repro.harness.cache import CACHE_SCHEMA, fingerprint, semantics_tag
-from repro.harness.pool import _pool_worker, expected_cost, resolve_jobs
+from repro.harness.runner import ExperimentRunner
 from repro.telemetry import TelemetrySession
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -711,7 +711,8 @@ class TestWarmSlots:
         script.write_text(
             "import multiprocessing, os, signal\n"
             "from repro.config import SlackConfig, quick_target_config\n"
-            "from repro.harness import ExperimentRunner, ParallelExecutor\n"
+            "from repro.harness.pool import ParallelExecutor\n"
+            "from repro.harness.runner import ExperimentRunner\n"
             "if __name__ == '__main__':\n"
             "    runner = ExperimentRunner(target=quick_target_config(),\n"
             "                              num_threads=4, seed=7,\n"
