@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Dict, Optional
 
-from repro.util import XorShift64
+from repro.util import SplitMix64
 
 
 class ThreadState(IntEnum):
@@ -37,7 +37,7 @@ class HostThread:
         "queued",
     )
 
-    def __init__(self, runner, context: "HostContext", rng: XorShift64) -> None:
+    def __init__(self, runner, context: "HostContext", rng: SplitMix64) -> None:
         self.runner = runner
         self.state = ThreadState.READY
         self.ready_time = 0.0  # earliest modeled host time it may run

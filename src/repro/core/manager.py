@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from repro.config import TargetConfig
 from repro.core.events import InMsg, InMsgKind, OutMsg
 from repro.core.state import CoreState, SimulationState
-from repro.core.violations import ViolationDetector, ViolationRecord
+from repro.core.violations import _NO_VIOLATIONS, ViolationDetector, ViolationRecord
 from repro.cpu.core import RequestKind
 from repro.errors import SimulationError
 from repro.memory.bus import SnoopBus
@@ -56,6 +56,7 @@ class ServiceOutcome:
         "global_time",
         "idle",
         "maybe_wake",
+        "settled",
     )
 
     def __init__(
@@ -78,6 +79,20 @@ class ServiceOutcome:
         # thread waits on (no event delivered, pacing limits untouched),
         # letting the scheduler skip its wake scan.
         self.maybe_wake = maybe_wake
+        # False only when a conservative batch was requeued behind a
+        # sync grant: a repeat of the step could then serve it.  True
+        # means a repeat with no thread run in between is idle.
+        self.settled = True
+
+    def reset_idle(self) -> None:
+        """Describe a repeat of a settled step: nothing served, merged,
+        adjusted, observed or woken, at the same global time."""
+        self.events_served = 0
+        self.events_merged = 0
+        self.adjusted = False
+        self.violations = _NO_VIOLATIONS
+        self.idle = True
+        self.maybe_wake = False
 
 
 class ManagerState:
@@ -114,11 +129,11 @@ class ManagerState:
         self._grant_floor = -1
         self._serving_conservative = False
         self._batch_grant_min: Optional[int] = None
-        # Pacing-limit staleness: for uniform-window schemes the limits are
-        # a pure function of (global time, scheme window), so the per-core
-        # rewrite can be skipped when neither moved.  True forces the first
-        # service step to populate the limit bank.
-        self._limits_stale = True
+        # For uniform-window schemes every unfinished core's pacing limit
+        # is a pure function of (global time, window, window cap); the
+        # bank is rewritten only when that key moves.  None forces the
+        # first service step to populate it.
+        self._limits_key: Optional[Tuple[int, Optional[int], Optional[int]]] = None
         # Cache-to-cache supply latency (an owner's L1 answers a snoop in
         # about the time an L2 hit takes on this target).
         self.c2c_latency = target.l2.cache.hit_latency
@@ -153,6 +168,8 @@ class ManagerState:
         if conservative is None:
             conservative = scheme.conservative_service
 
+        outcome = self._outcome
+        outcome.settled = True  # _serve clears it when it requeues a batch
         merged = self._merge_outqs(sim, drain_cores)
         served = self._serve(sim, conservative)
 
@@ -175,23 +192,8 @@ class ManagerState:
                 self.detector, new_global, events_served=self.events_served
             )
 
-        # Uniform-window limits only move when the global time or the
-        # scheme's window does (control_tick is the sole window mutator on
-        # this path; the speculative throttle always comes with a
-        # force_window/window_cap override, which recomputes regardless).
-        limits_ran = (
-            advanced
-            or adjusted
-            or self._limits_stale
-            or force_window is not None
-            or window_cap is not None
-            or not scheme.uniform_window
-        )
-        if limits_ran:
-            self._update_max_locals(sim, force_window, window_cap)
-            self._limits_stale = False
+        limits_moved = self._update_max_locals(sim, force_window, window_cap)
 
-        outcome = self._outcome
         outcome.events_served = served
         outcome.events_merged = merged
         outcome.adjusted = adjusted
@@ -202,7 +204,7 @@ class ManagerState:
         # or on its pacing limit moving (only ``_update_max_locals`` writes
         # the limit bank); when neither happened this step, no wake
         # condition can have newly become true.
-        outcome.maybe_wake = served > 0 or limits_ran
+        outcome.maybe_wake = served > 0 or limits_moved
         san = self.sanitizer
         if san is not None and san.enabled:
             san.on_manager_step(
@@ -289,6 +291,7 @@ class ManagerState:
                 # events' timestamps.  Requeue them — the next service
                 # round sees the pending grant through service_horizon().
                 self.gq = servable[index:] + self.gq
+                self._outcome.settled = False
                 break
             self._serve_one(sim, msg)
             served += 1
@@ -430,37 +433,40 @@ class ManagerState:
         sim: SimulationState,
         force_window: Optional[int],
         window_cap: Optional[int],
-    ) -> None:
+    ) -> bool:
+        """Write every unfinished core's pacing limit; return False when
+        the limit bank provably did not move."""
         scheme = sim.scheme
         global_time = self.global_time
-        times = sim.local_times
         limits = sim.max_local_times
-        if force_window is None and window_cap is None:
-            if scheme.uniform_window:
-                # Hot path: every core shares one window-derived limit
-                # (exactly what the default max_local_for computes), written
-                # straight into the flat bank.
-                window = scheme.window()
-                limit = None if window is None else global_time + window
-                for idx, cs in enumerate(sim.cores):
-                    if not cs.model.finished:
-                        limits[idx] = limit
-                return
-            max_local_for = scheme.max_local_for
+        if scheme.uniform_window:
+            # Every core shares one limit (exactly what the default
+            # max_local_for derives), a pure function of this key.
+            window = scheme.window() if force_window is None else force_window
+            key = (global_time, window, window_cap)
+            if key == self._limits_key:
+                return False
+            self._limits_key = key
+            limit = None if window is None else global_time + window
+            if window_cap is not None:
+                limit = window_cap if limit is None else min(limit, window_cap)
             for idx, cs in enumerate(sim.cores):
                 if not cs.model.finished:
-                    limits[idx] = max_local_for(cs.core_id, times[idx], global_time)
-            return
+                    limits[idx] = limit
+            return True
+        times = sim.local_times
+        max_local_for = scheme.max_local_for
         for idx, cs in enumerate(sim.cores):
             if cs.model.finished:
                 continue
             if force_window is not None:
-                limit: Optional[int] = global_time + force_window
+                limit = global_time + force_window
             else:
-                limit = scheme.max_local_for(cs.core_id, times[idx], global_time)
+                limit = max_local_for(cs.core_id, times[idx], global_time)
             if window_cap is not None:
                 limit = window_cap if limit is None else min(limit, window_cap)
             limits[idx] = limit
+        return True
 
     def quiescent(self, sim: SimulationState) -> bool:
         """True when no requests are in flight toward the manager."""

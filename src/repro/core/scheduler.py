@@ -178,6 +178,19 @@ class Scheduler:
         idle_manager_steps = 0
         last_state = None
         models = cores = None
+        # Settled-poll replay (DESIGN.md section 5): a manager step with
+        # no other thread step since the previous manager step, whose
+        # service requeued nothing and whose controller hook took no
+        # action, is idle by construction.  It is applied as its known
+        # effect — the idle poll cost — instead of re-running service().
+        # An enabled telemetry session or sanitizer keeps the general
+        # path so its probes see every step; a resumed loop starts
+        # unsettled, so a cut never splits a replay chain.
+        seams_on = (telemetry is not None and telemetry.enabled) or (
+            sanitizer is not None and sanitizer.enabled
+        )
+        settled_cost = cost_cfg.manager_cycle_ns + self.host.manager_poll_ns
+        can_settle = settled = False
         # Termination can only newly hold after a core reports done (a
         # model finished) or a rollback swaps the root; ``check_done``
         # re-arms on exactly those events, sparing the finished-sweep on
@@ -194,6 +207,12 @@ class Scheduler:
                 cores = state.cores
                 models = state._models
                 check_done = True
+                scheme = state.scheme
+                can_settle = (
+                    scheme.uniform_window
+                    and not scheme.wants_core_clocks
+                    and not seams_on
+                )
             if check_done:
                 for model in models:
                     if not model.finished:
@@ -270,8 +289,12 @@ class Scheduler:
                     raise DeadlockError("no runnable simulation thread")
                 thread = manager_thread
 
-            result: StepResult = thread.runner.step(start)
-            cost = result.cost_ns
+            replay = settled and thread is manager_thread
+            if replay:
+                cost = settled_cost
+            else:
+                result: StepResult = thread.runner.step(start)
+                cost = result.cost_ns
             if jitter_frac > 0.0:
                 # Jitter draw with SplitMix64.next_float inlined (every
                 # HostThread rng is a SplitMix64 fork of the host seed;
@@ -297,28 +320,45 @@ class Scheduler:
 
             if thread is manager_thread:
                 stats.manager_steps += 1
-                outcome = result.outcome
-                if not outcome.idle:
-                    stats.manager_busy_ns += cost
-                stats.violations_observed += len(outcome.violations)
-                if telemetry is not None and telemetry.enabled:
-                    for violation in outcome.violations:
-                        telemetry.on_violation(violation)
-                    sampler = telemetry.sampler
-                    if sampler is not None:
-                        sampler.maybe_sample(self, outcome, context.clock)
-                if controller is not None:
-                    controller.after_manager_step(self, outcome, context.clock)
-                if outcome.maybe_wake or self._parked_dirty:
-                    self._parked_dirty = False
-                    self._wake_cores(context.clock)
-                idle_manager_steps = idle_manager_steps + 1 if outcome.idle else 0
-                if idle_manager_steps > _DEADLOCK_LIMIT:
-                    raise DeadlockError(self._deadlock_report())
-                if max_target_cycles is not None and outcome.global_time > max_target_cycles:
-                    raise DeadlockError(
-                        f"target execution exceeded {max_target_cycles} cycles "
-                        "(runaway simulation; check the workload's barriers)"
+                if replay:
+                    # Nothing to merge or serve, the same global time (so
+                    # control_tick is a no-op), no limit moved and no
+                    # thread parked: the hook and wake scan would do
+                    # nothing either.
+                    outcome.reset_idle()
+                    idle_manager_steps += 1
+                    if idle_manager_steps > _DEADLOCK_LIMIT:
+                        raise DeadlockError(self._deadlock_report())
+                else:
+                    outcome = result.outcome
+                    if not outcome.idle:
+                        stats.manager_busy_ns += cost
+                    stats.violations_observed += len(outcome.violations)
+                    if telemetry is not None and telemetry.enabled:
+                        for violation in outcome.violations:
+                            telemetry.on_violation(violation)
+                        sampler = telemetry.sampler
+                        if sampler is not None:
+                            sampler.maybe_sample(self, outcome, context.clock)
+                    acted = controller is not None and controller.after_manager_step(
+                        self, outcome, context.clock
+                    )
+                    if outcome.maybe_wake or self._parked_dirty:
+                        self._parked_dirty = False
+                        self._wake_cores(context.clock)
+                    idle_manager_steps = idle_manager_steps + 1 if outcome.idle else 0
+                    if idle_manager_steps > _DEADLOCK_LIMIT:
+                        raise DeadlockError(self._deadlock_report())
+                    if max_target_cycles is not None and outcome.global_time > max_target_cycles:
+                        raise DeadlockError(
+                            f"target execution exceeded {max_target_cycles} cycles "
+                            "(runaway simulation; check the workload's barriers)"
+                        )
+                    settled = (
+                        can_settle
+                        and outcome.settled
+                        and not acted
+                        and sim.state is state
                     )
                 if stop_when is not None and stop_when(outcome):
                     # Epoch cut: every loop invariant holds at the end of a
@@ -326,6 +366,7 @@ class Scheduler:
                     # so breaking here leaves the scheduler resumable.
                     break
             elif thread.pos < num_cores:  # core runner
+                settled = False
                 stats.core_steps += 1
                 if sanitizer is not None and sanitizer.enabled:
                     # Re-fetch through sim.state: a rollback swaps the root.
@@ -349,6 +390,7 @@ class Scheduler:
                     heappush(heap, (end, end, thread.pos, thread))
                     thread.queued = True
             else:  # sub-manager
+                settled = False
                 stats.submanager_busy_ns += cost
                 if not thread.queued:
                     heappush(heap, (end, end, thread.pos, thread))
@@ -440,8 +482,8 @@ class Scheduler:
             return
         wake_at = manager_end + self.host.cost.wake_latency_ns
         cores = self.sim.state.cores
+        heap = self._heap
         done = ThreadState.DONE
-        ready = ThreadState.READY
         still_parked: List[HostThread] = []
         for thread in parked:
             # Only core runners are ever parked, and core threads occupy
@@ -454,8 +496,10 @@ class Scheduler:
                     still_parked.append(thread)
                     continue
             else:
-                # _core_runnable inlined: this loop runs for every parked
-                # thread after every manager step.
+                # Runnable when its model finished (the runner reports done
+                # and retires); when sync-blocked, once its InQ holds an
+                # entry; otherwise when an InQ entry is due or its clock is
+                # below its pacing limit.
                 model = cs.model
                 if not model.finished:
                     inq = cs.inq
@@ -472,42 +516,36 @@ class Scheduler:
                                 still_parked.append(thread)
                                 continue
                 self.stats.wakeups += 1
-            thread.state = ready
-            if thread.ready_time < wake_at:
-                thread.ready_time = wake_at
-            self._enqueue(thread)
+            thread.state = _READY
+            ready = thread.ready_time
+            if ready < wake_at:
+                thread.ready_time = ready = wake_at
+            if not thread.queued:
+                # _enqueue inlined
+                dispatch = thread.context.clock
+                if ready > dispatch:
+                    dispatch = ready
+                heappush(heap, (dispatch, ready, thread.pos, thread))
+                thread.queued = True
         self._parked = still_parked
-
-    @staticmethod
-    def _core_runnable(cs) -> bool:
-        """True when a core thread can make progress right now."""
-        model = cs.model
-        if model.finished:
-            return True  # let its runner report done and retire
-        inq = cs.inq
-        if model.waiting_sync:
-            return bool(inq)  # descheduled until something is delivered
-        idx = cs._idx
-        local = cs._times[idx]
-        if inq and inq[0].ts <= local:
-            return True
-        max_local = cs._limits[idx]
-        return max_local is None or local < max_local
 
     def wake_all(self, at_time: float) -> None:
         """Used by the speculative controller after checkpoint/rollback."""
         parked: List[HostThread] = []
+        cores = self.sim.state.cores
+        num_cores = len(cores)
         for thread in self.threads:
-            if thread is self.manager_thread:
-                thread.ready_time = max(thread.ready_time, at_time)
-                continue
-            cs = self.sim.state.cores[thread.runner.index]
-            thread.state = ThreadState.DONE if cs.finished else ThreadState.READY
             thread.ready_time = max(thread.ready_time, at_time)
-            if thread.state == ThreadState.READY:
-                self._enqueue(thread)
-            else:
+            if thread is self.manager_thread:
+                continue
+            # Core threads occupy positions [0, num_cores); sub-managers,
+            # like the manager, are always ready.
+            if thread.pos < num_cores and cores[thread.pos].finished:
+                thread.state = ThreadState.DONE
                 parked.append(thread)
+            else:
+                thread.state = ThreadState.READY
+                self._enqueue(thread)
         self._parked = parked
         self._parked_dirty = True
 

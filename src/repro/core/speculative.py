@@ -85,21 +85,25 @@ class CheckpointController:
 
     def after_manager_step(
         self, scheduler, outcome: ServiceOutcome, host_end: float
-    ) -> None:
-        """React to violations and boundary arrivals."""
-        for violation in outcome.violations:
-            self._note_violation(violation)
-
-        if self.speculate and not self.replaying:
-            if any(v.vtype in self.tracked for v in outcome.violations):
-                self._rollback(scheduler, outcome, host_end)
-                return
+    ) -> bool:
+        """React to violations and boundary arrivals; return True when a
+        rollback or a checkpoint was taken."""
+        violations = outcome.violations
+        if violations:
+            for violation in violations:
+                self._note_violation(violation)
+            if self.speculate and not self.replaying:
+                if any(v.vtype in self.tracked for v in violations):
+                    self._rollback(scheduler, outcome, host_end)
+                    return True
 
         state = self.sim.state
         if state.all_finished:
-            return
+            return False
         if self._parked(state) and state.manager.quiescent(state):
             self._checkpoint(scheduler, self.next_boundary)
+            return True
+        return False
 
     def finalize(self) -> List[IntervalRecord]:
         """Close the trailing partial interval and return all records."""

@@ -156,12 +156,18 @@ class SimulationState:
         ``ManagerState._grant_floor``), so no smaller-stamped event can
         ever emerge from it.  Excluding frozen cores is what lets the
         horizon advance past a barrier wait instead of deadlocking.
+        An event still in a core's OutQ (posted, but not yet forwarded
+        to the GQ by a hierarchical mode's sub-manager) bounds it too.
         Returns None (unbounded) when no core constrains the horizon.
         """
         times = self.local_times
         horizon: Optional[int] = None
         grant = InMsgKind.SYNC_GRANT
         for idx, cs in enumerate(self.cores):
+            if cs.outq:
+                for msg in cs.outq:
+                    if horizon is None or msg.ts < horizon:
+                        horizon = msg.ts
             model = cs.model
             if model.finished:
                 continue

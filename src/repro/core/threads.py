@@ -101,6 +101,20 @@ class CoreRunner:
         # Sanitizer (same seam contract; None in ordinary runs).
         self._san = getattr(sim, "sanitizer", None)
         self._sync_wait_start: Optional[int] = None
+        # Window-1 stall replay (DESIGN.md section 5): the last step's
+        # stall at its pacing limit, applied again as its known effect
+        # while its inputs provably repeat.  An enabled telemetry session
+        # or sanitizer keeps the general path so its probes see every
+        # cycle.
+        self._stall: Optional[tuple] = None
+        self._replayable = (self._tel is None or not self._tel.enabled) and (
+            self._san is None or not self._san.enabled
+        )
+        stall_ns = cost.stall_cycle_ns + cost.slack_check_ns
+        if stall_ns <= 0.0:
+            stall_ns = cost.slack_check_ns  # every step consumes host time
+        self._stall_ns = stall_ns
+        self._stall_barrier_ns = stall_ns + cost.barrier_ns
 
     @property
     def name(self) -> str:
@@ -110,6 +124,8 @@ class CoreRunner:
         return self.sim.state.cores[self.index]
 
     def step(self, host_now: float) -> StepResult:
+        if self._stall is not None and self._replay_stall():
+            return self._result
         # One root-identity check + one tuple unpack replaces the ~10
         # attribute chains the prologue used to pay on every call (with
         # max_batch_cycles=8 this runs roughly once per simulated cycle).
@@ -358,9 +374,16 @@ class CoreRunner:
                 cost += stall_plus_slack_ns
 
             if committed == 0 and not emitted and not model.finished:
-                # The pipeline can only resume after an InQ delivery;
-                # fast-forward stall cycles in bulk (charged per cycle).
-                cost += self._skip_stalls(cs)
+                # The pipeline can only resume after an InQ delivery.
+                if local + 1 != max_local:
+                    # Fast-forward stall cycles in bulk (charged per cycle).
+                    cost += self._skip_stalls(cs)
+                elif fast_pipeline and self._replayable:
+                    # Stalled into the pacing limit (no cycles to skip).
+                    self._record_stall(
+                        binds[0], model, inq, times, limits, cidx,
+                        window_size, access_line, line_bits, page_shift,
+                    )
                 break
 
         if cost <= 0.0:
@@ -390,6 +413,80 @@ class CoreRunner:
         result.blocked = blocked
         result.done = False
         return result
+
+    def _record_stall(
+        self, state, model, inq, times, limits, cidx,
+        window_size, access_line, line_bits, page_shift,
+    ) -> None:
+        """Record a stall cycle that ended this step at the pacing limit.
+
+        With nothing committed or emitted, the fast pipeline broke either
+        on the reorder-window check (still true now: the pending loads
+        and issue sequence are unchanged since) or on an L1 BLOCKED /
+        MSHR_FULL for the current load/store.  Either way the model,
+        L1 and MSHR state that decided the stall change only through an
+        InQ delivery, so the next cycle stalls identically unless one is
+        due.
+        """
+        pending = model._pending_loads
+        if pending and model._issue_seq - pending[0][0] >= window_size:
+            self._stall = (state, model, inq, times, limits, cidx, None, 0, False, 0)
+            return
+        op = model._current_op
+        if op is None or (op.kind is not _LOAD and op.kind is not _STORE):
+            return  # a structural or end-of-program stall: not replayed
+        addr = op.arg1
+        self._stall = (
+            state, model, inq, times, limits, cidx,
+            access_line,
+            addr >> line_bits,
+            op.kind is _STORE,
+            addr >> page_shift,  # the page a store re-touches
+        )
+
+    def _replay_stall(self) -> bool:
+        """Apply the recorded stall cycle again if it provably repeats.
+
+        It does while the root is the same, no InQ entry is due at or
+        before the local time and the pacing limit is ``local + 1``: the
+        general path would then run exactly one cycle that stalls the
+        same way, find no stall cycles to skip and block at the limit.
+        The replay keeps every side effect of that cycle — cycle and
+        stall counts, the clock, and for an L1 stall the repeated access
+        (load/store counts, MSHR-full stalls, LRU clock, dirtied pages).
+        Returns False (dropping the record) otherwise.
+        """
+        (
+            state, model, inq, times, limits, cidx,
+            access_line, line_addr, is_store, page,
+        ) = self._stall
+        local = times[cidx]
+        if (
+            self.sim.state is not state
+            or limits[cidx] != local + 1
+            or (inq and inq[0].ts <= local)
+        ):
+            self._stall = None
+            return False
+        model.cycles += 1
+        model.stall_cycles += 1
+        if access_line is not None:
+            if is_store:
+                model.pages_touched.add(page)
+            access_line(line_addr, is_store, local)
+        times[cidx] = local + 1
+        result = self._result
+        if self._barrier_static:
+            result.cost_ns = self._stall_barrier_ns
+        else:
+            controller = self.sim.controller
+            if controller is not None and controller.replaying:
+                result.cost_ns = self._stall_barrier_ns
+            else:
+                result.cost_ns = self._stall_ns
+        result.blocked = True
+        result.done = False
+        return True
 
     def _drain_while_sync_blocked(self, cs: CoreState) -> float:
         """Apply all InQ entries while descheduled on a sync wait.

@@ -7,6 +7,8 @@ synthetic breach the sanitizer must catch, and with the adjacent legal
 behaviour it must accept.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -35,6 +37,27 @@ ALL_SCHEMES = [
         base=SlackConfig(bound=8), checkpoint=CheckpointConfig(interval=400)
     ),
 ]
+
+
+
+def _icache_target():
+    target = quick_target_config(num_cores=4)
+    return replace(target, core=replace(target.core, model_icache=True))
+
+
+#: Host and target variants the sanitized run (general path) is checked
+#: against the plain run (settled-poll and stall replays engaged) under:
+#: sub-managers behind checkpoints, an icache (which turns the fast
+#: pipeline and so the stall replay off), and one context (where every
+#: replayed step pays context switches).
+VARIANTS = {
+    "submanagers-checkpointed": dict(
+        host=HostConfig(num_contexts=4, num_submanagers=2),
+        checkpoint=CheckpointConfig(interval=200),
+    ),
+    "icache": dict(target=_icache_target()),
+    "one-context": dict(host=HostConfig(num_contexts=1)),
+}
 
 
 def workload(**kwargs):
@@ -139,6 +162,18 @@ class TestSchemesRunClean:
         checked = run(scheme, sanitizer=sanitizer)
         assert sanitizer.violations == []
         assert sanitizer.total_checks() > 0
+        assert checked.digest() == plain.digest()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+    def test_variant_clean_and_digest_invariant(self, scheme, variant):
+        kwargs = dict(VARIANTS[variant])
+        if isinstance(scheme, SpeculativeConfig):
+            kwargs.pop("checkpoint", None)  # it carries its own
+        plain = run(scheme, **kwargs)
+        sanitizer = SlackSanitizer()
+        checked = run(scheme, sanitizer=sanitizer, **kwargs)
+        assert sanitizer.violations == []
         assert checked.digest() == plain.digest()
 
     def test_speculative_exercises_rollback_digests(self):

@@ -1,15 +1,30 @@
-"""Tests for the host-model scheduler: determinism, contexts, pacing."""
+"""Tests for the host-model scheduler: determinism, contexts, pacing,
+and the exact work the settled-poll and stall replays save."""
 
 import pytest
 
-from repro import HostConfig, Simulation, SlackConfig
+from repro import (
+    AdaptiveConfig,
+    CheckpointConfig,
+    HostConfig,
+    Simulation,
+    SlackConfig,
+    SpeculativeConfig,
+)
+from repro.analysis import SlackSanitizer
 from repro.config import quick_target_config
+from repro.core.manager import ManagerState
 from repro.core.scheduler import Scheduler
+from repro.core.threads import CoreRunner
 from repro.errors import DeadlockError
+from repro.telemetry import TelemetrySession
 from repro.workloads import make_workload
 
 
-def make_sim(scheme=None, num_contexts=4, seed=1, workload=None, **host_kwargs):
+def make_sim(
+    scheme=None, num_contexts=4, seed=1, workload=None, checkpoint=None,
+    telemetry=None, sanitizer=None, **host_kwargs
+):
     workload = workload or make_workload(
         "synthetic", num_threads=4, steps=40, shared_lines=8, barrier_every=20
     )
@@ -18,7 +33,10 @@ def make_sim(scheme=None, num_contexts=4, seed=1, workload=None, **host_kwargs):
         scheme=scheme or SlackConfig(bound=2),
         target=quick_target_config(num_cores=4),
         host=HostConfig(num_contexts=num_contexts, **host_kwargs),
+        checkpoint=checkpoint,
         seed=seed,
+        telemetry=telemetry,
+        sanitizer=sanitizer,
     )
 
 
@@ -182,6 +200,21 @@ class TestHierarchicalManager:
         # Bounded slack on a shared workload still detects activity.
         assert hier.target_cycles > 0
 
+    @pytest.mark.parametrize("interval", [50, 100])
+    def test_checkpoints_with_submanagers(self, interval):
+        """A checkpoint's wake_all readies sub-managers like the manager.
+        It used to treat each as the core its group id names: behind a
+        finished core the sub-manager was parked as finished, and the
+        next wake scan indexed the cores past their end."""
+        report = make_sim(
+            workload=make_workload("synthetic", num_threads=4, steps=40),
+            scheme=SlackConfig(bound=8),
+            num_submanagers=2,
+            checkpoint=CheckpointConfig(interval=interval),
+        ).run()
+        assert report.checkpoints > 1
+        assert report.submanager_busy_s > 0
+
 
 class TestManagerMigration:
     def test_no_core_starves(self):
@@ -194,3 +227,77 @@ class TestManagerMigration:
         report = sim.run()
         cpis = [c for c in report.per_core_cpi if c > 0]
         assert max(cpis) / min(cpis) < 2.0
+
+
+class TestReplayedWork:
+    """Exact-count guard for the settled-poll and stall replays (DESIGN.md
+    section 5), a perf regression test without a stopwatch.
+
+    The modeled counts (``core_steps``, ``manager_steps``) are digest
+    inputs and never move; what the replays save shows as real
+    ``ManagerState.service`` calls and core steps applied as a replayed
+    stall cycle.  A disabled telemetry session or sanitizer must keep
+    both replays engaged; an enabled sanitizer takes the general path.
+    """
+
+    #: scheme, core_steps, manager_steps, service() calls, replayed stalls
+    CASES = {
+        "cc": (lambda: SlackConfig(bound=0), 4040, 3179, 1454, 3374),
+        "speculative": (
+            lambda: SpeculativeConfig(
+                base=AdaptiveConfig(target_rate=1e-3, adjust_period=50),
+                checkpoint=CheckpointConfig(interval=100),
+            ),
+            3950, 2867, 1398, 2618,
+        ),
+    }
+
+    def _run(self, monkeypatch, case, **seams):
+        counts = {"service": 0, "replayed": 0}
+        service = ManagerState.service
+        replay_stall = CoreRunner._replay_stall
+
+        def counted_service(self, *args, **kwargs):
+            counts["service"] += 1
+            return service(self, *args, **kwargs)
+
+        def counted_replay(self):
+            replayed = replay_stall(self)
+            counts["replayed"] += replayed
+            return replayed
+
+        monkeypatch.setattr(ManagerState, "service", counted_service)
+        monkeypatch.setattr(CoreRunner, "_replay_stall", counted_replay)
+        try:
+            report = make_sim(scheme=self.CASES[case][0](), **seams).run()
+        finally:
+            monkeypatch.undo()
+        return report, counts
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counts_are_pinned(self, monkeypatch, case):
+        _, core_steps, manager_steps, services, replayed = self.CASES[case]
+        report, counts = self._run(monkeypatch, case)
+        assert (report.core_steps, report.manager_steps) == (core_steps, manager_steps)
+        assert counts == {"service": services, "replayed": replayed}
+
+    @pytest.mark.parametrize("seam", ["telemetry", "sanitizer"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_disabled_seams_keep_both_replays(self, monkeypatch, case, seam):
+        plain, plain_counts = self._run(monkeypatch, case)
+        disabled = {
+            "telemetry": TelemetrySession.disabled,
+            "sanitizer": SlackSanitizer.disabled,
+        }[seam]()
+        report, counts = self._run(monkeypatch, case, **{seam: disabled})
+        assert counts == plain_counts
+        assert report.digest() == plain.digest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_enabled_sanitizer_takes_the_general_path(self, monkeypatch, case):
+        plain, _ = self._run(monkeypatch, case)
+        sanitizer = SlackSanitizer()
+        report, counts = self._run(monkeypatch, case, sanitizer=sanitizer)
+        assert counts == {"service": report.manager_steps, "replayed": 0}
+        assert sanitizer.violations == []
+        assert report.digest() == plain.digest()
