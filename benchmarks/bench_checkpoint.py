@@ -8,10 +8,10 @@ measures, at each checkpoint boundary, the host cost of
 - ``copy.deepcopy`` of the same state root — the historic checkpoint, and
 - ``restore_snapshot`` — materializing a fresh root from the capture.
 
-Boundaries are spaced ``interval`` scheduler picks apart (the kernel
-averages about one target cycle per pick at the default batch size, so a
-pick interval tracks the speculative scheme's cycle interval).  The
-first capture of a run syncs every page ever written and is reported
+Boundaries are spaced ``interval`` target cycles apart, the unit of the
+speculative scheme's checkpoint interval; each segment between them is
+the production scheduler loop (``Scheduler.run``) cut on global time.
+The first capture of a run syncs every page ever written and is reported
 separately; the steady-state mean covers the captures a speculative run
 actually repeats.  Prints one row per interval and exits non-zero when
 capture at the finest interval is not at least ``MIN_SPEEDUP`` times
@@ -40,7 +40,6 @@ from typing import List, Optional
 from repro import Simulation
 from repro.config import HostConfig, SlackConfig, paper_target_config
 from repro.core.checkpoint import restore_snapshot, take_snapshot
-from repro.core.hostmodel import ThreadState
 from repro.core.scheduler import Scheduler
 from repro.harness.hostinfo import host_fingerprint
 from repro.workloads import make_workload
@@ -50,8 +49,8 @@ def build_sim(cores: int) -> Simulation:
     """The speculative scheme's base (bounded slack) over a memory-heavy
     workload.
 
-    The bench drives the scheduler directly and takes checkpoints itself
-    at its own boundaries, so it runs the *base* scheme the speculative
+    The bench cuts the run itself and takes checkpoints at its own
+    boundaries, so it runs the *base* scheme the speculative
     controller wraps — the state being captured (caches, queues, clocks,
     interpreters) is identical, without the controller's own checkpoint
     protocol competing with the measurements.  Checkpoint cost matters
@@ -77,28 +76,12 @@ def build_sim(cores: int) -> Simulation:
     )
 
 
-def drive(scheduler: Scheduler, sim: Simulation, picks: int) -> bool:
-    """Advance the host ``picks`` scheduler iterations; True while running."""
-    for _ in range(picks):
-        if sim.state.all_finished:
-            return False
-        thread, start = scheduler._pick()
-        result = thread.runner.step(start)
-        thread.context.clock = start + result.cost_ns
-        thread.ready_time = thread.context.clock
-        if thread is scheduler.manager_thread:
-            scheduler._wake_cores(thread.context.clock)
-        elif result.done:
-            thread.state = ThreadState.DONE
-            scheduler._parked.append(thread)
-            scheduler._parked_dirty = True
-        elif result.blocked:
-            thread.state = ThreadState.BLOCKED
-            scheduler._parked.append(thread)
-            scheduler._parked_dirty = True
-        else:
-            scheduler._enqueue(thread)
-    return True
+def drive(sim: Simulation, cycles: int) -> bool:
+    """Run the production loop until global time has moved ``cycles``
+    target cycles; True while the workload is still running."""
+    target = sim.state.global_time() + cycles
+    Scheduler(sim, sim.host).run(stop_when=lambda outcome: outcome.global_time >= target)
+    return not sim.state.all_finished
 
 
 def bench_interval(interval: int, cores: int, max_checkpoints: int) -> dict:
@@ -109,11 +92,10 @@ def bench_interval(interval: int, cores: int, max_checkpoints: int) -> dict:
     the two operand-identical).
     """
     sim = build_sim(cores)
-    scheduler = Scheduler(sim, sim.host)
     # Warm the caches before the first boundary so both checkpoint flavors
     # see a realistically populated memory system (a cold capture flatters
     # the full copy: there is nothing to copy yet).
-    drive(scheduler, sim, 60_000)
+    drive(sim, 60_000)
     take_s: List[float] = []
     deep_s: List[float] = []
     pages: List[int] = []
@@ -121,7 +103,7 @@ def bench_interval(interval: int, cores: int, max_checkpoints: int) -> dict:
     snapshot = None
     running = True
     while running and len(take_s) < max_checkpoints:
-        running = drive(scheduler, sim, interval)
+        running = drive(sim, interval)
         state = sim.state
         t0 = time.perf_counter()
         clone = copy.deepcopy(state)

@@ -468,8 +468,8 @@ class TelemetrySeamRule(Rule):
         "`tel = self.telemetry` / `if tel is not None and tel.enabled:`.\n"
         "Calling through the raw attribute (`self.telemetry.on_x(...)`)\n"
         "skips the None/enabled guard — it crashes detached runs, and it\n"
-        "drags probe overhead into the disabled fast path the bench\n"
-        "telemetry guard bounds at 5%.  Importing telemetry submodule\n"
+        "drags probe overhead into the disabled fast path whose bytecode\n"
+        "budget tests/test_scheduler.py pins.  Importing telemetry submodule\n"
         "internals (tracer/metrics/sampler) into critical packages couples\n"
         "the engine to telemetry implementation details; only the package\n"
         "root (the NULL_REGISTRY-safe seam) is a legal import."

@@ -30,7 +30,8 @@ that the engine is *supposed* to maintain (sections 2-5):
 A sanitizer is attached like a telemetry session: the engine's probe
 seams hold a reference and guard every call on ``is not None`` (and the
 sanitizer's own ``enabled`` flag), so a run without one pays only the
-None check — bounded by the bench telemetry guard.  Like the telemetry
+None check and a disabled one that check plus the flag — an exact
+bytecode budget in ``tests/test_scheduler.py``.  Like the telemetry
 session, the sanitizer deep-copies as itself: checkpoints snapshot
 *around* it and its vector clocks survive rollbacks (which reset them
 explicitly via :meth:`on_rollback`).

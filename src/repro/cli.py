@@ -289,12 +289,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import run_bench, run_telemetry_guard
+    from repro.harness.bench import run_bench
     from repro.harness.pool import resolve_jobs
 
-    if args.telemetry_guard:
-        run_telemetry_guard(golden_file=args.golden)
-        return 0
     cases = None
     if args.cases:
         cases = [token.strip() for token in args.cases.split(",") if token.strip()]
@@ -871,10 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="re-record golden report digests")
     bench_parser.add_argument("--golden", default=None,
                               help="override the golden-digest file path")
-    bench_parser.add_argument("--telemetry-guard", action="store_true",
-                              help="instead of the matrix, bound the "
-                                   "disabled-telemetry overhead on the "
-                                   "reference case (digest-checked)")
     bench_parser.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
                               help="run the matrix on N worker processes "
                                    "(0 = all host CPUs); digests are checked "

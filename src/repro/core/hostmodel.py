@@ -42,7 +42,7 @@ class HostThread:
         self.state = ThreadState.READY
         self.ready_time = 0.0  # earliest modeled host time it may run
         self.context = context
-        self.rng = rng  # deterministic host-noise stream
+        self.rng = rng  # host-noise stream: one draw per step (Scheduler.run)
         self.steps = 0
         # Scheduler bookkeeping: deterministic tie-break rank (position in
         # the scheduler's thread list) and ready-heap membership flag.
@@ -53,43 +53,6 @@ class HostThread:
     def name(self) -> str:
         return self.runner.name
 
-    def jitter(self, jitter_frac: float) -> float:
-        """Multiplicative host-noise factor for one step's cost."""
-        if jitter_frac <= 0.0:
-            return 1.0
-        return 1.0 + jitter_frac * (2.0 * self.rng.next_float() - 1.0)
-
-
-class ThreadSet:
-    """Insertion-ordered set of threads with O(1) append/remove.
-
-    Manager migration moves the manager thread between contexts on every
-    scheduling decision; a plain list would pay an O(n) ``remove`` scan
-    each time.  Backed by a dict (insertion-ordered, O(1) membership
-    update) while keeping the small list-like API the scheduler and tests
-    use.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: Dict[HostThread, None] = {}
-
-    def append(self, thread: "HostThread") -> None:
-        self._items[thread] = None
-
-    def remove(self, thread: "HostThread") -> None:
-        del self._items[thread]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __contains__(self, thread) -> bool:
-        return thread in self._items
-
 
 class HostContext:
     """One modeled hardware thread context."""
@@ -99,7 +62,9 @@ class HostContext:
     def __init__(self, index: int) -> None:
         self.index = index
         self.clock = 0.0
-        self.threads = ThreadSet()
+        # Insertion-ordered set of the threads placed here (the manager
+        # migrates between contexts on most picks: O(1) membership update).
+        self.threads: Dict[HostThread, None] = {}
         self.last_thread: Optional[HostThread] = None
 
     @property

@@ -94,7 +94,7 @@ class Scheduler:
             runner = CoreRunner(index, sim, host)
             context = self.contexts[index % host.num_contexts]
             thread = HostThread(runner, context, seed_root.fork())
-            context.threads.append(thread)
+            context.threads[thread] = None
             self.threads.append(thread)
 
         # Hierarchical manager (optional): sub-managers each consolidate a
@@ -110,7 +110,7 @@ class Scheduler:
                 thread = HostThread(
                     SubManagerRunner(gid, sim, host, group), context, seed_root.fork()
                 )
-                context.threads.append(thread)
+                context.threads[thread] = None
                 self.threads.append(thread)
                 next_slot += 1
             direct_cores = []  # every core is covered by a sub-manager
@@ -121,7 +121,7 @@ class Scheduler:
             manager_context,
             seed_root.fork(),
         )
-        manager_context.threads.append(self.manager_thread)
+        manager_context.threads[self.manager_thread] = None
         self.threads.append(self.manager_thread)
 
         for pos, thread in enumerate(self.threads):
@@ -224,16 +224,23 @@ class Scheduler:
                     ):
                         break
 
-            # _pick() inlined (the method remains the single-step API for
-            # tests/controllers; keep the two in lockstep).  Inlining
-            # saves a call, the manager/heap attribute loads, and the
-            # tuple allocations for the manager-vs-top comparison on
-            # every scheduler iteration.
+            # Pick the READY thread with the earliest dispatch time,
+            # max(context clock, thread ready time); ties break by ready
+            # time (least-recently-run first, so threads sharing a context
+            # interleave fairly), then thread position.  The non-manager
+            # threads come from the heap, re-keyed lazily (stored keys are
+            # lower bounds, so a stale top is re-pushed with its exact key
+            # until the top validates); the manager is compared fresh.
             have_manager = manager_thread.state == _ready
             m_dispatch = 0.0
             m_ready = 0.0
             if have_manager:
                 if migrates:
+                    # The OS load-balances the odd thread out (9 simulation
+                    # threads on 8 contexts): the manager migrates to the
+                    # least-loaded context instead of starving one core
+                    # thread into a permanent laggard (manager_migrates=False
+                    # pins it — ablation A3).
                     target = self._migrate_min
                     if target is None:
                         target = contexts[0]
@@ -246,10 +253,8 @@ class Scheduler:
                         self._migrate_min = target
                     mctx = manager_thread.context
                     if target is not mctx:
-                        # ThreadSet.remove/append inlined (dict-backed);
-                        # the manager migrates on most picks.
-                        del mctx.threads._items[manager_thread]
-                        target.threads._items[manager_thread] = None
+                        del mctx.threads[manager_thread]
+                        target.threads[manager_thread] = None
                         manager_thread.context = target
                 m_ready = manager_thread.ready_time
                 m_dispatch = manager_thread.context.clock
@@ -307,7 +312,7 @@ class Scheduler:
                 u = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
                 cost *= 1.0 + jitter_frac * (2.0 * u - 1.0)
             context = thread.context
-            if context.last_thread is not thread and len(context.threads._items) > 1:
+            if context.last_thread is not thread and len(context.threads) > 1:
                 cost += context_switch_ns
             context.last_thread = thread
             end = start + cost
@@ -399,77 +404,6 @@ class Scheduler:
         return self.stats
 
     # ------------------------------------------------------------------ #
-
-    def _pick(self):
-        """Choose the READY thread with the earliest dispatch time.
-
-        Dispatch time is ``max(context clock, thread ready time)``; ties
-        break by ready time (least-recently-run first, so threads sharing
-        a context interleave fairly) then thread position, keeping runs
-        deterministic.  Selection is a heap pop with lazy re-keying —
-        stored keys are lower bounds, so a stale top is re-pushed with its
-        exact key until the top validates — plus a fresh comparison
-        against the (heap-excluded) manager.
-        """
-        manager = self.manager_thread
-        have_manager = manager.state == _READY
-        m_dispatch = 0.0
-        m_ready = 0.0
-        if have_manager:
-            if self._manager_migrates:
-                # The OS load-balances the odd thread out (9 simulation
-                # threads on 8 contexts): the manager migrates to the
-                # least-loaded context instead of starving one core thread
-                # into a permanent laggard.  (manager_migrates=False pins
-                # it — ablation A3.)
-                target = self._migrate_min
-                if target is None:
-                    # First-minimum scan over the context clocks (min() with
-                    # a key lambda costs a function call per context; this
-                    # loop is hit after nearly every manager advance).
-                    contexts = self.contexts
-                    target = contexts[0]
-                    best = target.clock
-                    for ctx in contexts:
-                        clock = ctx.clock
-                        if clock < best:
-                            best = clock
-                            target = ctx
-                    self._migrate_min = target
-                if target is not manager.context:
-                    manager.context.threads.remove(manager)
-                    target.threads.append(manager)
-                    manager.context = target
-            m_ready = manager.ready_time
-            m_dispatch = manager.context.clock
-            if m_ready > m_dispatch:
-                m_dispatch = m_ready
-
-        heap = self._heap
-        while heap:
-            dispatch, ready, pos, thread = heap[0]
-            if thread.state != _READY:
-                heappop(heap)
-                thread.queued = False
-                continue
-            cur_ready = thread.ready_time
-            cur_dispatch = thread.context.clock
-            if cur_ready > cur_dispatch:
-                cur_dispatch = cur_ready
-            if cur_dispatch != dispatch or cur_ready != ready:
-                heapreplace(heap, (cur_dispatch, cur_ready, pos, thread))
-                continue
-            # Validated minimum of the non-manager threads; the manager is
-            # last in thread order, so it wins only strictly.
-            if have_manager and (m_dispatch, m_ready) < (dispatch, ready):
-                return manager, m_dispatch
-            heappop(heap)
-            thread.queued = False
-            return thread, dispatch
-
-        if have_manager:
-            return manager, m_dispatch
-        raise DeadlockError("no runnable simulation thread")  # pragma: no cover
 
     def _wake_cores(self, manager_end: float) -> None:
         """Wake core threads whose blocking condition cleared.

@@ -331,11 +331,8 @@ class CoreRunner:
                         model._compute_rate = _ILP_RATE[op.arg2]
                         model._current_op = None
                         continue
-                    model._issue_seq = issue_seq  # _issue_op reads/advances
-                    ok = model._issue_op(op, local)
-                    issue_seq = model._issue_seq
-                    if not ok:
-                        break  # structural stall
+                    model._issue_op(op)
+                    issue_seq += 1
                     committed += 1
                     slots -= 1
                     if model.waiting_sync or model.finished:

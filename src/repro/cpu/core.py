@@ -195,8 +195,9 @@ class CoreModel:
             self.stall_cycles += 1
             return 0
         if self._icache is not None:
-            # _fetch_ready inlined (checked every cycle; almost always the
-            # resident-line fast path).
+            # Fetch stalls until the code line feeding the pipeline is
+            # resident; an L1I miss posts an IFETCH bus request and waits
+            # for complete_ifill.
             if self._ifetch_pending is not None:
                 self.ifetch_stall_cycles += 1
                 self.stall_cycles += 1
@@ -256,8 +257,9 @@ class CoreModel:
                     break
             kind = op.kind
             if kind is _LOAD or kind is _STORE:
-                # _issue_memory inlined: memory ops are ~half of all issued
-                # instructions, and they never finish or block the thread.
+                # Memory ops issue here, never through _issue_op: they are
+                # ~half of all issued instructions, and they never finish
+                # or block the thread.
                 addr = op.arg1
                 is_store = kind is _STORE
                 if is_store:
@@ -289,14 +291,8 @@ class CoreModel:
                 self._compute_rate = _ILP_RATE[op.arg2]
                 self._current_op = None
                 continue
-            self._issue_seq = issue_seq  # _issue_op reads/advances it
-            if not self._issue_op(op, now):
-                self._fetch_seq += committed
-                self.instructions += committed
-                if committed == 0:
-                    self.stall_cycles += 1
-                return committed  # structural stall
-            issue_seq = self._issue_seq
+            self._issue_op(op)
+            issue_seq += 1
             committed += 1
             slots -= 1
             if self.waiting_sync or self.finished:
@@ -309,96 +305,28 @@ class CoreModel:
             self.stall_cycles += 1
         return committed
 
-    def _fetch_ready(self) -> bool:
-        """True when the fetch line feeding the pipeline is resident.
+    def _issue_op(self, op: Op) -> None:
+        """Issue one synchronization or THREAD_END op; the caller counts it.
 
-        On an L1I miss, posts an IFETCH bus request and stalls fetch until
-        :meth:`complete_ifill` delivers the line.
+        Loads, stores and compute bursts issue inline in the pipelines
+        (:meth:`cycle` and the fused step in ``repro.core.threads``).
         """
-        if self._ifetch_pending is not None:
-            return False
-        line = (
-            self._code_base_line
-            + (self._fetch_seq // self._instrs_per_line) % self._code_lines
-        )
-        if line == self._fetch_line:
-            return True
-        if self._icache.find(line) is not None:
-            self._fetch_line = line
-            return True
-        self.outbox.append(CoreRequest(RequestKind.IFETCH, line_addr=line))
-        self._ifetch_pending = line
-        return False
-
-    def _fetch_op(self) -> Optional[Op]:
-        if self._current_op is None:
-            self._current_op = self.program.next_op()
-        return self._current_op
-
-    def _consume_op(self) -> None:
-        self._current_op = None
-
-    def _issue_op(self, op: Op, now: int) -> bool:
-        """Issue one non-compute op; return False to stop issuing."""
         kind = op.kind
-        if kind in (OpKind.LOAD, OpKind.STORE):
-            return self._issue_memory(op, now)
         if kind == OpKind.LOCK:
             self.outbox.append(CoreRequest(RequestKind.LOCK_ACQUIRE, sync_id=op.arg1))
             self.waiting_sync = True
-            self._issue_seq += 1
-            self._consume_op()
-            return True
-        if kind == OpKind.UNLOCK:
+        elif kind == OpKind.UNLOCK:
             self.outbox.append(CoreRequest(RequestKind.LOCK_RELEASE, sync_id=op.arg1))
-            self._issue_seq += 1
-            self._consume_op()
-            return True
-        if kind == OpKind.BARRIER:
+        elif kind == OpKind.BARRIER:
             self.outbox.append(
                 CoreRequest(RequestKind.BARRIER_ARRIVE, sync_id=op.arg1, participants=op.arg2)
             )
             self.waiting_sync = True
-            self._issue_seq += 1
-            self._consume_op()
-            return True
-        if kind == OpKind.THREAD_END:
+        elif kind == OpKind.THREAD_END:
             self.finished = True
-            self._issue_seq += 1
-            self._consume_op()
-            return True
-        raise SimulationError(f"core {self.core_id}: unknown op kind {kind}")
-
-    def _issue_memory(self, op: Op, now: int) -> bool:
-        addr = op.arg1
-        is_store = op.kind == _STORE
-        if is_store:
-            self.pages_touched.add(addr >> self._page_shift)
-        l1 = self.l1
-        line_addr = addr >> l1._line_bits
-        outcome = l1.access_line(line_addr, is_store, now)
-        if outcome is _HIT:
-            self._issue_seq += 1
-            self._current_op = None
-            return True
-        if outcome is _MISS or outcome is _MERGED:
-            if outcome is _MISS:
-                self.outbox.append(
-                    CoreRequest(RequestKind.BUS, line_addr=line_addr, bus_op=l1.last_bus_op)
-                )
-            if not is_store:
-                self._pending_loads.append((self._issue_seq, line_addr))
-            self._issue_seq += 1
-            self._current_op = None
-            return True
-        # BLOCKED or MSHR_FULL: leave the op in place and stall this cycle.
-        return False
-
-    def _window_full(self) -> bool:
-        if not self._pending_loads:
-            return False
-        oldest_seq = self._pending_loads[0][0]
-        return self._issue_seq - oldest_seq >= self.config.window_size
+        else:
+            raise SimulationError(f"core {self.core_id}: unknown op kind {kind}")
+        self._current_op = None
 
     def commit_burst(self, max_cycles: int) -> Tuple[int, int]:
         """Commit up to ``max_cycles`` full-rate compute-burst cycles at once.
@@ -436,7 +364,7 @@ class CoreModel:
         if self._icache is not None:
             # Fetch must stay inside the currently-resident code line for
             # every bulk cycle; crossing a line boundary goes through
-            # _fetch_ready (lookup side effects, possible IFETCH miss).
+            # cycle() (lookup side effects, possible IFETCH miss).
             if self._ifetch_pending is not None:
                 return 0, 0
             ipl = self._instrs_per_line
@@ -516,20 +444,6 @@ class CoreModel:
             pass
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def blocked(self) -> bool:
-        """True when no forward progress is possible without an InQ event.
-
-        Compute never blocks; only an unfilled window-full condition, an
-        MSHR conflict, or a pending sync grant can stall the core, and all
-        of those clear via InQ deliveries.
-        """
-        if self.finished:
-            return True
-        if self.waiting_sync:
-            return True
-        return False
 
     def cpi(self) -> float:
         """Cycles per committed instruction so far."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 from typing import Dict, List, Optional
 
@@ -30,8 +29,7 @@ from repro.config import (
     paper_target_config,
 )
 from repro.harness.cache import ReportCache, RunSpec, spec_key
-from repro.harness.pool import ParallelExecutor, execute_spec
-from repro.telemetry import TelemetrySession
+from repro.harness.pool import ParallelExecutor
 
 #: Scheme factories for the benchmark matrix.  Factories (not instances)
 #: because each run must get a fresh config-derived policy.
@@ -46,7 +44,7 @@ SCHEMES = {
 }
 
 #: The reference run (8-core fft, SlackConfig(bound=16), full scale): the
-#: full matrix's one full-scale cell and the case the overhead guard times.
+#: full matrix's one full-scale cell.
 REFERENCE_CASE = {"scheme": "bounded", "cores": 8, "scale": 1.0}
 
 
@@ -250,71 +248,3 @@ def run_bench(
             "--update-golden"
         )
     return records
-
-
-#: Default ceiling for disabled-telemetry overhead on the reference case.
-#: Override with ``REPRO_TELEMETRY_GUARD_THRESHOLD`` (a ratio, e.g. 1.08)
-#: when a CI host is too noisy for the default.
-TELEMETRY_GUARD_THRESHOLD = 1.05
-
-
-def run_telemetry_guard(golden_file: Optional[str] = None) -> None:
-    """Bound the cost of *disabled* telemetry and sanitizer seams.
-
-    Probe sites stay in the hot loop even when no session is attached, so
-    this guard times the reference run three ways — bare, with an
-    attached-but-disabled :class:`TelemetrySession`, and with an
-    attached-but-disabled slack sanitizer — taking the best of two walls
-    each to damp scheduler noise.  Every run is digest-checked against
-    the golden file; the guard fails (raises :class:`SystemExit`) on
-    digest drift, on a reference case the golden file does not hold, or
-    when either disabled/bare wall ratio exceeds the threshold (default
-    5%).
-    """
-    from repro.analysis.sanitizer import SlackSanitizer
-
-    threshold = float(
-        os.environ.get("REPRO_TELEMETRY_GUARD_THRESHOLD", TELEMETRY_GUARD_THRESHOLD)
-    )
-    case = BenchCase(**REFERENCE_CASE)
-    gpath = pathlib.Path(golden_file) if golden_file else golden_path()
-    expected = load_golden(gpath).get(case.case_id)
-    if expected is None:
-        raise SystemExit(
-            f"telemetry guard: no golden digest in {gpath} for {case.case_id}"
-        )
-
-    def best_wall(**seams) -> float:
-        walls = []
-        for _ in range(2):
-            report, wall_s = execute_spec(
-                case.spec(), **{seam: make() for seam, make in seams.items()}
-            )
-            if report.digest() != expected:
-                raise SystemExit(
-                    f"telemetry guard: digest drift on {case.case_id} with "
-                    f"{sorted(seams) or 'nothing'} attached "
-                    f"({report.digest()} != golden {expected})"
-                )
-            walls.append(wall_s)
-        return min(walls)
-
-    bare = best_wall()
-    disabled = {
-        "telemetry": best_wall(telemetry=TelemetrySession.disabled),
-        "sanitizer": best_wall(sanitizer=SlackSanitizer.disabled),
-    }
-    over = []
-    for seam, wall_s in disabled.items():
-        ratio = wall_s / bare
-        print(
-            f"  {seam} guard: bare {bare:.2f}s, disabled {wall_s:.2f}s, overhead "
-            f"{100.0 * (ratio - 1.0):+.1f}% (limit +{100.0 * (threshold - 1.0):.0f}%)"
-        )
-        if ratio > threshold:
-            over.append(f"disabled-{seam} overhead {ratio:.3f}x")
-    if over:
-        raise SystemExit(
-            f"telemetry guard: {', '.join(over)} exceeds {threshold:.3f}x "
-            f"on {case.case_id}"
-        )

@@ -15,8 +15,8 @@ The contract with the engine (see DESIGN.md "Telemetry probes"):
 - **Near-zero disabled cost.**  Every probe site guards on
   ``session is not None and session.enabled`` before calling anything
   here; a disabled session (``TelemetrySession.disabled()``) exercises
-  only that check, which is the fast path the bench telemetry guard
-  measures.
+  only that check, whose exact bytecode and call cost per modeled step
+  ``tests/test_scheduler.py::TestReplayedWork`` holds to a budget.
 - **Checkpoint-transparent.**  The session is reachable from deep-copied
   simulation state (manager, scheme policies, core models hold a
   reference), so ``__deepcopy__`` returns ``self``: snapshots share the

@@ -6,16 +6,14 @@ point, and the snapshot itself must stay pristine across multiple
 restores.
 """
 
-import copy
-
 import pytest
 
 from repro import CheckpointConfig, HostConfig, Simulation, SlackConfig
-from repro.config import AdaptiveConfig, HostCostModel, quick_target_config
+from repro.config import HostCostModel, quick_target_config
 from repro.core.checkpoint import checkpoint_cost_ns, restore_snapshot, take_snapshot
-from repro.core.scheduler import Scheduler
 from repro.errors import CheckpointError
 from repro.workloads import make_workload
+from tests.test_snapshot import run_segment
 
 
 def build_sim(**kwargs):
@@ -31,43 +29,21 @@ def build_sim(**kwargs):
     )
 
 
-def run_partial(sim, steps=400):
-    """Drive a scheduler a fixed number of picks, then stop."""
-    scheduler = Scheduler(sim, sim.host)
-    for _ in range(steps):
-        if sim.state.all_finished:
-            break
-        thread, start = scheduler._pick()
-        result = thread.runner.step(start)
-        thread.context.clock = start + result.cost_ns
-        thread.ready_time = thread.context.clock
-        if thread is scheduler.manager_thread:
-            scheduler._wake_cores(thread.context.clock)
-        else:
-            from repro.core.hostmodel import ThreadState
-
-            if result.done:
-                thread.state = ThreadState.DONE
-            elif result.blocked:
-                thread.state = ThreadState.BLOCKED
-    return scheduler
-
-
 class TestSnapshotBasics:
     def test_snapshot_freezes_state(self):
         sim = build_sim()
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
         before = sim.state.cores[0].local_time
         resident_before = sim.state.cores[0].model.l1.resident_lines()
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         restored = restore_snapshot(snap)
         assert restored.cores[0].local_time == before  # snapshot froze
         assert restored.cores[0].model.l1.resident_lines() == resident_before
 
     def test_restore_returns_fresh_copy(self):
         sim = build_sim()
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         snap = take_snapshot(sim.state, 0, 0.0)
         old_root = sim.state
         restored1 = restore_snapshot(snap)
@@ -77,9 +53,9 @@ class TestSnapshotBasics:
 
     def test_superseded_snapshot_refuses_restore(self):
         sim = build_sim()
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         stale = take_snapshot(sim.state, 0, 0.0)
-        run_partial(sim, 100)
+        run_segment(sim, 100)
         take_snapshot(sim.state, 1, 0.0)  # overwrites the COW shadows
         with pytest.raises(CheckpointError):
             restore_snapshot(stale)
@@ -102,7 +78,7 @@ class TestSnapshotBasics:
 
     def test_snapshot_counts_and_clears_pages(self):
         sim = build_sim()
-        run_partial(sim, 300)
+        run_segment(sim, 300)
         pages_before = sum(len(cs.model.pages_touched) for cs in sim.state.cores)
         assert pages_before > 0
         snap = take_snapshot(sim.state, 0, 0.0)

@@ -329,14 +329,6 @@ class TestParallelAndCacheFlags:
         assert main(argv) == 0
         assert "bench: 1/1 ok, 0 cached, 0 sanitized" in capsys.readouterr().out
 
-    def test_telemetry_guard_missing_golden_entry_fails(self, tmp_path):
-        nowhere = tmp_path / "no-such-golden.json"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--telemetry-guard", "--golden", str(nowhere)])
-        message = str(excinfo.value)
-        assert "fft-bounded-c8-s1" in message
-        assert str(nowhere) in message
-
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,7 +1,16 @@
 """Unit tests for the modeled host primitives."""
 
+import pytest
+
+from repro import HostConfig, Simulation, SlackConfig
+from repro.config import HostCostModel, quick_target_config
 from repro.core.hostmodel import HostContext, HostThread, ThreadState
+from repro.core.scheduler import Scheduler
 from repro.util import XorShift64
+from repro.workloads import make_workload
+
+#: SplitMix64's state increment (one per draw).
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 class _StubRunner:
@@ -11,7 +20,7 @@ class _StubRunner:
 def make_thread():
     context = HostContext(0)
     thread = HostThread(_StubRunner(), context, XorShift64(7))
-    context.threads.append(thread)
+    context.threads[thread] = None
     return context, thread
 
 
@@ -22,29 +31,38 @@ class TestHostThread:
         assert thread.ready_time == 0.0
         assert thread.name == "stub"
 
-    def test_jitter_zero_frac_is_identity(self):
-        _, thread = make_thread()
-        assert thread.jitter(0.0) == 1.0
-
-    def test_jitter_bounded_and_varied(self):
-        _, thread = make_thread()
-        samples = [thread.jitter(0.25) for _ in range(200)]
-        assert all(0.75 <= s <= 1.25 for s in samples)
-        assert len(set(samples)) > 100
-
-    def test_jitter_deterministic_per_seed(self):
-        ctx_a = HostContext(0)
-        a = HostThread(_StubRunner(), ctx_a, XorShift64(7))
-        ctx_b = HostContext(0)
-        b = HostThread(_StubRunner(), ctx_b, XorShift64(7))
-        assert [a.jitter(0.2) for _ in range(10)] == [b.jitter(0.2) for _ in range(10)]
+    @pytest.mark.parametrize("jitter_frac, draws_per_step", [(0.25, 1), (0.0, 0)])
+    def test_one_jitter_draw_per_modeled_step(self, jitter_frac, draws_per_step):
+        """The scheduler draws each step's host noise inline from the
+        thread's SplitMix64: exactly one draw per modeled step, replayed
+        manager polls and stall cycles included (this is the cc case of
+        ``tests/test_scheduler.py::TestReplayedWork``, which replays 3374
+        stall cycles and 1725 manager polls), and none without jitter."""
+        sim = Simulation(
+            make_workload(
+                "synthetic", num_threads=4, steps=40, shared_lines=8, barrier_every=20
+            ),
+            scheme=SlackConfig(bound=0),
+            target=quick_target_config(num_cores=4),
+            host=HostConfig(num_contexts=4, cost=HostCostModel(jitter_frac=jitter_frac)),
+            seed=1,
+        )
+        scheduler = Scheduler(sim, sim.host)
+        before = [thread.rng.state for thread in scheduler.threads]
+        stats = scheduler.run()
+        assert sum(thread.steps for thread in scheduler.threads) == (
+            stats.manager_steps + stats.core_steps
+        )
+        for thread, state in zip(scheduler.threads, before):
+            draws = thread.steps * draws_per_step
+            assert thread.rng.state == (state + draws * _GOLDEN_GAMMA) % 2**64
 
 
 class TestHostContext:
     def test_shared_flag(self):
         context, thread = make_thread()
         assert not context.shared
-        context.threads.append(HostThread(_StubRunner(), context, XorShift64(9)))
+        context.threads[HostThread(_StubRunner(), context, XorShift64(9))] = None
         assert context.shared
 
     def test_clock_starts_at_zero(self):

@@ -1,5 +1,9 @@
 """Tests for the host-model scheduler: determinism, contexts, pacing,
-and the exact work the settled-poll and stall replays save."""
+the exact work the settled-poll and stall replays save, and the exact
+cost of a disabled probe seam."""
+
+import gc
+import sys
 
 import pytest
 
@@ -38,6 +42,40 @@ def make_sim(
         telemetry=telemetry,
         sanitizer=sanitizer,
     )
+
+
+def traced_run(sim):
+    """Run ``sim`` under ``sys.settrace``; return the report, the Python
+    calls made and the bytecodes executed.
+
+    The collector is emptied first and kept off throughout, so no
+    finalizer of an earlier test's garbage runs inside the count.
+    """
+    counts = [0, 0]
+
+    def on_event(frame, event, arg):
+        if event == "opcode":
+            counts[1] += 1
+        return on_event
+
+    def on_call(frame, event, arg):
+        counts[0] += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return on_event
+
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        report = sim.run()
+    finally:
+        sys.settrace(previous)
+        if gc_was_enabled:
+            gc.enable()
+    return report, counts[0], counts[1]
 
 
 class TestDeterminism:
@@ -237,7 +275,8 @@ class TestReplayedWork:
     inputs and never move; what the replays save shows as real
     ``ManagerState.service`` calls and core steps applied as a replayed
     stall cycle.  A disabled telemetry session or sanitizer must keep
-    both replays engaged; an enabled sanitizer takes the general path.
+    both replays engaged and stay inside the bytecode budget below; an
+    enabled sanitizer takes the general path.
     """
 
     #: scheme, core_steps, manager_steps, service() calls, replayed stalls
@@ -251,6 +290,23 @@ class TestReplayedWork:
             3950, 2867, 1398, 2618,
         ),
     }
+
+    #: "Free when off", exactly: what attaching a *disabled* seam may add
+    #: to the bare run, in bytecodes per modeled step and Python calls per
+    #: checkpoint.  Measured on CPython 3.11: cc +1.59 (telemetry) and
+    #: +2.34 (sanitizer) bytecodes per step and no call; speculative
+    #: +2.92 and +2.67 bytecodes per step and +140 and +60 calls over its
+    #: 12 checkpoints (the snapshot deep-copies reach the shared seam).
+    BYTECODES_PER_STEP = 4.0
+    CALLS_PER_CHECKPOINT = 16
+
+    #: An attached-but-disabled instance of each probe seam.
+    DISABLED = {
+        "telemetry": TelemetrySession.disabled,
+        "sanitizer": SlackSanitizer.disabled,
+    }
+
+    _bare_traces: dict = {}
 
     def _run(self, monkeypatch, case, **seams):
         counts = {"service": 0, "replayed": 0}
@@ -281,14 +337,11 @@ class TestReplayedWork:
         assert (report.core_steps, report.manager_steps) == (core_steps, manager_steps)
         assert counts == {"service": services, "replayed": replayed}
 
-    @pytest.mark.parametrize("seam", ["telemetry", "sanitizer"])
+    @pytest.mark.parametrize("seam", sorted(DISABLED))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_disabled_seams_keep_both_replays(self, monkeypatch, case, seam):
         plain, plain_counts = self._run(monkeypatch, case)
-        disabled = {
-            "telemetry": TelemetrySession.disabled,
-            "sanitizer": SlackSanitizer.disabled,
-        }[seam]()
+        disabled = self.DISABLED[seam]()
         report, counts = self._run(monkeypatch, case, **{seam: disabled})
         assert counts == plain_counts
         assert report.digest() == plain.digest()
@@ -301,3 +354,21 @@ class TestReplayedWork:
         assert counts == {"service": report.manager_steps, "replayed": 0}
         assert sanitizer.violations == []
         assert report.digest() == plain.digest()
+
+    @pytest.mark.parametrize("seam", sorted(DISABLED))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_disabled_seams_stay_within_the_bytecode_budget(self, case, seam):
+        make_scheme = self.CASES[case][0]
+        bare = self._bare_traces.get(case)
+        if bare is None:
+            bare = self._bare_traces[case] = traced_run(make_sim(scheme=make_scheme()))
+        disabled = self.DISABLED[seam]()
+        report, calls, bytecodes = traced_run(
+            make_sim(scheme=make_scheme(), **{seam: disabled})
+        )
+        plain, plain_calls, plain_bytecodes = bare
+        assert report.digest() == plain.digest()
+        steps = report.core_steps + report.manager_steps
+        extra = (bytecodes - plain_bytecodes) / steps
+        assert extra <= self.BYTECODES_PER_STEP, f"+{extra:.2f} bytecodes per step"
+        assert calls - plain_calls <= self.CALLS_PER_CHECKPOINT * report.checkpoints

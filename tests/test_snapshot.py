@@ -10,7 +10,8 @@ bit-for-bit the same execution as driving the deepcopy baseline).
 Covers every scheme kind, repeated rollback to the same checkpoint
 (speculative replay that violates again), and torn/partial-dirty-set
 cases where only some pages of an array changed between take and restore
-(hypothesis streams over a small CacheArray).
+(hypothesis streams over a small CacheArray).  Every execution segment
+is the production scheduler loop (``Scheduler.run``), cut on global time.
 """
 
 import copy
@@ -65,26 +66,58 @@ def build_sim(scheme):
     )
 
 
-def run_partial(sim, steps=400):
-    """Drive a fresh scheduler a fixed number of picks, then stop."""
-    scheduler = Scheduler(sim, sim.host)
-    for _ in range(steps):
-        if sim.state.all_finished:
-            break
-        thread, start = scheduler._pick()
-        result = thread.runner.step(start)
-        thread.context.clock = start + result.cost_ns
-        thread.ready_time = thread.context.clock
-        if thread is scheduler.manager_thread:
-            scheduler._wake_cores(thread.context.clock)
-        else:
-            from repro.core.hostmodel import ThreadState
+def run_segment(sim, cycles):
+    """Run the production loop until global time has moved ``cycles``
+    target cycles past where it stands (or the workload completes).
 
-            if result.done:
-                thread.state = ThreadState.DONE
-            elif result.blocked:
-                thread.state = ThreadState.BLOCKED
-    return scheduler
+    Each segment is a fresh ``Scheduler`` on the live state, cut on
+    global time.  Asserts progress unless a checkpoint controller rolled
+    the segment back: global time reached its target (or the workload
+    completed), and every core not finished at the end advanced its
+    local time.  Returns the segment's host statistics.
+    """
+    state = sim.state
+    target = state.global_time() + cycles
+    before = [cs.local_time for cs in state.cores]
+    stats = Scheduler(sim, sim.host).run(
+        stop_when=lambda outcome: outcome.global_time >= target
+    )
+    if not stats.rollbacks:
+        state = sim.state
+        assert state.all_finished or state.global_time() >= target
+        for cs, local in zip(state.cores, before):
+            assert cs.finished or cs.local_time > local, (
+                f"core {cs.core_id} made no progress past {local}"
+            )
+    return stats
+
+
+def cut_snapshot(sim, cycles):
+    """Drive a fresh ``sim`` to a cut near ``cycles``; return the
+    snapshot under test.
+
+    A checkpoint controller keeps exactly one live checkpoint, and a
+    manual ``take_snapshot`` would supersede the one it rolls back to.
+    So a checkpointing run advances its :class:`~repro.core.simulation.Run`
+    to the first checkpoint at or past ``cycles`` and hands back the
+    controller's own snapshot; callers then mutate only up to the next
+    boundary (a later checkpoint would supersede this one).
+    """
+    controller = sim.controller
+    if controller is None:
+        run_segment(sim, cycles)
+        return take_snapshot(sim.state, boundary=0, host_time=0.0)
+    sim.start().advance(cycles)
+    return controller.snapshot
+
+
+def resume_from(sim, state):
+    """Install ``state`` as the live root as it stood at the cut.  A cut
+    lies outside every replay window, so the controller is taken out of
+    any replay that one of its rollbacks began after the cut."""
+    sim.state = state
+    if sim.controller is not None:
+        sim.controller.replaying = False
 
 
 def assert_states_equivalent(got, want):
@@ -121,12 +154,11 @@ class TestRoundTripAcrossSchemes:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_take_mutate_restore_matches_deepcopy_baseline(self, scheme):
         sim = build_sim(scheme)
-        run_partial(sim, 300)
-        snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
+        snap = cut_snapshot(sim, 300)
         # Baseline AFTER the take: take_snapshot drains pages_touched, and
         # the baseline must freeze the same post-checkpoint content.
         baseline = copy.deepcopy(sim.state)
-        run_partial(sim, 300)  # mutate the live state past the checkpoint
+        run_segment(sim, 300)  # mutate the live state past the checkpoint
         restored = restore_snapshot(snap)
         assert_states_equivalent(restored, baseline)
 
@@ -135,17 +167,16 @@ class TestRoundTripAcrossSchemes:
         """Behavioral equivalence: drive restore and baseline forward with
         identical schedulers; the executions must match bit-for-bit."""
         sim = build_sim(scheme)
-        run_partial(sim, 250)
-        snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
+        snap = cut_snapshot(sim, 250)
         baseline = copy.deepcopy(sim.state)
-        run_partial(sim, 250)
+        run_segment(sim, 250)
 
-        sim.state = restore_snapshot(snap)
-        run_partial(sim, 300)
+        resume_from(sim, restore_snapshot(snap))
+        run_segment(sim, 300)
         digest_restored = state_digest(sim.state)
 
-        sim.state = baseline
-        run_partial(sim, 300)
+        resume_from(sim, baseline)
+        run_segment(sim, 300)
         assert state_digest(sim.state) == digest_restored
 
 
@@ -154,27 +185,27 @@ class TestRepeatedRollback:
         """Speculative nesting: a replay that violates again rolls back to
         the *same* checkpoint; both restores must produce the same state."""
         sim = build_sim(SlackConfig(bound=8))
-        run_partial(sim, 300)
+        run_segment(sim, 300)
         snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
         baseline = copy.deepcopy(sim.state)
 
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         sim.state = restore_snapshot(snap)
         assert_states_equivalent(sim.state, baseline)
 
         # Replay diverges (different length), violates again, rolls back.
-        run_partial(sim, 350)
+        run_segment(sim, 350)
         sim.state = restore_snapshot(snap)
         assert_states_equivalent(sim.state, baseline)
 
     def test_next_checkpoint_supersedes_previous(self):
         sim = build_sim(SlackConfig(bound=8))
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         first = take_snapshot(sim.state, boundary=0, host_time=0.0)
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         second = take_snapshot(sim.state, boundary=1, host_time=0.0)
         baseline = copy.deepcopy(sim.state)
-        run_partial(sim, 200)
+        run_segment(sim, 200)
         # Only the newest snapshot is restorable (matches the controller,
         # which keeps exactly one live checkpoint).
         from repro.errors import CheckpointError
@@ -185,41 +216,36 @@ class TestRepeatedRollback:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        k1=st.integers(min_value=150, max_value=400),
-        k2=st.integers(min_value=50, max_value=300),
-        k3=st.integers(min_value=50, max_value=250),
+        k1=st.integers(min_value=150, max_value=1400),
+        k2=st.integers(min_value=50, max_value=450),
+        k3=st.integers(min_value=50, max_value=450),
     )
     def test_take_mutate_restore_reexecute_with_inner_rollback(self, k1, k2, k3):
         """Property: take → mutate → restore → re-execute is bit-identical
         even when a speculative rollback fires *inside* the restored
         window (the epoch-stitching prerequisite: a re-executed epoch may
         itself roll back, and must still land on the serial trajectory).
+
+        The checkpoint under test is the controller's own, cut at the
+        first boundary at or past ``k1``; mutation and re-execution stay
+        inside that interval, where the controller's rollbacks return to
+        it — the inner rollback.
         """
         scheme = SpeculativeConfig(
             base=SlackConfig(bound=8), checkpoint=CheckpointConfig(interval=500)
         )
-
-        def reexecute_with_inner_rollback(sim):
-            # Inside the restored window: run, checkpoint, run, roll back
-            # to the inner checkpoint (the speculative rollback), resume.
-            run_partial(sim, k3)
-            inner = take_snapshot(sim.state, boundary=1, host_time=0.0)
-            run_partial(sim, k3)
-            sim.state = restore_snapshot(inner)
-            run_partial(sim, k3)
-            return state_digest(sim.state)
-
         sim = build_sim(scheme)
-        run_partial(sim, k1)
-        snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
+        snap = cut_snapshot(sim, k1)
         baseline = copy.deepcopy(sim.state)
-        run_partial(sim, k2)  # mutate the live state past the checkpoint
+        run_segment(sim, k2)  # mutate the live state past the checkpoint
 
-        sim.state = restore_snapshot(snap)
-        digest_restored = reexecute_with_inner_rollback(sim)
+        resume_from(sim, restore_snapshot(snap))
+        rollbacks = run_segment(sim, k3).rollbacks
+        digest_restored = state_digest(sim.state)
 
-        sim.state = baseline
-        assert reexecute_with_inner_rollback(sim) == digest_restored
+        resume_from(sim, baseline)
+        assert run_segment(sim, k3).rollbacks == rollbacks
+        assert state_digest(sim.state) == digest_restored
 
 
 # --------------------------------------------------------------------- #
