@@ -12,20 +12,20 @@ The reproduction's whole value rests on two fragile properties:
 End-to-end digest comparison tells you *that* one of them broke, never
 *where*.  This package enforces them directly, at two layers:
 
-- a **static determinism linter** (``python -m repro lint``): an AST pass
-  with repo-specific rules (codes ``RPR001+``) that generic linters cannot
-  express — no wall-clock or entropy sources inside determinism-critical
-  packages, no iteration over unordered containers in digest-affecting
-  paths, ``__slots__`` on hot-path-marked classes, telemetry reached only
-  through the guarded probe seams, no heavyweight imports in ``core/``;
-
-- a **whole-program analyzer** (``python -m repro analyze``, or
-  ``repro lint --deep`` to run both layers at once): two passes over a
-  shared project call graph — interprocedural taint flow from
-  nondeterminism sources into digest-critical sinks with full
-  source→call-chain→sink witness paths (RPR101), and asyncio
-  read-modify-write-across-await atomicity in the service and fabric
-  layers (RPR103);
+- a **static determinism linter** (``python -m repro lint``): one parse
+  of the tree, then every rule over it — per-file AST rules (RPR001–009)
+  that generic linters cannot express (no wall-clock or entropy sources
+  inside determinism-critical packages, no iteration over unordered
+  containers in digest-affecting paths, ``__slots__`` on
+  hot-path-marked classes, telemetry reached only through the guarded
+  probe seams, no heavyweight imports in ``core/``), and two
+  whole-program rules over the shared project call graph:
+  interprocedural taint flow from nondeterminism sources into
+  digest-critical sinks with full source→call-chain→sink witness paths
+  (RPR101), and asyncio read-modify-write-across-await atomicity in the
+  service and fabric layers (RPR103).  Suppressions are applied once,
+  and RPR008 proves each ``noqa`` code used or unused against every
+  rule;
 
 - a **runtime slack sanitizer** ("SlackSan", ``repro run --sanitize``):
   an opt-in checker wired through the same seams the telemetry probes use,
@@ -35,26 +35,21 @@ End-to-end digest comparison tells you *that* one of them broke, never
   the cores involved, and the cycle.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import ProjectGraph, build_graph
 from repro.analysis.engine import (
-    ALL_RULES,
-    DEEP_RULES,
+    RULES,
     LintResult,
-    analyze_paths,
     explain_rule,
+    lint_files,
     lint_paths,
     lint_source,
+    read_files,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.fixes import fix_unused_noqa
-from repro.analysis.rules import RULES, Rule
+from repro.analysis.rules import Rule
 from repro.analysis.sanitizer import SanitizerError, SlackSanitizer, state_digest
 
 __all__ = [
-    "ALL_RULES",
-    "Baseline",
-    "DEEP_RULES",
     "Finding",
     "LintResult",
     "ProjectGraph",
@@ -62,11 +57,11 @@ __all__ = [
     "Rule",
     "SanitizerError",
     "SlackSanitizer",
-    "analyze_paths",
     "build_graph",
     "explain_rule",
-    "fix_unused_noqa",
+    "lint_files",
     "lint_paths",
     "lint_source",
+    "read_files",
     "state_digest",
 ]

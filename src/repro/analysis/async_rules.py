@@ -82,9 +82,8 @@ def _expr_events(node: ast.AST) -> Iterator[Tuple[str, str, int]]:
 class _AsyncScanner:
     """Scans one ``async def`` body for await-spanning read-modify-writes."""
 
-    def __init__(self, path: str, lines: List[str], func_name: str) -> None:
+    def __init__(self, path: str, func_name: str) -> None:
         self.path = path
-        self.lines = lines
         self.func_name = func_name
         self.findings: List[Finding] = []
         self._pending: Dict[str, _PendingRead] = {}
@@ -114,9 +113,6 @@ class _AsyncScanner:
             return
         pending = self._pending.pop(attr, None)
         if pending is not None and pending.await_line is not None:
-            text = (
-                self.lines[line - 1].strip() if 1 <= line <= len(self.lines) else ""
-            )
             self.findings.append(
                 Finding(
                     "RPR103",
@@ -129,7 +125,6 @@ class _AsyncScanner:
                     f"line {line} — another task can interleave and its "
                     "update is lost; hold an `async with` lock across the "
                     "span (or document the single-writer discipline)",
-                    text,
                 )
             )
 
@@ -273,11 +268,10 @@ def async_findings(graph: ProjectGraph) -> Iterator[Finding]:
         norm = module.path.replace("\\", "/")
         if not any(scope in norm for scope in _ASYNC_SCOPES):
             continue
-        lines = module.source.splitlines()
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
-            scanner = _AsyncScanner(module.path, lines, node.name)
+            scanner = _AsyncScanner(module.path, node.name)
             scanner.scan(node.body)
             for finding in scanner.findings:
                 yield finding
@@ -289,7 +283,6 @@ class AsyncAtomicityRule(Rule):
     code = "RPR103"
     name = "await-atomicity"
     summary = "read-modify-write of shared task state spans an await"
-    deep = True
     rationale = (
         "asyncio tasks are atomic between suspension points, so every lost-\n"
         "update bug in the coordinator/server/dispatcher family is a read of\n"

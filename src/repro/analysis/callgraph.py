@@ -1,13 +1,17 @@
-"""Project-wide call graph for the whole-program determinism analyses.
+"""Project-wide call graph: the one parse every lint rule runs on.
 
-The syntactic rules in :mod:`repro.analysis.rules` look at one file at a
-time; the flow passes (``repro analyze``) need to know *who calls whom
-across the project* — a wall-clock read three calls below a digest sink
-is exactly the leak a per-file rule cannot see.  This module builds that
-graph statically:
+The per-file rules in :mod:`repro.analysis.rules` look at one file at a
+time; the whole-program rules (RPR101, RPR103) need to know *who calls
+whom across the project* — a wall-clock read three calls below a digest
+sink is exactly the leak a per-file rule cannot see.  This module builds
+that graph statically, and ``repro lint`` runs both kinds of rule over
+it:
 
-- every module under the analyzed paths is parsed once and indexed by its
-  dotted name (``src/repro/core/report.py`` -> ``repro.core.report``);
+- every file under the linted paths is parsed exactly once (a file that
+  does not parse is recorded for the engine's RPR000) and its module is
+  indexed by dotted name (``src/repro/core/report.py`` ->
+  ``repro.core.report``); the per-file rules read the same
+  :class:`ModuleInfo` tree, imports and suppressions;
 - every function and method gets a :class:`FunctionInfo` keyed by its
   fully-qualified name (``repro.core.report.SimulationReport.digest``);
   nested defs and lambdas are folded into their enclosing named function
@@ -29,7 +33,6 @@ runs and machines.
 from __future__ import annotations
 
 import ast
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.noqa import Suppression, parse_suppressions
@@ -77,12 +80,11 @@ def module_name_for_path(path: str) -> str:
 class CallSite:
     """One resolved call edge, anchored at its source location."""
 
-    __slots__ = ("target", "line", "text")
+    __slots__ = ("target", "line")
 
-    def __init__(self, target: str, line: int, text: str) -> None:
+    def __init__(self, target: str, line: int) -> None:
         self.target = target  # callee qualname
         self.line = line
-        self.text = text  # the call expression as written, for witnesses
 
 
 class FunctionInfo:
@@ -155,6 +157,11 @@ class ProjectGraph:
     """The call graph plus the class/method indexes used to resolve it."""
 
     def __init__(self) -> None:
+        #: every parsed file, in path order
+        self.files: List[ModuleInfo] = []
+        #: ``(path, error)`` for every file that did not parse
+        self.unparsed: List[Tuple[str, SyntaxError]] = []
+        #: dotted module name -> module (the resolver's index)
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         #: class qualname -> {method name -> method qualname}
@@ -294,16 +301,13 @@ def _collect_calls(graph: ProjectGraph) -> None:
     for qual in graph.functions:
         fn = graph.functions[qual]
         module = graph.modules[fn.module]
-        lines = module.source.splitlines()
         for node in ast.walk(fn.node):  # includes nested defs/lambdas
             if not isinstance(node, ast.Call):
                 continue
             target = _call_targets(graph, module, fn, node)
             if target is None:
                 continue
-            line = getattr(node, "lineno", fn.line)
-            text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-            fn.calls.append(CallSite(target, line, text))
+            fn.calls.append(CallSite(target, getattr(node, "lineno", fn.line)))
 
 
 def build_graph(
@@ -311,17 +315,20 @@ def build_graph(
 ) -> ProjectGraph:
     """Build the project graph from ``(repo-relative path, source)`` pairs.
 
-    Files that fail to parse are skipped here — the per-file lint already
-    reports RPR000 for them, and a partial graph is still useful.
+    Each distinct path is parsed once.  A file that fails to parse is
+    listed in ``graph.unparsed`` and left out of the graph; a partial
+    graph is still useful.
     """
     graph = ProjectGraph()
-    for path, source in sorted(files, key=lambda item: item[0]):
+    for path, source in sorted(dict(files).items()):
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
+        except SyntaxError as exc:
+            graph.unparsed.append((path, exc))
             continue
         name = module_name_for_path(path)
         module = ModuleInfo(name, path, tree, source)
+        graph.files.append(module)
         graph.modules[name] = module
     for name in graph.modules:
         module = graph.modules[name]
@@ -331,15 +338,3 @@ def build_graph(
     _collect_calls(graph)
     return graph
 
-
-def load_files(paths: Sequence[str], root: Optional[str] = None) -> List[Tuple[str, str]]:
-    """Read every .py file under ``paths`` as (repo-relative path, source)."""
-    from repro.analysis.engine import iter_python_files  # local: avoid a cycle
-
-    out: List[Tuple[str, str]] = []
-    for filename in iter_python_files(paths):
-        with open(filename, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        rel = os.path.relpath(filename, root) if root else filename
-        out.append((rel.replace(os.sep, "/"), source))
-    return out

@@ -1,43 +1,28 @@
-"""Lint findings: the record every rule produces and every layer consumes.
+"""Lint findings: the record every rule produces and the engine reports.
 
-A finding is identified for baseline purposes by ``(code, path, line
-text)`` — the *content* of the offending line, not its number — so
-unrelated edits that shift a grandfathered finding up or down the file do
-not resurrect it as "new".
+A finding names one rule code at one ``path:line:column`` location.  It
+is anchored where the fix (or a reasoned ``# repro: noqa[...]``) belongs,
+which for the whole-program rules is the source line, not the sink.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List
 
 
 class Finding:
     """One rule violation at one source location."""
 
-    __slots__ = ("code", "path", "line", "column", "message", "line_text")
+    __slots__ = ("code", "path", "line", "column", "message")
 
     def __init__(
-        self,
-        code: str,
-        path: str,
-        line: int,
-        column: int,
-        message: str,
-        line_text: str = "",
+        self, code: str, path: str, line: int, column: int, message: str
     ) -> None:
         self.code = code
         self.path = path
         self.line = line
         self.column = column
         self.message = message
-        self.line_text = line_text
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number agnostic)."""
-        text = self.line_text.strip()
-        blob = f"{self.code}\x00{self.path}\x00{text}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: {self.code} {self.message}"
@@ -49,7 +34,6 @@ class Finding:
             "line": self.line,
             "column": self.column,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

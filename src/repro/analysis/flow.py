@@ -25,7 +25,7 @@ is a *shortest* chain), and for every reachable function consults the
 :mod:`~repro.analysis.summaries` source list.  A hit produces one
 finding per ``(source line, sink)`` pair, anchored at the **source**
 line — that is where a reasoned ``# repro: noqa[RPR101]`` (or the
-matching shallow code) belongs, because a waiver at the source covers
+matching per-file code) belongs, because a waiver at the source covers
 every path through it.
 
 The finding message carries the full witness chain, rendered
@@ -38,8 +38,7 @@ sink-outward::
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.analysis.callgraph import CallSite, ProjectGraph
 from repro.analysis.findings import Finding
@@ -158,7 +157,6 @@ def taint_findings(
                     1,
                     f"{source.kind} source `{source.detail}` reaches "
                     f"{spec.label} sink `{root}` via {chain}",
-                    source.text,
                 )
 
 
@@ -168,10 +166,9 @@ class TaintFlowRule(Rule):
     code = "RPR101"
     name = "taint-flow"
     summary = "nondeterminism source reaches a digest-critical sink"
-    deep = True
     rationale = (
         "The report digest, the machine-state encoding, the WAL, the RunSpec\n"
-        "fingerprint, and checkpoint capture must each be a pure function of\n"
+        "cache key, and checkpoint capture must each be a pure function of\n"
         "(configuration, seed).  The syntactic rules (RPR001-004) guard a\n"
         "hand-listed set of critical packages; this pass instead walks the\n"
         "project call graph from each digest sink and flags any wall-clock\n"
@@ -179,8 +176,10 @@ class TaintFlowRule(Rule):
         "environment read reachable from it — however many call hops away\n"
         "and in whichever package it lives.  The finding's message carries\n"
         "the full sink -> ... -> source witness chain.  Suppress at the\n"
-        "source line (never at the sink) with a written reason; a noqa\n"
-        "naming the matching shallow code mutes the flow source too."
+        "source line (never at the sink) with a written reason.  A noqa\n"
+        "naming the matching per-file code (RPR001-004) mutes the flow\n"
+        "source too, in any package, and the flow counts as its use: once\n"
+        "no flow passes through it, RPR008 reports it unused."
     )
     fix_example = (
         "    # bad: three calls below SimulationReport.digest\n"

@@ -44,10 +44,6 @@ class Suppression:
             return True
         return False
 
-    @property
-    def unused_codes(self) -> List[str]:
-        return [code for code in self.codes if code not in self.used_codes]
-
 
 def parse_suppressions(source: str) -> Dict[int, Suppression]:
     """All noqa comments in a file, keyed by 1-based line number."""

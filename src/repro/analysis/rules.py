@@ -1,4 +1,4 @@
-"""The determinism rule registry (codes ``RPR001+``).
+"""The per-file determinism rules (codes ``RPR001``–``RPR009``).
 
 Every rule encodes an invariant of *this* repository that a generic linter
 cannot express, because it depends on which packages feed the report
@@ -16,16 +16,21 @@ RPR008    suppression hygiene (reasonless / unknown / unused noqa)
 RPR009    ``copy.deepcopy`` of simulation state outside the snapshot layer
 ========  =====================================================
 
-Rules run over the AST of one file at a time; a :class:`LintContext`
-carries the parsed tree, the raw source lines, and the module's location
-so rules can scope themselves to the packages they guard.
+These rules run over the AST of one file at a time; a
+:class:`LintContext` carries the parsed tree, the raw source lines, and
+the module's location so rules can scope themselves to the packages they
+guard.  :class:`Rule` is also the base of the whole-program rules
+(RPR101 in :mod:`~repro.analysis.flow`, RPR103 in
+:mod:`~repro.analysis.async_rules`), which check the project graph
+instead; :mod:`~repro.analysis.engine` holds the registry of all eleven.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from repro.analysis.callgraph import ModuleInfo, ProjectGraph, dotted_name
 from repro.analysis.findings import Finding
 
 #: Packages whose behaviour feeds the report digest.  A wall-clock read or
@@ -110,21 +115,20 @@ ENTROPY_PREFIXES = ("secrets.", "numpy.random.")
 
 
 class LintContext:
-    """Everything a rule needs to check one file."""
+    """Everything a rule needs to check one file: its parsed module."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
-        self.path = path  # repo-relative, posix separators
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = tree
-        parts = path.replace("\\", "/").split("/")
+    def __init__(self, module: ModuleInfo) -> None:
+        self.path = module.path  # repo-relative, posix separators
+        self.lines = module.source.splitlines()
+        self.tree = module.tree
+        self._imports = module.imports
+        parts = self.path.replace("\\", "/").split("/")
         # Locate the module inside the package: .../repro/<pkg>/...
         self.package: Optional[str] = None
         if "repro" in parts:
             tail = parts[parts.index("repro") + 1 :]
             if len(tail) > 1:
                 self.package = tail[0]
-        self._imports = _import_map(tree)
 
     @property
     def in_critical_package(self) -> bool:
@@ -150,7 +154,7 @@ class LintContext:
         ``datetime.datetime.now``.  Returns None for calls on computed
         expressions.
         """
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
@@ -160,34 +164,7 @@ class LintContext:
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        return Finding(code, self.path, lineno, col, message, self.line_text(lineno))
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> fully-dotted origin, from the file's imports."""
-    mapping: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                mapping[alias.asname or alias.name.partition(".")[0]] = (
-                    alias.name if alias.asname else alias.name.partition(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                mapping[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return mapping
+        return Finding(code, self.path, lineno, col, message)
 
 
 # --------------------------------------------------------------------- #
@@ -196,21 +173,23 @@ def _import_map(tree: ast.Module) -> Dict[str, str]:
 
 
 class Rule:
-    """One registered determinism rule."""
+    """One registered determinism rule.
+
+    A per-file rule overrides :meth:`check`, a whole-program rule
+    :meth:`check_project`; the engine calls both on every rule.
+    """
 
     code: str = ""
     name: str = ""
     summary: str = ""
     rationale: str = ""
     fix_example: str = ""
-    #: Whole-program rules (checked over the project call graph by
-    #: ``repro analyze``, not per-file) set this True and implement
-    #: ``check_project`` instead of ``check``.
-    deep: bool = False
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
+        return iter(())
+
+    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
+        return iter(())
 
 
 class WallClockRule(Rule):
@@ -574,9 +553,9 @@ class CoreImportRule(Rule):
 
 
 class SuppressionHygieneRule(Rule):
-    """Checked by the engine, not per-AST: a ``# repro: noqa[...]`` must
-    carry a written reason, name only registered codes, and actually
-    suppress something on its line."""
+    """Checked by the engine after every other rule has run: a
+    ``# repro: noqa[...]`` must carry a written reason, name only
+    registered codes, and actually suppress something on its line."""
 
     code = "RPR008"
     name = "suppression-hygiene"
@@ -587,7 +566,9 @@ class SuppressionHygieneRule(Rule):
         "that no longer matches any finding silently rots.  The engine\n"
         "therefore rejects `# repro: noqa[RPRxxx]` comments with no reason\n"
         "text, with codes that are not registered, or that suppress nothing\n"
-        "on their line."
+        "on their line.  Every rule, per-file and whole-program, runs in the\n"
+        "same `repro lint` pass, so an unused code is proven unused whatever\n"
+        "rule it names; the fix is to delete it."
     )
     fix_example = (
         "    # bad:\n"
@@ -596,9 +577,6 @@ class SuppressionHygieneRule(Rule):
         "    memo[id(self)] = new  # repro: noqa[RPR003] deepcopy memo "
         "protocol keys by object identity"
     )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())
 
 
 class DeepcopyOutsideSnapshotRule(Rule):
@@ -657,42 +635,3 @@ class DeepcopyOutsideSnapshotRule(Rule):
                 "checkpoints must go through the COW snapshot layer",
             )
 
-
-#: The registry, in code order.  ``repro lint --explain RPRxxx`` renders
-#: rationale and fix example straight from here.
-RULES: Sequence[Rule] = (
-    WallClockRule(),
-    EntropyRule(),
-    IdAsKeyRule(),
-    UnorderedIterationRule(),
-    HotPathSlotsRule(),
-    TelemetrySeamRule(),
-    CoreImportRule(),
-    SuppressionHygieneRule(),
-    DeepcopyOutsideSnapshotRule(),
-)
-
-RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in RULES}
-
-
-def explain_rule(code: str, registry: Optional[Dict[str, Rule]] = None) -> Optional[str]:
-    """Human-readable rationale + fix example for one rule code.
-
-    ``registry`` widens the lookup (the engine passes the combined
-    shallow+deep registry so ``--explain RPR101`` works too).
-    """
-    rule = (registry or RULES_BY_CODE).get(code.upper())
-    if rule is None:
-        return None
-    lines = [
-        f"{rule.code} — {rule.name}",
-        "",
-        f"  {rule.summary}",
-        "",
-        "Rationale:",
-    ]
-    lines.extend(f"  {line}" for line in rule.rationale.splitlines())
-    lines.append("")
-    lines.append("Fix example:")
-    lines.extend(f"  {line}" for line in rule.fix_example.splitlines())
-    return "\n".join(lines)

@@ -413,7 +413,7 @@ class SlackSanitizer:
     # ------------------------------------------------------------------ #
 
     def on_checkpoint(self, snapshot, state) -> None:
-        """A checkpoint was taken; fingerprint it for rollback checks.
+        """A checkpoint was taken; digest it for rollback checks.
 
         ``state`` is the live root at the checkpoint instant — with
         copy-on-write capture the snapshot holds no materialized state

@@ -31,10 +31,11 @@ Sanitizers recognized here (a sanitized expression is *not* a source):
 - the project's own seeded generators (``SplitMix64``, ``XorShift64``)
   are ordinary deterministic code and never match the tables at all.
 
-A ``# repro: noqa[...]`` on the source line naming the matching shallow
-code (RPR001–RPR004) *or* the flow code RPR101 mutes the source: a
-reviewed, reasoned waiver at the source is a waiver for every path
-through it.
+A ``# repro: noqa[...]`` on the source line naming the matching
+per-file code (RPR001–RPR004) mutes the source, and the flow through it
+uses that code (so RPR008 does not call the waiver unused): a reviewed,
+reasoned waiver at the source is a waiver for every path through it.  A
+``noqa[RPR101]`` there instead suppresses the flow finding itself.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from repro.analysis.rules import (
     WALL_CLOCK_CALLS,
 )
 
-__all__ = ["Source", "SOURCE_SHALLOW_CODES", "function_sources", "summarize"]
+__all__ = ["Source", "SOURCE_CODES", "function_sources"]
 
-#: Which shallow rule code covers each source kind — a noqa naming either
-#: that code or RPR101 on the source line mutes the flow source too.
-SOURCE_SHALLOW_CODES: Dict[str, str] = {
+#: Which per-file rule code covers each source kind — a noqa naming that
+#: code on the source line mutes the flow source too.
+SOURCE_CODES: Dict[str, str] = {
     "wall-clock": "RPR001",
     "entropy": "RPR002",
     "id": "RPR003",
@@ -76,16 +77,15 @@ _ENV_CALLS = frozenset({"os.getenv", "os.environ.get", "os.environ.setdefault"})
 class Source:
     """One local nondeterminism observation inside one function."""
 
-    __slots__ = ("kind", "qualname", "path", "line", "text", "detail")
+    __slots__ = ("kind", "qualname", "path", "line", "detail")
 
     def __init__(
-        self, kind: str, qualname: str, path: str, line: int, text: str, detail: str
+        self, kind: str, qualname: str, path: str, line: int, detail: str
     ) -> None:
         self.kind = kind
         self.qualname = qualname
         self.path = path
         self.line = line
-        self.text = text
         self.detail = detail
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -113,33 +113,30 @@ def _is_set_expr(node: ast.AST) -> bool:
 
 
 def _muted(module: ModuleInfo, line: int, kind: str) -> bool:
-    """True when a noqa on ``line`` names the kind's shallow rule code.
+    """True when a noqa on ``line`` names the kind's per-file rule code.
 
-    A reviewed shallow waiver (``noqa[RPR001] operational timestamp``)
-    mutes the flow source outright.  ``noqa[RPR101]`` is deliberately
-    *not* handled here: the flow finding is still produced and consumed
-    by the engine's suppression layer, so the suppression registers as
-    used and RPR008 hygiene can spot it the day the flow disappears.
+    A reviewed per-file waiver (``noqa[RPR001] operational timestamp``)
+    mutes the flow source outright and is marked used, so RPR008 reports
+    it unused only once no flow (and no per-file finding) passes through
+    it.  ``noqa[RPR101]`` is deliberately *not* handled here: the flow
+    finding is still produced and consumed by the engine's suppression
+    pass, which marks it used the same way.
     """
     suppression = module.suppressions.get(line)
     if suppression is None:
         return False
-    return SOURCE_SHALLOW_CODES[kind] in suppression.codes
+    return suppression.suppresses(SOURCE_CODES[kind], line)
 
 
 def function_sources(graph: ProjectGraph, fn: FunctionInfo) -> List[Source]:
     """All local nondeterminism sources in one function body."""
     module = graph.modules[fn.module]
-    lines = module.source.splitlines()
-
-    def text_at(line: int) -> str:
-        return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
 
     def emit(kind: str, node: ast.AST, detail: str) -> Iterator[Source]:
         line = getattr(node, "lineno", fn.line)
         if _muted(module, line, kind):
             return
-        yield Source(kind, fn.qualname, fn.path, line, text_at(line), detail)
+        yield Source(kind, fn.qualname, fn.path, line, detail)
 
     out: List[Source] = []
     memo_protocol = fn.short_name in _MEMO_PROTOCOL_FUNCS
@@ -204,10 +201,3 @@ def function_sources(graph: ProjectGraph, fn: FunctionInfo) -> List[Source]:
                     )
     return out
 
-
-def summarize(graph: ProjectGraph) -> Dict[str, List[Source]]:
-    """Source summary for every function in the graph (possibly empty)."""
-    return {
-        qualname: function_sources(graph, graph.functions[qualname])
-        for qualname in graph.functions
-    }

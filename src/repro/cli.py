@@ -10,10 +10,9 @@ Subcommands::
                 ablation-tracked) or 'all' of them
     trace       summarize or validate a recorded telemetry trace
     cache       inspect, clear, or prune the persistent report cache
-    lint        run the determinism linter over the source tree (--deep adds
-                the whole-program passes; --fix-noqa removes dead noqa)
-    analyze     whole-program determinism analysis: interprocedural taint
-                flow (RPR101) and asyncio atomicity (RPR103)
+    lint        run every determinism rule over the source tree: the
+                per-file rules (RPR001-RPR009), interprocedural taint flow
+                (RPR101) and asyncio atomicity (RPR103), in one pass
     serve       run the simulation job service daemon (unix socket / TCP);
                 --coordinator runs the fabric front door instead
     worker      run a fleet worker: a service daemon registered with (and
@@ -31,11 +30,9 @@ Examples::
     python -m repro run fft --scheme slack:8
     python -m repro run fft --scheme slack:8 --sanitize
     python -m repro run barnes --scheme adaptive:1e-3 --scale 2
-    python -m repro lint --baseline lint-baseline.json
-    python -m repro lint --explain RPR001
-    python -m repro analyze --baseline analyze-baseline.json
-    python -m repro analyze --explain RPR101
-    python -m repro lint --deep --format github
+    python -m repro lint
+    python -m repro lint --format github
+    python -m repro lint --explain RPR101
     python -m repro run fft --scheme adaptive:1e-3 --trace out.json --metrics m.json
     python -m repro trace summarize out.json
     python -m repro compare water --bounds 0,4,None
@@ -307,77 +304,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explain_rule_code(explain: str) -> int:
-    """Shared ``--explain`` handling for lint and analyze."""
-    from repro.analysis.engine import ALL_RULES, ALL_RULES_BY_CODE, explain_rule
-
-    code = explain.upper()
-    if code == "ALL":
-        print("\n\n".join(str(explain_rule(rule.code)) for rule in ALL_RULES))
-        return 0
-    if code not in ALL_RULES_BY_CODE:
-        known = ", ".join(rule.code for rule in ALL_RULES)
-        print(f"error: unknown rule code {code} (known: {known})",
-              file=sys.stderr)
-        return 2
-    print(explain_rule(code))
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.engine import analyze_paths, lint_paths
+    from repro.analysis.engine import RULES, RULES_BY_CODE, explain_rule, lint_paths
 
     if args.explain:
-        return _explain_rule_code(args.explain)
-
-    paths = args.paths or ["src/repro"]
-    if args.fix_noqa:
-        from repro.analysis.fixes import fix_unused_noqa
-
-        fixes = fix_unused_noqa(paths, root=os.getcwd(),
-                                include_deep=args.deep)
-        for fix in fixes:
-            print(fix.render())
-        print(
-            f"removed {sum(len(f.removed_codes) for f in fixes)} unused "
-            f"noqa code(s) across {len({f.path for f in fixes})} file(s)"
-        )
+        code = args.explain.upper()
+        if code == "ALL":
+            print("\n\n".join(str(explain_rule(rule.code)) for rule in RULES))
+            return 0
+        if code not in RULES_BY_CODE:
+            known = ", ".join(rule.code for rule in RULES)
+            print(f"error: unknown rule code {code} (known: {known})",
+                  file=sys.stderr)
+            return 2
+        print(explain_rule(code))
         return 0
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    if args.deep:
-        result = analyze_paths(paths, baseline=baseline, root=os.getcwd(),
-                               include_shallow=True)
-    else:
-        result = lint_paths(paths, baseline=baseline, root=os.getcwd())
-    if args.write_baseline:
-        Baseline.from_findings(result.all_findings).write(args.write_baseline)
-        print(
-            f"wrote {args.write_baseline} "
-            f"({len(result.all_findings)} grandfathered finding(s))"
-        )
-        return 0
-    print(result.render(args.format))
-    return result.exit_code
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.engine import analyze_paths
-
-    if args.explain:
-        return _explain_rule_code(args.explain)
-
-    paths = args.paths or ["src/repro"]
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    result = analyze_paths(paths, baseline=baseline, root=os.getcwd())
-    if args.write_baseline:
-        Baseline.from_findings(result.all_findings).write(args.write_baseline)
-        print(
-            f"wrote {args.write_baseline} "
-            f"({len(result.all_findings)} grandfathered finding(s))"
-        )
-        return 0
+    result = lint_paths(args.paths or ["src/repro"], root=os.getcwd())
     print(result.render(args.format))
     return result.exit_code
 
@@ -888,7 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="run the determinism linter (AST rules RPR001+) over the tree",
+        help="run every determinism rule (RPR001-RPR009, RPR101, RPR103) "
+             "over the tree in one pass",
     )
     lint_parser.add_argument("paths", nargs="*",
                              help="files or directories (default src/repro)")
@@ -896,48 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
                              default="text",
                              help="output style; 'github' emits Actions "
                                   "::error annotations")
-    lint_parser.add_argument("--baseline", metavar="FILE",
-                             help="grandfather findings listed in FILE "
-                                  "(fail only on new ones)")
-    lint_parser.add_argument("--write-baseline", metavar="FILE",
-                             help="record current findings as the baseline "
-                                  "and exit 0")
     lint_parser.add_argument("--explain", metavar="CODE",
                              help="print one rule's rationale and fix "
                                   "example (or 'all') and exit")
-    lint_parser.add_argument("--deep", action="store_true",
-                             help="also run the whole-program passes "
-                                  "(RPR101 taint flow, RPR103 await "
-                                  "atomicity)")
-    lint_parser.add_argument("--fix-noqa", action="store_true",
-                             help="delete noqa codes no finding uses "
-                                  "(shallow scope; --deep widens the proof) "
-                                  "and rewrite the files in place")
     lint_parser.set_defaults(func=cmd_lint)
-
-    analyze_parser = sub.add_parser(
-        "analyze",
-        help="whole-program determinism analysis: interprocedural taint "
-             "flow and asyncio atomicity",
-    )
-    analyze_parser.add_argument("paths", nargs="*",
-                                help="files or directories "
-                                     "(default src/repro)")
-    analyze_parser.add_argument("--format",
-                                choices=("text", "json", "github"),
-                                default="text",
-                                help="output style; 'github' emits Actions "
-                                     "::error annotations")
-    analyze_parser.add_argument("--baseline", metavar="FILE",
-                                help="grandfather findings listed in FILE "
-                                     "(fail only on new ones)")
-    analyze_parser.add_argument("--write-baseline", metavar="FILE",
-                                help="record current findings as the "
-                                     "baseline and exit 0")
-    analyze_parser.add_argument("--explain", metavar="CODE",
-                                help="print one rule's rationale and fix "
-                                     "example (or 'all') and exit")
-    analyze_parser.set_defaults(func=cmd_analyze)
 
     cache_parser = sub.add_parser(
         "cache", help="inspect, clear, or prune the persistent report cache"

@@ -2,10 +2,12 @@
 
 Every rule gets a seeded synthetic violation (the lint must catch it) and
 a clean counter-example (the lint must stay silent).  The engine-level
-tests cover suppressions, baselines, explain output, and the acceptance
-criterion that the repository lints clean.
+tests cover suppressions, explain output, the one-parse engine, the CLI,
+and the acceptance criterion that the repository lints clean.
 """
 
+import ast
+import collections
 import importlib
 import json
 import os
@@ -18,11 +20,14 @@ import pytest
 
 from repro.analysis import (
     RULES,
-    Baseline,
     explain_rule,
+    flow,
     lint_paths,
     lint_source,
+    read_files,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CORE_PATH = "src/repro/core/fake.py"
 #: Critical package that is not repro.core — wall-clock/entropy fixtures
@@ -419,47 +424,6 @@ class TestSyntaxError:
         assert codes(found) == ["RPR000"]
 
 
-class TestBaseline:
-    SOURCE = "order = {}\norder[id(object())] = 1\n"
-
-    def test_partition_grandfathers_known_findings(self):
-        findings = lint(self.SOURCE)
-        baseline = Baseline.from_findings(findings)
-        fresh, grandfathered, stale = baseline.partition(lint(self.SOURCE))
-        assert fresh == []
-        assert codes(grandfathered) == ["RPR003"]
-        assert stale == []
-
-    def test_new_finding_stays_fresh(self):
-        baseline = Baseline.from_findings(lint(self.SOURCE))
-        extra = self.SOURCE + "order[id(list())] = 2\n"
-        fresh, grandfathered, _ = baseline.partition(lint(extra))
-        assert codes(grandfathered) == ["RPR003"]
-        assert codes(fresh) == ["RPR003"]
-
-    def test_fixed_finding_reported_stale(self):
-        baseline = Baseline.from_findings(lint(self.SOURCE))
-        fresh, grandfathered, stale = baseline.partition(lint("order = {}\n"))
-        assert fresh == [] and grandfathered == []
-        assert len(stale) == 1
-
-    def test_multiset_matching(self):
-        """Two identical offending lines need two baseline entries."""
-        doubled = self.SOURCE + self.SOURCE[len("order = {}\n") :]
-        baseline = Baseline.from_findings(lint(self.SOURCE))
-        fresh, grandfathered, _ = baseline.partition(lint(doubled))
-        assert len(grandfathered) == 1
-        assert len(fresh) == 1
-
-    def test_round_trip(self, tmp_path):
-        baseline = Baseline.from_findings(lint(self.SOURCE))
-        path = tmp_path / "baseline.json"
-        baseline.write(str(path))
-        loaded = Baseline.load(str(path))
-        fresh, _, _ = loaded.partition(lint(self.SOURCE))
-        assert fresh == []
-
-
 class TestExplain:
     def test_every_registered_rule_explains(self):
         for rule in RULES:
@@ -476,149 +440,127 @@ class TestExplain:
         assert explain_rule("rpr001") is not None
 
 
-class TestRepositoryIsClean:
-    def test_src_repro_lints_clean(self):
-        """Acceptance criterion: the repository has zero fresh findings."""
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+@pytest.fixture(scope="class")
+def repo_lint():
+    """One ``lint_paths`` run over ``src/repro``, watched from outside:
+    every ``ast.parse`` call is counted by filename, and the project
+    graph the taint rule receives is kept."""
+    parses = collections.Counter()
+    graphs = []
+    real_parse, real_taint = ast.parse, flow.taint_findings
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parses[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    def watched_taint(graph, *args, **kwargs):
+        graphs.append(graph)
+        return real_taint(graph, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ast, "parse", counting_parse)
+        patch.setattr(flow, "taint_findings", watched_taint)
         result = lint_paths(
-            [os.path.join(repo_root, "src", "repro")], root=repo_root
+            [os.path.join(REPO_ROOT, "src", "repro")], root=REPO_ROOT
         )
+    return result, parses, graphs
+
+
+class TestRepositoryIsClean:
+    def test_src_repro_lints_clean(self, repo_lint):
+        """Acceptance criterion: every rule, per-file and whole-program,
+        finds nothing in the repository, and the taint rule's graph
+        resolves the report digest sink (so a clean run is not an empty
+        graph)."""
+        result, _, graphs = repo_lint
         assert result.files_checked > 50
-        rendered = "\n".join(f.render() for f in result.fresh)
-        assert result.fresh == [], f"fresh lint findings:\n{rendered}"
+        rendered = "\n".join(f.render() for f in result.findings)
+        assert result.findings == [], f"lint findings:\n{rendered}"
         assert result.exit_code == 0
+        (graph,) = graphs
+        assert any(
+            qualname.endswith("SimulationReport.digest")
+            for qualname in graph.functions
+        )
+
+    def test_each_file_is_parsed_once_for_every_rule(self, repo_lint):
+        """The per-file and whole-program rules share one parse: one
+        ``ast.parse`` per file, and the taint rule sees all of them."""
+        _, parses, graphs = repo_lint
+        files = read_files([os.path.join(REPO_ROOT, "src", "repro")], root=REPO_ROOT)
+        assert parses == collections.Counter(path for path, _ in files)
+        (graph,) = graphs
+        assert sorted(m.path for m in graph.files) == sorted(parses)
+
+
+def run_lint(*argv, cwd=None):
+    """``python -m repro lint ARGV`` in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "lint", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd or REPO_ROOT,
+    )
+
+
+def write_module(root, relpath, text):
+    """Write ``text`` to ``root/relpath`` (parents created); return it."""
+    target = root / relpath
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    return target
 
 
 class TestCli:
-    def _run(self, *argv, cwd=None):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "lint", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=cwd or repo_root,
-        )
-
     def test_lint_src_exits_zero(self):
-        proc = self._run("src/repro")
+        proc = run_lint("src/repro")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_json_format(self, tmp_path):
-        bad = tmp_path / "repro" / "core"
-        bad.mkdir(parents=True)
-        (bad / "bad.py").write_text("import json\n")
-        proc = self._run("--format", "json", str(bad / "bad.py"))
+        bad = write_module(tmp_path, "repro/core/bad.py", "import json\n")
+        proc = run_lint("--format", "json", str(bad))
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
-        assert doc["schema"] == "repro.analysis.lint/v1"
-        assert [f["code"] for f in doc["new"]] == ["RPR007"]
+        assert doc["schema"] == "repro.analysis.lint/v2"
+        assert [f["code"] for f in doc["findings"]] == ["RPR007"]
 
     def test_explain_known_rule(self):
-        proc = self._run("--explain", "RPR004")
+        proc = run_lint("--explain", "RPR004")
         assert proc.returncode == 0
         assert "unordered" in proc.stdout
 
     def test_explain_all(self):
-        proc = self._run("--explain", "all")
+        proc = run_lint("--explain", "all")
         assert proc.returncode == 0
         for rule in RULES:
             assert rule.code in proc.stdout
 
     def test_explain_unknown_rule(self):
-        proc = self._run("--explain", "RPR999")
+        proc = run_lint("--explain", "RPR999")
         assert proc.returncode == 2
         assert "RPR999" in proc.stderr
 
-    def test_write_and_use_baseline(self, tmp_path):
-        bad = tmp_path / "repro" / "core"
-        bad.mkdir(parents=True)
-        target = bad / "bad.py"
-        target.write_text("import json\n")
-        baseline = tmp_path / "baseline.json"
-        wrote = self._run(
-            "--write-baseline", str(baseline), str(target), cwd=str(tmp_path)
+    def test_unused_rpr101_noqa_is_reported(self, tmp_path):
+        """A whole-program code is proven unused like any other: no flow
+        passes through this line, so its waiver is dead."""
+        quiet = write_module(
+            tmp_path,
+            "repro/core/report.py",
+            "def quiet():\n    return 7  # repro: noqa[RPR101] nothing flows here\n",
         )
-        assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-        rerun = self._run("--baseline", str(baseline), str(target), cwd=str(tmp_path))
-        assert rerun.returncode == 0, rerun.stdout + rerun.stderr
-        assert "baselined" in rerun.stdout
-
-
-class TestBaselineMultiset:
-    """Satellite coverage: the baseline is a *multiset* keyed on
-    (code, path, line text) — line numbers and file order must not
-    matter, duplicate findings on one line must need duplicate entries."""
-
-    FILE_A = "src/repro/core/aaa.py"
-    FILE_B = "src/repro/core/bbb.py"
-    SOURCE = "order = {}\norder[id(object())] = 1\n"
-
-    def _findings(self, order):
-        out = []
-        for path in order:
-            out.extend(lint_source(path, self.SOURCE))
-        return out
-
-    def test_identical_findings_different_file_order(self):
-        baseline = Baseline.from_findings(
-            self._findings([self.FILE_A, self.FILE_B])
-        )
-        fresh, grandfathered, stale = baseline.partition(
-            self._findings([self.FILE_B, self.FILE_A])
-        )
-        assert fresh == []
-        assert len(grandfathered) == 2
-        assert stale == []
-
-    def test_line_number_shift_does_not_invalidate(self):
-        """Fingerprints key on the line *text*, not the line number."""
-        baseline = Baseline.from_findings(
-            lint_source(self.FILE_A, self.SOURCE)
-        )
-        shifted = "# a new leading comment\n" + self.SOURCE
-        fresh, grandfathered, stale = baseline.partition(
-            lint_source(self.FILE_A, shifted)
-        )
-        assert fresh == []
-        assert len(grandfathered) == 1
-        assert stale == []
-
-    def test_duplicate_findings_on_one_line(self):
-        """Two id() calls on one line are two findings with the same
-        fingerprint: one baseline entry grandfathers exactly one."""
-        doubled = "order = {}\norder[id(object())] = id(object())\n"
-        findings = lint_source(self.FILE_A, doubled)
-        assert len(findings) == 2
-        one_entry = Baseline.from_findings(findings[:1])
-        fresh, grandfathered, stale = one_entry.partition(findings)
-        assert len(grandfathered) == 1
-        assert len(fresh) == 1
-        assert stale == []
-        both = Baseline.from_findings(findings)
-        fresh, grandfathered, stale = both.partition(findings)
-        assert fresh == [] and len(grandfathered) == 2 and stale == []
-
-    def test_write_then_load_round_trips_duplicates(self, tmp_path):
-        doubled = "order = {}\norder[id(object())] = id(object())\n"
-        findings = lint_source(self.FILE_A, doubled)
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).write(str(path))
-        loaded = Baseline.load(str(path))
-        fresh, grandfathered, stale = loaded.partition(findings)
-        assert fresh == [] and len(grandfathered) == 2 and stale == []
+        proc = run_lint(str(quiet), cwd=str(tmp_path))
+        assert proc.returncode == 1
+        assert "repro/core/report.py:2:1: RPR008 unused noqa: no RPR101 finding" in proc.stdout
 
 
 class TestGithubFormat:
-    def _result(self, source, baseline=None):
+    def _result(self, source):
         from repro.analysis.engine import LintResult
 
-        findings = lint_source("src/repro/core/gh.py", source)
-        if baseline is None:
-            return LintResult(findings, [], [], 1)
-        return LintResult(*baseline.partition(findings), 1)
+        return LintResult(lint_source("src/repro/core/gh.py", source), 1)
 
     def test_fresh_finding_renders_error_annotation(self):
         rendered = self._result("import json\n").render("github")
@@ -627,14 +569,6 @@ class TestGithubFormat:
         assert "title=RPR007" in line
         assert "::" in line.split("title=RPR007", 1)[1]
 
-    def test_baselined_finding_renders_notice(self):
-        source = "import json\n"
-        baseline = Baseline.from_findings(
-            lint_source("src/repro/core/gh.py", source)
-        )
-        rendered = self._result(source, baseline).render("github")
-        assert rendered.splitlines()[0].startswith("::notice ")
-
     def test_message_special_characters_escaped(self):
         from repro.analysis.engine import LintResult
         from repro.analysis.findings import Finding
@@ -642,190 +576,56 @@ class TestGithubFormat:
         finding = Finding(
             "RPR001", "src/a,b.py", 3, 1, "line one\nline two: 50%"
         )
-        rendered = LintResult([finding], [], [], 1).render("github")
+        rendered = LintResult([finding], 1).render("github")
         first = rendered.splitlines()[0]
         assert "file=src/a%2Cb.py" in first
         assert "line one%0Aline two: 50%25" in first
         assert "\n" not in first
 
     def test_cli_lint_github_format(self, tmp_path):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        bad = tmp_path / "repro" / "core"
-        bad.mkdir(parents=True)
-        (bad / "bad.py").write_text("import json\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--format", "github",
-             str(bad / "bad.py")],
-            capture_output=True, text=True, env=env, cwd=repo_root,
-        )
+        bad = write_module(tmp_path, "repro/core/bad.py", "import json\n")
+        proc = run_lint("--format", "github", str(bad))
         assert proc.returncode == 1
         assert proc.stdout.startswith("::error file=")
 
 
-class TestFixNoqa:
-    def test_unused_code_removed_used_kept(self, tmp_path):
-        from repro.analysis.fixes import fix_unused_noqa
-
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        target = pkg / "mod.py"
-        target.write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "def stamp():\n"
-            "    return time.time()  # repro: noqa[RPR001] real waiver\n"
-            "\n"
-            "\n"
-            "def clean():\n"
-            "    return 1  # repro: noqa[RPR001] stale\n"
-        )
-        fixes = fix_unused_noqa([str(target)], root=str(tmp_path))
-        assert len(fixes) == 1
-        assert fixes[0].dropped_comment
-        text = target.read_text()
-        assert "real waiver" in text  # used suppression untouched
-        assert "stale" not in text
-        assert text.endswith("    return 1\n")
-
-    def test_partial_removal_keeps_other_codes(self, tmp_path):
-        from repro.analysis.fixes import fix_unused_noqa
-
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        target = pkg / "mod.py"
-        target.write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "def stamp():\n"
-            "    return time.time()  # repro: noqa[RPR001,RPR002] clock only\n"
-        )
-        fixes = fix_unused_noqa([str(target)], root=str(tmp_path))
-        assert [f.removed_codes for f in fixes] == [("RPR002",)]
-        assert "# repro: noqa[RPR001] clock only" in target.read_text()
-
-    def test_unregistered_codes_left_for_humans(self, tmp_path):
-        from repro.analysis.fixes import fix_unused_noqa
-
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        target = pkg / "mod.py"
-        body = "def f():\n    return 1  # repro: noqa[XXX999] mystery\n"
-        target.write_text(body)
-        fixes = fix_unused_noqa([str(target)], root=str(tmp_path))
-        assert fixes == []
-        assert target.read_text() == body
-
-    def test_deep_scope_requires_flag(self, tmp_path):
-        """Without --deep a deep-code noqa is out of proof scope."""
-        from repro.analysis.fixes import fix_unused_noqa
-
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        target = pkg / "mod.py"
-        target.write_text(
-            "def f():\n    return 1  # repro: noqa[RPR101] nothing flows\n"
-        )
-        assert fix_unused_noqa([str(target)], root=str(tmp_path)) == []
-        fixes = fix_unused_noqa(
-            [str(target)], root=str(tmp_path), include_deep=True
-        )
-        assert [f.removed_codes for f in fixes] == [("RPR101",)]
-        assert "noqa" not in target.read_text()
-
-    def test_cli_fix_noqa(self, tmp_path):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        target = pkg / "mod.py"
-        target.write_text(
-            "def f():\n    return 1  # repro: noqa[RPR003] stale\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--fix-noqa", str(target)],
-            capture_output=True, text=True, env=env, cwd=str(tmp_path),
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "removed 1 unused noqa code(s)" in proc.stdout
-        assert "noqa" not in target.read_text()
-
-
 class TestAnalyzeCli:
-    def _run(self, *argv, cwd=None):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "analyze", *argv],
-            capture_output=True, text=True, env=env, cwd=cwd or repo_root,
-        )
+    """The whole-program rules (RPR101, RPR103) run in plain ``repro
+    lint``, in the same pass as the per-file rules."""
 
-    def test_analyze_repo_is_clean_against_checked_in_baseline(self):
-        """Acceptance criterion: `repro analyze` exits 0 on the repo with
-        the (empty) checked-in baseline."""
-        proc = self._run("--baseline", "analyze-baseline.json")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 new finding(s)" in proc.stdout
-
-    def test_checked_in_analyze_baseline_is_empty(self):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        doc = json.load(open(os.path.join(repo_root, "analyze-baseline.json")))
-        assert doc["schema"] == "repro.analysis.baseline/v1"
-        assert doc["entries"] == []
+    TAINTED_REPORT = (
+        "import time\n"
+        "\n"
+        "\n"
+        "class SimulationReport:\n"
+        "    def digest(self):\n"
+        "        return time.time()\n"
+    )
 
     def test_analyze_finds_seeded_taint_flow(self, tmp_path):
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "report.py").write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "class SimulationReport:\n"
-            "    def digest(self):\n"
-            "        return time.time()\n"
-        )
-        proc = self._run(str(pkg / "report.py"), cwd=str(tmp_path))
+        report = write_module(tmp_path, "repro/core/report.py", self.TAINTED_REPORT)
+        proc = run_lint(str(report), cwd=str(tmp_path))
         assert proc.returncode == 1
         assert "RPR101" in proc.stdout
         assert "via digest" in proc.stdout
 
-    def test_lint_deep_runs_both_layers(self, tmp_path):
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "report.py").write_text(
-            "import json\n"
-            "import time\n"
-            "\n"
-            "\n"
-            "class SimulationReport:\n"
-            "    def digest(self):\n"
-            "        return time.time()\n"
+    def test_lint_runs_both_layers(self, tmp_path):
+        report = write_module(
+            tmp_path, "repro/core/report.py", "import json\n" + self.TAINTED_REPORT
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--deep",
-             str(pkg / "report.py")],
-            capture_output=True, text=True, env=env, cwd=str(tmp_path),
-        )
+        proc = run_lint(str(report), cwd=str(tmp_path))
         assert proc.returncode == 1
-        assert "RPR007" in proc.stdout  # shallow: json import in core
-        assert "RPR001" in proc.stdout  # shallow: wall clock
-        assert "RPR101" in proc.stdout  # deep: taint flow
+        assert "RPR007" in proc.stdout  # per-file: json import in core
+        assert "RPR001" in proc.stdout  # per-file: wall clock
+        assert "RPR101" in proc.stdout  # whole-program: taint flow
 
     def test_explain_deep_rule(self):
-        proc = self._run("--explain", "RPR101")
+        proc = run_lint("--explain", "RPR101")
         assert proc.returncode == 0
         assert "taint" in proc.stdout.lower()
 
     def test_explain_rpr102_is_an_unknown_rule(self):
-        proc = self._run("--explain", "RPR102")
+        proc = run_lint("--explain", "RPR102")
         assert proc.returncode != 0
         assert "unknown rule code RPR102" in proc.stderr
 
