@@ -35,11 +35,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.callgraph import ProjectGraph
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Rule
+from repro.analysis.rules import LintContext, Rule
 
-__all__ = ["AsyncAtomicityRule", "async_findings"]
+__all__ = ["AsyncAtomicityRule"]
 
 #: Path fragments that put a module inside the asyncio perimeter.
 _ASYNC_SCOPES = ("repro/service/", "repro/fabric/")
@@ -261,24 +260,8 @@ class _AsyncScanner:
                     self._on_write(attr, line)
 
 
-def async_findings(graph: ProjectGraph) -> Iterator[Finding]:
-    """All RPR103 findings over the project's asyncio perimeter."""
-    for module_name in graph.modules:
-        module = graph.modules[module_name]
-        norm = module.path.replace("\\", "/")
-        if not any(scope in norm for scope in _ASYNC_SCOPES):
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            scanner = _AsyncScanner(module.path, node.name)
-            scanner.scan(node.body)
-            for finding in scanner.findings:
-                yield finding
-
-
 class AsyncAtomicityRule(Rule):
-    """Registry entry for RPR103 (checked project-wide, not per-file)."""
+    """RPR103: each ``async def`` of a service/fabric module, scanned alone."""
 
     code = "RPR103"
     name = "await-atomicity"
@@ -307,5 +290,12 @@ class AsyncAtomicityRule(Rule):
         "        await self._probe(key)"
     )
 
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        return async_findings(graph)
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        norm = ctx.path.replace("\\", "/")
+        if not any(scope in norm for scope in _ASYNC_SCOPES):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.AsyncFunctionDef):
+                scanner = _AsyncScanner(ctx.path, node.name)
+                scanner.scan(node.body)
+                yield from scanner.findings

@@ -1,18 +1,18 @@
-"""The lint engine: one parse, every rule, one suppression pass.
+"""The lint engine: one per-file pass, one suppression loop.
 
-``lint_files`` lints ``(repo-relative path, source)`` pairs in one run:
+``lint_files`` lints ``(repo-relative path, source)`` pairs in one run.
+For each file, in path order:
 
-1. :func:`~repro.analysis.callgraph.build_graph` parses each file once; a
-   file that does not parse is an RPR000 finding;
-2. every rule in :data:`RULES` runs — the per-file rules (RPR001–RPR009)
-   on each module's tree, the whole-program rules (RPR101 taint flow,
-   RPR103 await atomicity) on the graph;
+1. ``ast.parse`` runs once; a file that does not parse is an RPR000
+   finding;
+2. every rule in :data:`RULES` checks the one :class:`LintContext`;
 3. each finding is dropped if a ``# repro: noqa[...]`` on its line names
    its code, which marks that code used;
 4. RPR008 hygiene checks every suppression: a written reason, registered
    codes only, and every code used.  All rules ran, so "unused" is
    proven for every code, whatever rule it names.
 
+No rule reads more than its own file, so there is no project graph.
 ``lint_source`` is the one-file spelling the unit tests use;
 ``lint_paths`` reads files and directories and returns a
 :class:`LintResult` that renders as text, JSON, or GitHub Actions
@@ -21,27 +21,20 @@ annotations and knows its process exit code.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.async_rules import AsyncAtomicityRule
-from repro.analysis.callgraph import build_graph
 from repro.analysis.findings import Finding, sort_findings
-from repro.analysis.flow import TaintFlowRule
 from repro.analysis.noqa import Suppression
 from repro.analysis.rules import (
-    CoreImportRule,
     DeepcopyOutsideSnapshotRule,
-    EntropyRule,
     HotPathSlotsRule,
-    IdAsKeyRule,
     LintContext,
     Rule,
     SuppressionHygieneRule,
-    TelemetrySeamRule,
-    UnorderedIterationRule,
-    WallClockRule,
 )
 
 #: Schema tag for ``--format json`` output.
@@ -50,16 +43,9 @@ LINT_SCHEMA = "repro.analysis.lint/v2"
 #: The registry, in code order.  ``repro lint --explain RPRxxx`` renders
 #: rationale and fix example straight from here.
 RULES: Tuple[Rule, ...] = (
-    WallClockRule(),
-    EntropyRule(),
-    IdAsKeyRule(),
-    UnorderedIterationRule(),
     HotPathSlotsRule(),
-    TelemetrySeamRule(),
-    CoreImportRule(),
     SuppressionHygieneRule(),
     DeepcopyOutsideSnapshotRule(),
-    TaintFlowRule(),
     AsyncAtomicityRule(),
 )
 
@@ -104,43 +90,45 @@ def _hygiene_findings(path: str, suppression: Suppression) -> List[Finding]:
     return out
 
 
+def _check_file(path: str, source: str) -> List[Finding]:
+    """Every rule over one file, suppressions applied, RPR008 added."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [
+            Finding(
+                "RPR000", path, exc.lineno or 1, (exc.offset or 0) + 1,
+                f"file does not parse: {exc.msg}",
+            )
+        ]
+    ctx = LintContext(path, source, tree)
+    kept: List[Finding] = []
+    for rule in RULES:
+        for finding in rule.check(ctx):
+            suppression = ctx.suppressions.get(finding.line)
+            if suppression is None or not suppression.suppresses(
+                finding.code, finding.line
+            ):
+                kept.append(finding)
+    for suppression in ctx.suppressions.values():
+        kept.extend(_hygiene_findings(path, suppression))
+    return kept
+
+
 def lint_files(files: Sequence[Tuple[str, str]]) -> List[Finding]:
     """Lint ``(repo-relative path, source)`` pairs with every rule.
 
-    Returns the findings left after suppressions, RPR008 included, in
-    report order.
+    Each distinct path is parsed once.  Returns the findings left after
+    suppressions, RPR008 included, in report order.
     """
-    graph = build_graph(files)
-    kept = [
-        Finding(
-            "RPR000", path, exc.lineno or 1, (exc.offset or 0) + 1,
-            f"file does not parse: {exc.msg}",
-        )
-        for path, exc in graph.unparsed
-    ]
-    raw: List[Finding] = []
-    for module in graph.files:
-        ctx = LintContext(module)
-        for rule in RULES:
-            raw.extend(rule.check(ctx))
-    for rule in RULES:
-        raw.extend(rule.check_project(graph))
-
-    by_path = {module.path: module for module in graph.files}
-    for finding in raw:
-        suppression = by_path[finding.path].suppressions.get(finding.line)
-        if suppression is None or not suppression.suppresses(
-            finding.code, finding.line
-        ):
-            kept.append(finding)
-    for module in graph.files:
-        for suppression in module.suppressions.values():
-            kept.extend(_hygiene_findings(module.path, suppression))
-    return sort_findings(kept)
+    findings: List[Finding] = []
+    for path, source in sorted(dict(files).items()):
+        findings.extend(_check_file(path, source))
+    return sort_findings(findings)
 
 
 def lint_source(path: str, source: str) -> List[Finding]:
-    """Lint one in-memory file as if it were the whole project."""
+    """Lint one in-memory file."""
     return lint_files([(path, source)])
 
 

@@ -1,8 +1,7 @@
 """Lint findings: the record every rule produces and the engine reports.
 
 A finding names one rule code at one ``path:line:column`` location.  It
-is anchored where the fix (or a reasoned ``# repro: noqa[...]``) belongs,
-which for the whole-program rules is the source line, not the sink.
+is anchored where the fix (or a reasoned ``# repro: noqa[...]``) belongs.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ import tokenize
 from typing import Dict, List
 
 #: Matches the suppression marker inside a comment token's text: the
-#: "repro:" prefix, the keyword, bracketed codes ("[RPR001]" or
-#: "[RPR001,RPR004]"), then free-text reason.
+#: "repro:" prefix, the keyword, bracketed codes ("[RPR005]" or
+#: "[RPR005,RPR009]"), then free-text reason.
 _NOQA_RE = re.compile(
     r"repro:\s*noqa\[(?P<codes>[A-Za-z0-9_, ]+)\]\s*(?P<reason>.*)$"
 )

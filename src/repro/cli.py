@@ -10,9 +10,9 @@ Subcommands::
                 ablation-tracked) or 'all' of them
     trace       summarize or validate a recorded telemetry trace
     cache       inspect, clear, or prune the persistent report cache
-    lint        run every determinism rule over the source tree: the
-                per-file rules (RPR001-RPR009), interprocedural taint flow
-                (RPR101) and asyncio atomicity (RPR103), in one pass
+    lint        run the lint rules over the source tree, one file at a
+                time: hot-path __slots__ (RPR005), noqa hygiene (RPR008),
+                stray deepcopy (RPR009) and asyncio atomicity (RPR103)
     serve       run the simulation job service daemon (unix socket / TCP);
                 --coordinator runs the fabric front door instead
     worker      run a fleet worker: a service daemon registered with (and
@@ -32,7 +32,7 @@ Examples::
     python -m repro run barnes --scheme adaptive:1e-3 --scale 2
     python -m repro lint
     python -m repro lint --format github
-    python -m repro lint --explain RPR101
+    python -m repro lint --explain RPR103
     python -m repro run fft --scheme adaptive:1e-3 --trace out.json --metrics m.json
     python -m repro trace summarize out.json
     python -m repro compare water --bounds 0,4,None
@@ -830,8 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="run every determinism rule (RPR001-RPR009, RPR101, RPR103) "
-             "over the tree in one pass",
+        help="run every lint rule (RPR005, RPR008, RPR009, RPR103) over "
+             "the tree, one file at a time",
     )
     lint_parser.add_argument("paths", nargs="*",
                              help="files or directories (default src/repro)")

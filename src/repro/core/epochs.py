@@ -210,9 +210,10 @@ def machine_anchors(state: SimulationState) -> Tuple[Dict[int, int], List[Any]]:
     objects: List[Any] = []
 
     def note(obj: Any) -> bool:
-        if id(obj) in by_id:  # repro: noqa[RPR003] walk-local dedup; indices, not ids, reach the wire
+        # Walk-local dedup: indices, not ids, reach the wire.
+        if id(obj) in by_id:
             return False
-        by_id[id(obj)] = len(objects)  # repro: noqa[RPR003] walk-local dedup; indices, not ids, reach the wire
+        by_id[id(obj)] = len(objects)
         objects.append(obj)
         return True
 
@@ -312,7 +313,7 @@ class _Encoder:
     def _assign(self, obj: Any) -> int:
         index = self._next
         self._next = index + 1
-        self._memo[id(obj)] = index  # repro: noqa[RPR003] encode-pass memo; only the index is serialized
+        self._memo[id(obj)] = index  # encode-pass memo; only the index is serialized
         self._alive.append(obj)
         return index
 
@@ -324,7 +325,7 @@ class _Encoder:
             return obj
         if t is float:
             return ["f", obj.hex()]
-        oid = id(obj)  # repro: noqa[RPR003] memo/anchor key for this pass; never serialized
+        oid = id(obj)  # memo/anchor key for this pass; never serialized
         anchor = self._anchors.get(oid)
         if anchor is not None:
             return ["a", anchor]

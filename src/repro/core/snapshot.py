@@ -152,12 +152,12 @@ def take(state: SimulationState) -> StateSnapshot:
         stub = _ArrayStub(array)
         host_pages += array.snapshot_sync()
         array._snap_epoch = generation
-        memo[id(array)] = stub  # repro: noqa[RPR003] deepcopy memo protocol keys by object identity
+        memo[id(array)] = stub
         arrays.append((array, stub))
     cmap = state.manager.cache_map
     cmap_stub = _MapStub(cmap)
     cmap.journal_reset()
-    memo[id(cmap)] = cmap_stub  # repro: noqa[RPR003] deepcopy memo protocol keys by object identity
+    memo[id(cmap)] = cmap_stub
     residue = copy.deepcopy(state, memo)
     return StateSnapshot(generation, residue, arrays, cmap, cmap_stub, host_pages)
 
@@ -180,9 +180,9 @@ def restore(snapshot: StateSnapshot) -> SimulationState:
             )
         array.snapshot_restore()
         stub.apply(array)
-        memo[id(stub)] = array  # repro: noqa[RPR003] deepcopy memo protocol keys by object identity
+        memo[id(stub)] = array
     cmap = snapshot._cmap
     cmap.journal_revert()
     snapshot._cmap_stub.apply(cmap)
-    memo[id(snapshot._cmap_stub)] = cmap  # repro: noqa[RPR003] deepcopy memo protocol keys by object identity
+    memo[id(snapshot._cmap_stub)] = cmap
     return copy.deepcopy(snapshot.residue, memo)

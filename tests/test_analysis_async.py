@@ -6,16 +6,13 @@ the asyncio perimeter (service/ and fabric/).
 
 import textwrap
 
-from repro.analysis.async_rules import async_findings
-from repro.analysis.callgraph import build_graph
-from repro.analysis.engine import lint_source, read_files
+from repro.analysis.engine import lint_paths, lint_source
 
 PATH = "src/repro/service/fake.py"
 
 
 def findings_of(source, path=PATH):
-    graph = build_graph([(path, textwrap.dedent(source))])
-    return list(async_findings(graph))
+    return lint_source(path, textwrap.dedent(source))
 
 
 class TestFires:
@@ -187,8 +184,7 @@ class TestRepositoryIsClean:
         import os
 
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        files = read_files([os.path.join(repo_root, "src", "repro")], repo_root)
-        graph = build_graph(files)
-        found = list(async_findings(graph))
+        result = lint_paths([os.path.join(repo_root, "src", "repro")], repo_root)
+        found = [f for f in result.findings if f.code == "RPR103"]
         rendered = "\n".join(f.render() for f in found)
         assert found == [], f"await-atomicity findings:\n{rendered}"

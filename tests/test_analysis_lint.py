@@ -18,10 +18,9 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.engine import (
     RULES,
     explain_rule,
-    flow,
     lint_paths,
     lint_source,
     read_files,
@@ -30,10 +29,12 @@ from repro.analysis import (
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CORE_PATH = "src/repro/core/fake.py"
-#: Critical package that is not repro.core — wall-clock/entropy fixtures
-#: import time/random at module level, which RPR007 would also flag in core.
 CPU_PATH = "src/repro/cpu/fake.py"
 HARNESS_PATH = "src/repro/harness/fake.py"
+
+#: A hot-path class without ``__slots__``: one RPR005 finding, on line 2,
+#: where ``{noqa}`` puts a trailing comment.
+UNSLOTTED = "# repro: hot-path\nclass Msg:{noqa}\n    pass\n"
 
 
 def lint(source, path=CORE_PATH):
@@ -42,149 +43,6 @@ def lint(source, path=CORE_PATH):
 
 def codes(findings):
     return [f.code for f in findings]
-
-
-class TestWallClockRule:
-    def test_direct_call_flagged(self):
-        found = lint(
-            """
-            import time
-            t = time.perf_counter()
-            """,
-            path=CPU_PATH,
-        )
-        assert codes(found) == ["RPR001"]
-        assert "time.perf_counter" in found[0].message
-
-    def test_aliased_import_resolved(self):
-        found = lint(
-            """
-            from time import monotonic as now
-            t = now()
-            """,
-            path=CPU_PATH,
-        )
-        assert codes(found) == ["RPR001"]
-
-    def test_datetime_now_flagged(self):
-        found = lint(
-            """
-            import datetime as dt
-            stamp = dt.datetime.now()
-            """,
-            path=CPU_PATH,
-        )
-        assert codes(found) == ["RPR001"]
-
-    def test_harness_exempt(self):
-        found = lint(
-            """
-            import time
-            t = time.perf_counter()
-            """,
-            path=HARNESS_PATH,
-        )
-        assert "RPR001" not in codes(found)
-
-
-class TestEntropyRule:
-    def test_module_level_random_flagged(self):
-        found = lint(
-            """
-            import random
-            x = random.random()
-            """
-        )
-        assert "RPR002" in codes(found)
-
-    def test_urandom_flagged(self):
-        found = lint("blob = __import__('os')\nimport os\nx = os.urandom(8)\n")
-        assert "RPR002" in codes(found)
-
-    def test_seeded_random_instance_allowed(self):
-        found = lint(
-            """
-            import random
-            rng = random.Random(1234)
-            """
-        )
-        assert "RPR002" not in codes(found)
-
-    def test_unseeded_random_instance_flagged(self):
-        found = lint(
-            """
-            import random
-            rng = random.Random()
-            """
-        )
-        assert "RPR002" in codes(found)
-
-
-class TestIdAsKeyRule:
-    def test_id_call_flagged(self):
-        found = lint("order = {}\norder[id(object())] = 1\n")
-        assert codes(found) == ["RPR003"]
-
-    def test_deepcopy_memo_exempt(self):
-        found = lint(
-            """
-            class Thing:
-                def __deepcopy__(self, memo):
-                    new = Thing()
-                    memo[id(self)] = new
-                    return new
-            """
-        )
-        assert codes(found) == []
-
-    def test_shadowed_id_outside_exempt_method_flagged(self):
-        found = lint(
-            """
-            def key_for(msg):
-                return id(msg)
-            """
-        )
-        assert codes(found) == ["RPR003"]
-
-
-class TestUnorderedIterationRule:
-    def test_for_over_set_literal_flagged(self):
-        found = lint(
-            """
-            def walk():
-                for x in {1, 2, 3}:
-                    pass
-            """
-        )
-        assert codes(found) == ["RPR004"]
-
-    def test_comprehension_over_set_call_flagged(self):
-        found = lint("items = [1]\nout = [x for x in set(items)]\n")
-        assert codes(found) == ["RPR004"]
-
-    def test_list_wrapper_exposes_order(self):
-        found = lint("items = [1]\nout = list(frozenset(items))\n")
-        assert codes(found) == ["RPR004"]
-
-    def test_sorted_set_allowed(self):
-        found = lint(
-            """
-            items = [3, 1]
-            for x in sorted(set(items)):
-                pass
-            """
-        )
-        assert codes(found) == []
-
-    def test_dict_iteration_allowed(self):
-        found = lint(
-            """
-            table = {1: "a"}
-            for key in table:
-                pass
-            """
-        )
-        assert codes(found) == []
 
 
 class TestHotPathSlotsRule:
@@ -209,6 +67,26 @@ class TestHotPathSlotsRule:
             """
         )
         assert codes(found) == []
+
+    def test_annotated_slots_clean(self):
+        """``__slots__: tuple = (...)`` declares slots; a bare annotation
+        does not."""
+        declared = lint(
+            """
+            # repro: hot-path
+            class Msg:
+                __slots__: tuple = ("ts",)
+            """
+        )
+        assert codes(declared) == []
+        annotated_only = lint(
+            """
+            # repro: hot-path
+            class Msg:
+                __slots__: tuple
+            """
+        )
+        assert codes(annotated_only) == ["RPR005"]
 
     def test_marker_above_decorator(self):
         found = lint(
@@ -244,74 +122,6 @@ class TestHotPathSlotsRule:
             path=HARNESS_PATH,
         )
         assert codes(found) == ["RPR005"]
-
-
-class TestTelemetrySeamRule:
-    def test_raw_attribute_call_flagged(self):
-        found = lint(
-            """
-            class Manager:
-                def step(self):
-                    self.telemetry.on_event("x")
-            """
-        )
-        assert codes(found) == ["RPR006"]
-
-    def test_guarded_seam_clean(self):
-        found = lint(
-            """
-            class Manager:
-                telemetry = None
-
-                def step(self):
-                    tel = self.telemetry
-                    if tel is not None and tel.enabled:
-                        tel.on_event("x")
-            """
-        )
-        assert codes(found) == []
-
-    def test_internal_import_flagged(self):
-        found = lint("from repro.telemetry.tracer import TraceBuffer\n")
-        assert codes(found) == ["RPR006"]
-
-    def test_package_root_import_allowed(self):
-        found = lint("from repro.telemetry import TelemetrySession\n")
-        assert codes(found) == []
-
-
-class TestCoreImportRule:
-    def test_module_level_json_flagged(self):
-        found = lint("import json\n")
-        assert codes(found) == ["RPR007"]
-
-    def test_from_import_flagged(self):
-        found = lint("from multiprocessing import Pool\n")
-        assert codes(found) == ["RPR007"]
-
-    def test_function_local_lazy_import_allowed(self):
-        found = lint(
-            """
-            def to_json(rows):
-                import json
-                return json.dumps(rows)
-            """
-        )
-        assert codes(found) == []
-
-    def test_type_checking_block_still_module_level(self):
-        found = lint(
-            """
-            from typing import TYPE_CHECKING
-            if TYPE_CHECKING:
-                import json
-            """
-        )
-        assert codes(found) == ["RPR007"]
-
-    def test_other_packages_exempt(self):
-        found = lint("import json\n", path=HARNESS_PATH)
-        assert codes(found) == []
 
 
 class TestDeepcopyOutsideSnapshotRule:
@@ -381,41 +191,36 @@ class TestDeepcopyOutsideSnapshotRule:
 class TestSuppressions:
     def test_valid_suppression_silences_finding(self):
         found = lint(
-            "order = {}\n"
-            "order[id(object())] = 1  # repro: noqa[RPR003] test fixture "
-            "needs address identity\n"
+            UNSLOTTED.format(noqa="  # repro: noqa[RPR005] test fixture needs a dict")
         )
         assert codes(found) == []
 
     def test_reasonless_suppression_flagged(self):
-        found = lint("order = {}\norder[id(object())] = 1  # repro: noqa[RPR003]\n")
-        assert "RPR008" in codes(found)
+        found = lint(UNSLOTTED.format(noqa="  # repro: noqa[RPR005]"))
+        assert codes(found) == ["RPR008"]
 
     def test_unregistered_code_flagged(self):
         found = lint("x = 1  # repro: noqa[RPR999] no such rule\n")
         assert codes(found) == ["RPR008"]
 
     def test_unused_suppression_flagged(self):
-        found = lint("x = 1  # repro: noqa[RPR003] nothing to suppress here\n")
+        found = lint("x = 1  # repro: noqa[RPR005] nothing to suppress here\n")
         assert codes(found) == ["RPR008"]
 
     def test_docstring_example_not_a_suppression(self):
         found = lint(
-            '"""Docs may show the repro: noqa[RPR003] syntax verbatim."""\n'
+            '"""Docs may show the repro: noqa[RPR005] syntax verbatim."""\n'
             "x = 1\n"
         )
         assert codes(found) == []
 
     def test_multi_code_suppression(self):
-        found = lint(
-            """
-            import time
-            import random
-            t = time.time() + random.random()  # repro: noqa[RPR001,RPR002] fixture
-            """,
-            path=CPU_PATH,
-        )
-        assert codes(found) == []
+        """Each listed code is proven on its own: the used one suppresses
+        its finding, the unused one is reported."""
+        found = lint(UNSLOTTED.format(noqa="  # repro: noqa[RPR005,RPR103] fixture"))
+        assert [f.render() for f in found] == [
+            f"{CORE_PATH}:2:1: RPR008 unused noqa: no RPR103 finding on this line"
+        ]
 
 
 class TestSyntaxError:
@@ -437,60 +242,42 @@ class TestExplain:
         assert explain_rule("RPR999") is None
 
     def test_case_insensitive(self):
-        assert explain_rule("rpr001") is not None
+        assert explain_rule("rpr005") is not None
 
 
 @pytest.fixture(scope="class")
 def repo_lint():
     """One ``lint_paths`` run over ``src/repro``, watched from outside:
-    every ``ast.parse`` call is counted by filename, and the project
-    graph the taint rule receives is kept."""
+    every ``ast.parse`` call is counted by filename."""
     parses = collections.Counter()
-    graphs = []
-    real_parse, real_taint = ast.parse, flow.taint_findings
+    real_parse = ast.parse
 
     def counting_parse(source, filename="<unknown>", *args, **kwargs):
         parses[filename] += 1
         return real_parse(source, filename, *args, **kwargs)
 
-    def watched_taint(graph, *args, **kwargs):
-        graphs.append(graph)
-        return real_taint(graph, *args, **kwargs)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ast, "parse", counting_parse)
-        patch.setattr(flow, "taint_findings", watched_taint)
         result = lint_paths(
             [os.path.join(REPO_ROOT, "src", "repro")], root=REPO_ROOT
         )
-    return result, parses, graphs
+    return result, parses
 
 
 class TestRepositoryIsClean:
     def test_src_repro_lints_clean(self, repo_lint):
-        """Acceptance criterion: every rule, per-file and whole-program,
-        finds nothing in the repository, and the taint rule's graph
-        resolves the report digest sink (so a clean run is not an empty
-        graph)."""
-        result, _, graphs = repo_lint
+        """Acceptance criterion: no rule finds anything in the repository."""
+        result, _ = repo_lint
         assert result.files_checked > 50
         rendered = "\n".join(f.render() for f in result.findings)
         assert result.findings == [], f"lint findings:\n{rendered}"
         assert result.exit_code == 0
-        (graph,) = graphs
-        assert any(
-            qualname.endswith("SimulationReport.digest")
-            for qualname in graph.functions
-        )
 
     def test_each_file_is_parsed_once_for_every_rule(self, repo_lint):
-        """The per-file and whole-program rules share one parse: one
-        ``ast.parse`` per file, and the taint rule sees all of them."""
-        _, parses, graphs = repo_lint
+        """Every rule shares one parse: one ``ast.parse`` per file."""
+        _, parses = repo_lint
         files = read_files([os.path.join(REPO_ROOT, "src", "repro")], root=REPO_ROOT)
         assert parses == collections.Counter(path for path, _ in files)
-        (graph,) = graphs
-        assert sorted(m.path for m in graph.files) == sorted(parses)
 
 
 def run_lint(*argv, cwd=None):
@@ -520,17 +307,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_json_format(self, tmp_path):
-        bad = write_module(tmp_path, "repro/core/bad.py", "import json\n")
+        bad = write_module(tmp_path, "repro/core/bad.py", UNSLOTTED.format(noqa=""))
         proc = run_lint("--format", "json", str(bad))
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "repro.analysis.lint/v2"
-        assert [f["code"] for f in doc["findings"]] == ["RPR007"]
+        assert [f["code"] for f in doc["findings"]] == ["RPR005"]
 
     def test_explain_known_rule(self):
-        proc = run_lint("--explain", "RPR004")
+        proc = run_lint("--explain", "RPR005")
         assert proc.returncode == 0
-        assert "unordered" in proc.stdout
+        assert "__slots__" in proc.stdout
 
     def test_explain_all(self):
         proc = run_lint("--explain", "all")
@@ -543,18 +330,6 @@ class TestCli:
         assert proc.returncode == 2
         assert "RPR999" in proc.stderr
 
-    def test_unused_rpr101_noqa_is_reported(self, tmp_path):
-        """A whole-program code is proven unused like any other: no flow
-        passes through this line, so its waiver is dead."""
-        quiet = write_module(
-            tmp_path,
-            "repro/core/report.py",
-            "def quiet():\n    return 7  # repro: noqa[RPR101] nothing flows here\n",
-        )
-        proc = run_lint(str(quiet), cwd=str(tmp_path))
-        assert proc.returncode == 1
-        assert "repro/core/report.py:2:1: RPR008 unused noqa: no RPR101 finding" in proc.stdout
-
 
 class TestGithubFormat:
     def _result(self, source):
@@ -563,18 +338,18 @@ class TestGithubFormat:
         return LintResult(lint_source("src/repro/core/gh.py", source), 1)
 
     def test_fresh_finding_renders_error_annotation(self):
-        rendered = self._result("import json\n").render("github")
+        rendered = self._result(UNSLOTTED.format(noqa="")).render("github")
         line = rendered.splitlines()[0]
-        assert line.startswith("::error file=src/repro/core/gh.py,line=1,")
-        assert "title=RPR007" in line
-        assert "::" in line.split("title=RPR007", 1)[1]
+        assert line.startswith("::error file=src/repro/core/gh.py,line=2,")
+        assert "title=RPR005" in line
+        assert "::" in line.split("title=RPR005", 1)[1]
 
     def test_message_special_characters_escaped(self):
         from repro.analysis.engine import LintResult
         from repro.analysis.findings import Finding
 
         finding = Finding(
-            "RPR001", "src/a,b.py", 3, 1, "line one\nline two: 50%"
+            "RPR005", "src/a,b.py", 3, 1, "line one\nline two: 50%"
         )
         rendered = LintResult([finding], 1).render("github")
         first = rendered.splitlines()[0]
@@ -583,46 +358,14 @@ class TestGithubFormat:
         assert "\n" not in first
 
     def test_cli_lint_github_format(self, tmp_path):
-        bad = write_module(tmp_path, "repro/core/bad.py", "import json\n")
+        bad = write_module(tmp_path, "repro/core/bad.py", UNSLOTTED.format(noqa=""))
         proc = run_lint("--format", "github", str(bad))
         assert proc.returncode == 1
         assert proc.stdout.startswith("::error file=")
 
 
 class TestAnalyzeCli:
-    """The whole-program rules (RPR101, RPR103) run in plain ``repro
-    lint``, in the same pass as the per-file rules."""
-
-    TAINTED_REPORT = (
-        "import time\n"
-        "\n"
-        "\n"
-        "class SimulationReport:\n"
-        "    def digest(self):\n"
-        "        return time.time()\n"
-    )
-
-    def test_analyze_finds_seeded_taint_flow(self, tmp_path):
-        report = write_module(tmp_path, "repro/core/report.py", self.TAINTED_REPORT)
-        proc = run_lint(str(report), cwd=str(tmp_path))
-        assert proc.returncode == 1
-        assert "RPR101" in proc.stdout
-        assert "via digest" in proc.stdout
-
-    def test_lint_runs_both_layers(self, tmp_path):
-        report = write_module(
-            tmp_path, "repro/core/report.py", "import json\n" + self.TAINTED_REPORT
-        )
-        proc = run_lint(str(report), cwd=str(tmp_path))
-        assert proc.returncode == 1
-        assert "RPR007" in proc.stdout  # per-file: json import in core
-        assert "RPR001" in proc.stdout  # per-file: wall clock
-        assert "RPR101" in proc.stdout  # whole-program: taint flow
-
-    def test_explain_deep_rule(self):
-        proc = run_lint("--explain", "RPR101")
-        assert proc.returncode == 0
-        assert "taint" in proc.stdout.lower()
+    """``--explain`` rejects a code that no registered rule carries."""
 
     def test_explain_rpr102_is_an_unknown_rule(self):
         proc = run_lint("--explain", "RPR102")

@@ -7,8 +7,8 @@ interpreter and net of what ``python -c pass`` already loads there
 (``site`` hooks differ between hosts).  A module list does not drift
 with host load the way a stopwatch does.
 
-RPR007 (``repro lint``) checks only ``repro.core``'s own import
-statements; this file pins what a whole process ends up loading.
+No lint rule checks imports: a module-level import that drags a heavy
+module into ``repro.core`` fails the kernel-child test here.
 """
 
 import ast
@@ -23,8 +23,11 @@ import repro.telemetry
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-#: Process, socket and serialization machinery a kernel run never uses.
-HEAVY_STDLIB = (
+#: Process, socket and serialization machinery, clocks, entropy and the
+#: numerics stack: modules a kernel run never uses.  Each one a
+#: module-level import in ``repro.core`` would add to a kernel process is
+#: here, so that import fails the kernel-child test.
+HEAVY_MODULES = (
     "multiprocessing",
     "concurrent",
     "asyncio",
@@ -33,6 +36,15 @@ HEAVY_STDLIB = (
     "logging",
     "pickle",
     "queue",
+    "ctypes",
+    "datetime",
+    "http",
+    "uuid",
+    "secrets",
+    "numpy",
+    "scipy",
+    "pandas",
+    "matplotlib",
 )
 
 #: Repro modules a plain (no telemetry, no checkpoint) run never uses.
@@ -96,7 +108,7 @@ def test_a_kernel_child_loads_only_the_kernel():
         " scheme=SlackConfig(bound=0))\n"
     )
     assert "repro.core.simulation" in loaded
-    assert offenders(loaded, HEAVY_STDLIB + UNUSED_REPRO) == []
+    assert offenders(loaded, HEAVY_MODULES + UNUSED_REPRO) == []
 
 
 def test_a_spawned_job_process_loads_no_harness_or_telemetry_extras():
@@ -107,6 +119,19 @@ def test_a_spawned_job_process_loads_no_harness_or_telemetry_extras():
     assert "multiprocessing" in loaded
     banned = tuple(name for name in UNUSED_REPRO if name != "repro.harness.pool")
     assert offenders(loaded, banned) == []
+
+
+def test_a_sanitized_job_loads_the_sanitizer_and_not_the_lint_engine():
+    """A ``--sanitize`` job imports the sanitizer into a process that
+    already holds the pool; of ``repro.analysis`` it needs the package and
+    that one module."""
+    added = probe(
+        "import repro.harness.pool\n"
+        "before = set(sys.modules)\n"
+        "import repro.analysis.sanitizer\n"
+        "print(repr(sorted(set(sys.modules) - before)))"
+    )
+    assert added == ["repro.analysis", "repro.analysis.sanitizer"]
 
 
 RUN_PROBE = """\

@@ -48,7 +48,7 @@ def test_the_gate_leaves_its_working_directory_empty(tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
-@pytest.mark.parametrize("needle", ["time.perf_counter", "noqa[RPR001]"])
+@pytest.mark.parametrize("needle", ["time.perf_counter"])
 def test_the_fleet_smoke_holds_no_stopwatch(needle):
     assert needle not in (SRC / "fabric" / "loadtest.py").read_text()
 

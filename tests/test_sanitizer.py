@@ -21,7 +21,7 @@ from repro import (
     SlackConfig,
     SpeculativeConfig,
 )
-from repro.analysis import SanitizerError, SlackSanitizer, state_digest
+from repro.analysis.sanitizer import SanitizerError, SlackSanitizer, state_digest
 from repro.config import quick_target_config
 from repro.core.checkpoint import restore_snapshot, take_snapshot
 from repro.workloads import make_workload

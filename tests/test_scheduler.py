@@ -15,7 +15,7 @@ from repro import (
     SlackConfig,
     SpeculativeConfig,
 )
-from repro.analysis import SlackSanitizer
+from repro.analysis.sanitizer import SlackSanitizer
 from repro.config import quick_target_config
 from repro.core.manager import ManagerState
 from repro.core.scheduler import Scheduler
