@@ -225,11 +225,12 @@ class DeepcopyOutsideSnapshotRule(Rule):
     rationale = (
         "Checkpointing is copy-on-write (repro.core.snapshot): dirty content\n"
         "pages plus a residue walk whose cost scales with *writes*, not with\n"
-        "state size.  A stray copy.deepcopy of simulation state anywhere\n"
-        "else in the critical packages reintroduces the O(state) full-copy\n"
-        "cost benchmarks/bench_checkpoint.py exists to keep out — and,\n"
-        "worse, bypasses the memo stubs that keep the flat cache banks\n"
-        "shared, so the copy silently diverges from the snapshot protocol.\n"
+        "state size (tests/test_snapshot.py counts the pages a capture\n"
+        "copies).  A stray copy.deepcopy of simulation state anywhere else\n"
+        "in the critical packages reintroduces the O(state) full-copy cost\n"
+        "the snapshot layer exists to keep out — and, worse, bypasses the\n"
+        "memo stubs that keep the flat cache banks shared, so the copy\n"
+        "silently diverges from the snapshot protocol.\n"
         "Only core/snapshot.py and core/checkpoint.py may call it; class\n"
         "__deepcopy__/__copy__ hooks recursing with an explicit memo are the\n"
         "protocol itself and stay exempt."

@@ -7,7 +7,8 @@ Subcommands::
     experiment  regenerate one paper table/figure (table1..table5, figure3,
                 figure4, speculative, p2p, adaptive-quantum, scaling,
                 hierarchy, ablation-detection, ablation-manager,
-                ablation-tracked) or 'all' of them
+                ablation-tracked) or 'all' of them, and check the paper's
+                claims against each (exit 1 if one fails)
     trace       summarize or validate a recorded telemetry trace
     cache       inspect, clear, or prune the persistent report cache
     lint        run the lint rules over the source tree, one file at a
@@ -88,12 +89,10 @@ EXPERIMENTS = {
     "speculative": experiments_mod.speculative_full,
     "p2p": experiments_mod.p2p_comparison,
     "adaptive-quantum": experiments_mod.adaptive_quantum_comparison,
-    "scaling": lambda runner: experiments_mod.scaling(seed=runner.seed),
-    "hierarchy": lambda runner: experiments_mod.hierarchy(seed=runner.seed),
+    "scaling": experiments_mod.scaling,
+    "hierarchy": experiments_mod.hierarchy,
     "ablation-detection": experiments_mod.ablation_detection,
-    "ablation-manager": lambda runner: experiments_mod.ablation_manager_placement(
-        seed=runner.seed
-    ),
+    "ablation-manager": experiments_mod.ablation_manager_placement,
     "ablation-tracked": experiments_mod.ablation_tracked,
 }
 
@@ -268,8 +267,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         out_dir = pathlib.Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     extension = {"text": "txt", "csv": "csv", "json": "json"}[args.format]
+    failed = []
     for name in names:
         result = EXPERIMENTS[name](runner)
+        failed += [f"{name}: {claim.name}" for claim in result.claims if not claim.holds]
         if args.format == "csv":
             rendered = to_csv(result)
         elif args.format == "json":
@@ -282,7 +283,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
         else:
             print(rendered)
-    return 0
+    for claim in failed:
+        print(f"claim failed: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -775,7 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--seed", type=int, default=12345)
     compare_parser.set_defaults(func=cmd_compare)
 
-    experiment_parser = sub.add_parser("experiment", help="regenerate a paper table/figure")
+    experiment_parser = sub.add_parser(
+        "experiment", help="regenerate a paper table/figure and check its claims (exit 1 "
+                           "if one fails)")
     experiment_parser.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"],
                                    help="one experiment, or 'all' to regenerate "
                                         "every registered table/figure")

@@ -3,8 +3,9 @@
 Each function in :mod:`repro.harness.experiments` regenerates one table or
 figure of the paper's evaluation section on the reproduction's scaled-down
 workloads (see EXPERIMENTS.md for the scale mapping), returning structured
-rows and printing the same series the paper reports.  ``benchmarks/`` wraps
-these in pytest-benchmark targets.
+rows, the same series the paper reports, and the paper's claims checked
+against them; ``repro experiment`` prints all three and exits 1 when a
+claim fails.
 
 This package root re-exports nothing: import each name from the module
 that defines it (``repro.harness.cache`` for ``RunSpec`` / ``ReportCache``

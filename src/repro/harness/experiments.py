@@ -13,8 +13,11 @@ interval, checkpoints per run, relative overheads — in the paper's regime:
   operating point).
 
 Every experiment returns an :class:`ExperimentResult` whose ``rows`` are
-plain tuples (easy to assert on in benchmarks) and whose ``render()``
-prints the paper-style table.
+plain tuples, whose ``claims`` check the paper's reported shape against
+those rows (``repro experiment`` exits 1 when one fails), and whose
+``render()`` prints the paper-style table followed by the claims.  Each
+claim iterates the experiment's own arguments, so a small grid yields
+claims that may fail but never crash.
 """
 
 from __future__ import annotations
@@ -66,6 +69,25 @@ def _base_adaptive(band: float = 0.05, target_rate: float = BASE_TARGET_RATE) ->
     return AdaptiveConfig(target_rate=target_rate, band=band, adjust_period=250)
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One shape the paper reports, checked against an experiment's rows."""
+
+    name: str
+    source: str
+    observed: str
+    holds: bool
+
+
+def _every(name: str, source: str, cases: Sequence[Tuple[str, str, bool]]) -> Claim:
+    """A claim over labelled ``(label, observed, holds)`` cases: it holds
+    when every case does, and its observed text marks the failing ones."""
+    observed = ", ".join(
+        f"{label} {text}" + ("" if ok else " (fails)") for label, text, ok in cases
+    )
+    return Claim(name, source, observed, all(ok for _, _, ok in cases))
+
+
 @dataclass
 class ExperimentResult:
     """Structured output of one experiment."""
@@ -76,6 +98,7 @@ class ExperimentResult:
     rows: List[tuple]
     notes: str = ""
     series: Dict[str, List[tuple]] = field(default_factory=dict)
+    claims: List[Claim] = field(default_factory=list)
 
     def render(self) -> str:
         parts = [f"== {self.name}: {self.title} =="]
@@ -85,6 +108,9 @@ class ExperimentResult:
             parts.append("\n".join(f"  {point}" for point in points))
         if self.notes:
             parts.append(self.notes)
+        for claim in self.claims:
+            mark = "ok" if claim.holds else "FAIL"
+            parts.append(f"[{mark}] {claim.name} ({claim.source}): {claim.observed}")
         return "\n".join(parts)
 
 
@@ -111,12 +137,20 @@ def table1(runner: Optional[ExperimentRunner] = None) -> ExperimentResult:
             if key not in ("scale",)
         )
         rows.append((name, paper_inputs[name], ours))
+    names = [row[0] for row in rows]
     return ExperimentResult(
         name="table1",
         title="Benchmarks (paper input vs scaled reproduction input)",
         headers=("benchmark", "paper input", "reproduction input"),
         rows=rows,
         notes="Inputs are scaled down with the caches, as the paper scaled its own.",
+        claims=[
+            Claim("the paper's four benchmarks, in its order", "Table 1", " ".join(names),
+                  names == ["barnes", "fft", "lu", "water"]),
+            _every("both inputs given", "Table 1",
+                   [(name, "yes" if paper and ours else "no", bool(paper and ours))
+                    for name, paper, ours in rows]),
+        ],
     )
 
 
@@ -155,12 +189,35 @@ def figure3(
             map_points.append((bound, report.map_violation_rate))
         series[f"{benchmark}/bus"] = bus_points
         series[f"{benchmark}/map"] = map_points
+    low, high = min(bounds), max(bounds)
+    grows, plateau, rarer, quiet, ratios = [], [], [], [], []
+    for benchmark in benchmarks:
+        bus = dict(series[f"{benchmark}/bus"])
+        cache_map = dict(series[f"{benchmark}/map"])
+        grows.append((benchmark, f"{bus[low]:.3g}->{bus[high]:.3g}", bus[high] > bus[low]))
+        before, final = (bus[b] for b in sorted(bounds)[-2:])
+        plateau.append((benchmark, f"{before:.3g}->{final:.3g}", final <= before * 2.0 + 1e-9))
+        if cache_map[high] > 0:
+            ratios.append(bus[high] / cache_map[high])
+            rarer.append((benchmark, f"{ratios[-1]:.3g}x", ratios[-1] >= 2.5))
+        quiet_ok = cache_map[low] <= bus[high] * 0.05 + 1e-9
+        quiet.append((benchmark, f"{cache_map[low]:.3g}", quiet_ok))
+    mean_ratio = sum(ratios) / len(ratios) if ratios else None
     return ExperimentResult(
         name="figure3",
         title="Violation rates of bus and cache map with bounded slack",
         headers=("benchmark", "slack bound", "bus rate", "map rate"),
         rows=rows,
         series=series,
+        claims=[
+            _every("bus rate grows from the smallest to the largest bound", "Fig. 3a", grows),
+            _every("bus rate plateaus: the last step at most doubles it", "Fig. 3a", plateau),
+            _every("map at least 2.5x rarer than bus at the largest bound", "Fig. 3b", rarer),
+            _every("map at the smallest bound at most 5% of bus at the largest", "Fig. 3b", quiet),
+            Claim("map at least 5x rarer than bus on average", "Fig. 3b",
+                  "no map violations" if mean_ratio is None else f"{mean_ratio:.3g}x",
+                  mean_ratio is None or mean_ratio >= 5.0),
+        ],
     )
 
 
@@ -233,12 +290,41 @@ def figure4(
             )
             fixed_points.append((report.violation_rate, report.sim_time_s))
         series[f"{benchmark}/fixed"] = fixed_points
+    exact, faster, falling = [], [], []
+    dominated = comparable = 0
+    for benchmark in benchmarks:
+        fixed = series[f"{benchmark}/fixed"]
+        cc_rate, cc_time = fixed[0]
+        exact.append((benchmark, f"{cc_rate:.3g}", cc_rate == 0.0))
+        for band in bands:
+            adaptive = series[f"{benchmark}/adaptive-band{band:g}"]
+            label = f"{benchmark}/{band:.0%}"
+            slowest = max(time for _, time in adaptive)
+            faster.append((label, f"{slowest / cc_time:.3g}x CC", slowest < cc_time))
+            first, last = adaptive[0][1], adaptive[-1][1]
+            falling.append((label, f"{last / first:.3g}x", last <= first * 1.10))
+        # Bounded slack at a similar violation rate beats adaptive (the
+        # price of the adaptive "safety net"), pooled over benchmarks.
+        for rate, time in series[f"{benchmark}/adaptive-band{max(bands):g}"]:
+            candidates = [t for r, t in sorted(fixed[1:]) if r <= rate * 1.5]
+            if candidates:
+                comparable += 1
+                dominated += min(candidates) <= time
     return ExperimentResult(
         name="figure4",
         title="Simulation time vs violation rate (bounded vs adaptive slack)",
         headers=("benchmark", "scheme", "target rate", "measured rate", "sim time (s)"),
         rows=rows,
         series=series,
+        claims=[
+            _every("cycle-by-cycle is violation-free", "Fig. 4", exact),
+            _every("every adaptive run is faster than cycle-by-cycle", "Fig. 4", faster),
+            _every("the highest target rate at most 10% slower than the lowest", "Fig. 4",
+                   falling),
+            Claim("bounded slack at <= 1.5x the rate beats adaptive at half the points or more",
+                  "Fig. 4", f"{dominated}/{comparable}",
+                  comparable > 0 and dominated / comparable >= 0.5),
+        ],
     )
 
 
@@ -296,6 +382,17 @@ def table2(
     headers = ["benchmark", "CC", "SU", "Adapt"] + [
         _interval_label(i) for i in intervals
     ]
+    shortest, longest = _interval_label(min(intervals)), _interval_label(max(intervals))
+    band, between, costly, falling, approach = [], [], [], [], []
+    for name, cc, su, adaptive, *checked in rows:
+        costs = [time for _, time in sorted(zip(intervals, checked))]
+        band.append((name, f"{cc / su:.2f}x", 1.5 <= cc / su <= 5.0))
+        between.append((name, f"{su:.3g}<{adaptive:.3g}<{cc:.3g}", su < adaptive < cc))
+        costly.append((name, f"{costs[0] / cc:.3g}x CC", costs[0] > cc))
+        ok = all(a > b for a, b in zip(costs, costs[1:]))
+        falling.append((name, ">".join(f"{c:.3g}" for c in costs), ok))
+        ok = costs[-1] <= adaptive * 1.25
+        approach.append((name, f"{costs[-1] / adaptive:.3g}x Adapt", ok))
     return ExperimentResult(
         name="table2",
         title="Simulation time of schemes with the baseline target rate (s, modeled)",
@@ -306,6 +403,13 @@ def table2(
             f"reproduction runs {scale:g}x-scale kernels with intervals "
             f"{list(intervals)} cycles (same 1:2:10:20 ratios)."
         ),
+        claims=[
+            _every("SU 1.5-5x faster than CC", "Table 2", band),
+            _every("adaptive sits between SU and CC", "Table 2", between),
+            _every(f"{shortest} checkpointing slower than CC", "Table 2", costly),
+            _every("checkpointing cost falls with every longer interval", "Table 2", falling),
+            _every(f"{longest} checkpointing within 25% of plain adaptive", "Table 2", approach),
+        ],
     )
 
 
@@ -373,11 +477,31 @@ def table3(
             row.append(report.fraction_intervals_violating())
         rows.append(tuple(row))
     headers = ["benchmark"] + [_interval_label(i) for i in intervals]
+    # F grows with the interval from the shortest to the longest; runs hold
+    # ~5-50 intervals, not the paper's thousands, so small dips between
+    # neighbours are tolerated.
+    in_range, grows, dips, middle = [], [], [], []
+    for name, *values in rows:
+        span = f"{min(values):.3g}..{max(values):.3g}"
+        in_range.append((name, span, all(0.0 <= v <= 1.0 for v in values)))
+        grows.append((name, f"{values[0]:.3g}->{values[-1]:.3g}", values[-1] >= values[0]))
+        steps = list(zip(values, values[1:]))
+        dip = max([0.0] + [prev - nxt for prev, nxt in steps])
+        ok = all(nxt >= prev - 0.12 for prev, nxt in steps)
+        dips.append((name, f"largest dip {dip:.3g}", ok))
+        middle.append(values[len(values) // 2])
     return ExperimentResult(
         name="table3",
         title="Fraction of checkpoint intervals that have at least one violation",
         headers=headers,
         rows=rows,
+        claims=[
+            _every("F is a fraction", "Table 3", in_range),
+            _every("F grows from the shortest to the longest interval", "Table 3", grows),
+            _every("F drops by at most 0.12 between neighbouring intervals", "Table 3", dips),
+            Claim("benchmarks differ at the middle interval", "Table 3",
+                  f"{min(middle):.3g}..{max(middle):.3g}", max(middle) > min(middle)),
+        ],
     )
 
 
@@ -400,11 +524,22 @@ def table4(
             row.append(round(distance, 1) if distance is not None else "-")
         rows.append(tuple(row))
     headers = ["benchmark"] + [_interval_label(i) for i in intervals]
+    within = [
+        (name, " ".join(map(str, cells)),
+         all(0 <= d <= i for i, d in zip(intervals, cells) if d != "-"))
+        for name, *cells in rows
+    ]
+    measured = [d for row in rows for d in row[1:] if d != "-"]
     return ExperimentResult(
         name="table4",
         title="Average distance of first violation within one interval (cycles)",
         headers=headers,
         rows=rows,
+        claims=[
+            _every("D_r lies within its interval", "Table 4", within),
+            Claim("some configuration violates", "Table 4",
+                  f"{len(measured)} of {len(rows) * len(intervals)} cells", bool(measured)),
+        ],
     )
 
 
@@ -446,11 +581,18 @@ def table5(
             row.append(estimate)
         rows.append(tuple(row))
     headers = ["benchmark", "CC"] + [_interval_label(i) for i in intervals]
+    # LU is the borderline case in the paper too (361 vs 343 s); it may
+    # graze CC but never beat it decisively.
+    above = [
+        (name, f"{min(estimates) / cc:.3g}x CC", all(e > cc * 0.90 for e in estimates))
+        for name, cc, *estimates in rows
+    ]
     return ExperimentResult(
         name="table5",
         title="Estimated overall simulation time of speculative simulation (s, modeled)",
         headers=headers,
         rows=rows,
+        claims=[_every("speculation estimate above 0.9x CC", "Table 5", above)],
     )
 
 
@@ -512,6 +654,14 @@ def speculative_full(
                     spec.wasted_target_cycles,
                 )
             )
+    sane, above, agrees = [], [], []
+    for name, interval, cc, model_ts, measured_ts, rollbacks, wasted in rows:
+        label = f"{name}@{interval}"
+        ok = measured_ts > 0 and rollbacks >= 0 and (not rollbacks or wasted > 0)
+        sane.append((label, f"{rollbacks} rollbacks/{wasted} cycles", ok))
+        above.append((label, f"{measured_ts / cc:.3g}x CC", measured_ts >= cc * 0.9))
+        ok = model_ts * 0.4 <= measured_ts <= model_ts * 2.5
+        agrees.append((label, f"{measured_ts / model_ts:.3g}x model", ok))
     return ExperimentResult(
         name="speculative_full",
         title="E1: measured speculative slack vs the analytical model",
@@ -521,6 +671,11 @@ def speculative_full(
         ),
         rows=rows,
         notes="The model omits rollback cost, so it slightly underestimates.",
+        claims=[
+            _every("positive time, and every rollback wastes cycles", "E1", sane),
+            _every("measured speculation at least 0.9x CC", "E1 (Table 5)", above),
+            _every("measured within 0.4-2.5x of the model", "E1 (§5.2)", agrees),
+        ],
     )
 
 
@@ -562,11 +717,19 @@ def p2p_comparison(
                     report.violation_rate,
                 )
             )
+    p2p_rows = [row for row in rows if row[1].startswith("p2p")]
     return ExperimentResult(
         name="p2p",
         title="E2: Lax-P2P random pairwise sync vs bounded/unbounded slack",
         headers=("benchmark", "scheme", "speedup vs CC", "exec-time error", "violation rate"),
         rows=rows,
+        claims=[
+            _every("P2P more than 1.3x faster than CC", "E2 (§6)",
+                   [(name, f"{speedup:.2f}x", speedup > 1.3)
+                    for name, _, speedup, _, _ in p2p_rows]),
+            _every("P2P error below 35%", "E2 (§6)",
+                   [(name, f"{error:.1%}", error < 0.35) for name, _, _, error, _ in p2p_rows]),
+        ],
     )
 
 
@@ -575,10 +738,10 @@ def p2p_comparison(
 # --------------------------------------------------------------------- #
 
 def scaling(
+    runner: Optional[ExperimentRunner] = None,
     core_counts: Sequence[int] = (8, 16, 32),
     benchmarks: Sequence[str] = ("fft", "barnes"),
     scale: float = 0.5,
-    seed: int = 2010,
 ) -> ExperimentResult:
     """E3: simulate CMPs larger than the 8-context host.
 
@@ -591,16 +754,25 @@ def scaling(
     """
     from repro.config import paper_target_config
 
+    runner = runner or ExperimentRunner()
+    machines = {
+        cores: runner.on_machine(target=paper_target_config(num_cores=cores), num_threads=cores)
+        for cores in core_counts
+    }
+    runner.prefetch(
+        spec
+        for benchmark in benchmarks
+        for machine in machines.values()
+        for spec in (
+            machine.reference_spec(benchmark, scale=scale),
+            machine.plan(benchmark, SlackConfig(bound=None), scale=scale),
+        )
+    )
     rows = []
     for benchmark in benchmarks:
-        for cores in core_counts:
-            runner = ExperimentRunner(
-                target=paper_target_config(num_cores=cores),
-                num_threads=cores,
-                seed=seed,
-            )
-            cc = runner.reference(benchmark, scale=scale)
-            su = runner.run(benchmark, SlackConfig(bound=None), scale=scale)
+        for cores, machine in machines.items():
+            cc = machine.reference(benchmark, scale=scale)
+            su = machine.run(benchmark, SlackConfig(bound=None), scale=scale)
             rows.append(
                 (
                     benchmark,
@@ -611,6 +783,12 @@ def scaling(
                     su.execution_time_error(cc),
                 )
             )
+    grows = []
+    for benchmark in benchmarks:
+        cc_times = [row[2] for row in sorted(r for r in rows if r[0] == benchmark)]
+        grows.append(
+            (benchmark, "<=".join(f"{t:.3g}" for t in cc_times), cc_times == sorted(cc_times))
+        )
     return ExperimentResult(
         name="scaling",
         title="E3: simulating CMPs larger than the host (8 contexts)",
@@ -618,6 +796,15 @@ def scaling(
             "benchmark", "target cores", "CC (s)", "SU (s)", "SU speedup", "SU error",
         ),
         rows=rows,
+        claims=[
+            _every("CC time grows with the target's cores", "E3 (§7)", grows),
+            _every("SU more than 1.3x faster than CC at every size", "E3 (§7)",
+                   [(f"{name}@{cores}", f"{speedup:.2f}x", speedup > 1.3)
+                    for name, cores, _, _, speedup, _ in rows]),
+            _every("SU error below 50% at every size", "E3 (§7)",
+                   [(f"{name}@{cores}", f"{error:.1%}", error < 0.5)
+                    for name, cores, _, _, _, error in rows]),
+        ],
     )
 
 
@@ -650,6 +837,14 @@ def ablation_detection(
         title=f"A1: violation-detection overhead (bounded slack S{bound})",
         headers=("benchmark", "detection off (s)", "detection on (s)", "overhead"),
         rows=rows,
+        # Detection adds per-event host work; schedule noise can offset a
+        # little of it, but it can never be a large win.
+        claims=[
+            _every("detection on at least 0.97x detection off", "A1 (§3)",
+                   [(name, f"{on / off:.3g}x", on >= off * 0.97) for name, off, on, _ in rows]),
+            _every("detection overhead below 30%", "A1 (§3)",
+                   [(name, f"{overhead:.1%}", overhead < 0.30) for name, _, _, overhead in rows]),
+        ],
     )
 
 
@@ -698,11 +893,31 @@ def adaptive_quantum_comparison(
                     report.violation_rate,
                 )
             )
+    quantum_rows = [row for row in rows if "quantum" in row[1]]
+    slack_speedups = {row[0]: row[2] for row in rows if "quantum" not in row[1]}
+    wins = sum(
+        1 for name, _, speedup, _, _ in quantum_rows
+        if slack_speedups[name] >= speedup * 0.9
+    )
     return ExperimentResult(
         name="adaptive_quantum",
         title="E5: traffic-driven adaptive quantum vs violation-driven adaptive slack",
         headers=("benchmark", "scheme", "speedup vs CC", "exec error", "violation rate"),
         rows=rows,
+        # Under saturating traffic the quantum controller pins the quantum
+        # at one cycle and degenerates to cycle-by-cycle (barnes, water).
+        claims=[
+            _every("adaptive quantum at least 0.95x CC", "E5 (§6)",
+                   [(name, f"{speedup:.2f}x", speedup >= 0.95)
+                    for name, _, speedup, _, _ in quantum_rows]),
+            _every("adaptive quantum is violation-free", "E5 (§6)",
+                   [(name, f"{rate:.3g}", rate == 0.0) for name, _, _, _, rate in quantum_rows]),
+            _every("adaptive quantum error below 25%", "E5 (§6)",
+                   [(name, f"{error:.1%}", error < 0.25) for name, _, _, error, _ in quantum_rows]),
+            Claim("adaptive slack at >= 0.9x the quantum's speedup on at least half the "
+                  "benchmarks", "E5 (§6)", f"{wins}/{len(quantum_rows)}",
+                  wins >= len(quantum_rows) // 2),
+        ],
     )
 
 
@@ -711,11 +926,11 @@ def adaptive_quantum_comparison(
 # --------------------------------------------------------------------- #
 
 def hierarchy(
+    runner: Optional[ExperimentRunner] = None,
     submanager_counts: Sequence[int] = (0, 2, 4),
     num_cores: int = 32,
     benchmark: str = "fft",
     scale: float = 0.5,
-    seed: int = 2010,
 ) -> ExperimentResult:
     """E4: hierarchical manager organization.
 
@@ -731,14 +946,23 @@ def hierarchy(
     """
     from repro.config import HostConfig, paper_target_config
 
-    rows = []
+    runner = runner or ExperimentRunner()
     target = paper_target_config(num_cores=num_cores)
-    for subs in submanager_counts:
-        host = HostConfig(num_contexts=num_cores + 8, num_submanagers=subs, seed=seed)
-        runner = ExperimentRunner(
-            target=target, host=host, num_threads=num_cores, seed=seed
+    machines = {
+        subs: runner.on_machine(
+            target=target,
+            host=HostConfig(num_contexts=num_cores + 8, num_submanagers=subs, seed=runner.seed),
+            num_threads=num_cores,
         )
-        report = runner.run(benchmark, SlackConfig(bound=8), scale=scale)
+        for subs in submanager_counts
+    }
+    runner.prefetch(
+        machine.plan(benchmark, SlackConfig(bound=8), scale=scale)
+        for machine in machines.values()
+    )
+    rows = []
+    for subs, machine in machines.items():
+        report = machine.run(benchmark, SlackConfig(bound=8), scale=scale)
         rows.append(
             (
                 subs,
@@ -748,6 +972,8 @@ def hierarchy(
                 report.manager_busy_s / report.sim_time_s,
             )
         )
+    by_subs = {row[0]: row for row in rows}
+    flat, deepest = by_subs[min(by_subs)], by_subs[max(by_subs)]
     return ExperimentResult(
         name="hierarchy",
         title=f"E4: hierarchical manager on a {num_cores}-core target ({benchmark})",
@@ -756,6 +982,13 @@ def hierarchy(
             "sub-mgr busy (s)", "top-mgr load",
         ),
         rows=rows,
+        claims=[
+            Claim("the deepest hierarchy cuts top-manager busy time below 0.95x flat", "E4 (§2)",
+                  f"{deepest[2] / flat[2]:.3g}x", deepest[2] < flat[2] * 0.95),
+            Claim("sub-managers do work", "E4 (§2)", f"{deepest[3]:.3g} s", deepest[3] > 0),
+            Claim("sim time below 1.3x flat: the manager is not yet the bottleneck", "E4 (§2)",
+                  f"{deepest[1] / flat[1]:.3g}x", deepest[1] < flat[1] * 1.3),
+        ],
     )
 
 
@@ -764,9 +997,9 @@ def hierarchy(
 # --------------------------------------------------------------------- #
 
 def ablation_manager_placement(
+    runner: Optional[ExperimentRunner] = None,
     benchmarks: Sequence[str] = ("barnes", "water"),
     scale: float = 1.0,
-    seed: int = 2010,
 ) -> ExperimentResult:
     """A3: pin the manager to one context vs OS load balancing.
 
@@ -781,13 +1014,27 @@ def ablation_manager_placement(
 
     from repro.config import paper_host_config
 
+    runner = runner or ExperimentRunner()
+    machines = {
+        migrates: runner.on_machine(
+            host=replace(paper_host_config(seed=runner.seed), manager_migrates=migrates)
+        )
+        for migrates in (True, False)
+    }
+    runner.prefetch(
+        spec
+        for benchmark in benchmarks
+        for machine in machines.values()
+        for spec in (
+            machine.reference_spec(benchmark, scale=scale),
+            machine.plan(benchmark, SlackConfig(bound=None), scale=scale),
+        )
+    )
     rows = []
     for benchmark in benchmarks:
-        for migrates in (True, False):
-            host = replace(paper_host_config(seed=seed), manager_migrates=migrates)
-            runner = ExperimentRunner(host=host, seed=seed)
-            cc = runner.reference(benchmark, scale=scale)
-            su = runner.run(benchmark, SlackConfig(bound=None), scale=scale)
+        for migrates, machine in machines.items():
+            cc = machine.reference(benchmark, scale=scale)
+            su = machine.run(benchmark, SlackConfig(bound=None), scale=scale)
             rows.append(
                 (
                     benchmark,
@@ -796,6 +1043,8 @@ def ablation_manager_placement(
                     su.execution_time_error(cc),
                 )
             )
+    # Rows alternate balanced, pinned per benchmark.
+    pairs = list(zip(rows[::2], rows[1::2]))
     return ExperimentResult(
         name="ablation_manager_placement",
         title="A3: manager placement and unbounded-slack drift",
@@ -806,6 +1055,13 @@ def ablation_manager_placement(
             "half speed and every sync handoff converts the drift into "
             "simulated time."
         ),
+        claims=[
+            _every("balanced SU error below 15%", "A3",
+                   [(name, f"{error:.1%}", error < 0.15) for (name, _, _, error), _ in pairs]),
+            _every("pinning worsens SU error", "A3",
+                   [(name, f"{balanced:.1%}->{pinned:.1%}", pinned > balanced)
+                    for (name, _, _, balanced), (_, _, _, pinned) in pairs]),
+        ],
     )
 
 
@@ -857,9 +1113,19 @@ def ablation_tracked(
                     spec.sim_time_s / cc.sim_time_s,
                 )
             )
+    # Rows alternate bus+map, map per benchmark.
+    pairs = list(zip(rows[::2], rows[1::2]))
     return ExperimentResult(
         name="ablation_tracked",
         title="A2: speculative rollback cost by tracked violation type",
         headers=("benchmark", "tracked", "rollbacks", "T_s (s)", "T_s / T_cc"),
         rows=rows,
+        claims=[
+            _every("map-only tracking rolls back no more often", "A2 (§5.2)",
+                   [(name, f"{every}->{only}", only <= every)
+                    for (name, _, every, _, _), (_, _, only, _, _) in pairs]),
+            _every("map-only tracking at most 5% slower", "A2 (§5.2)",
+                   [(name, f"{only / every:.3g}x", only <= every * 1.05)
+                    for (name, _, _, every, _), (_, _, _, only, _) in pairs]),
+        ],
     )

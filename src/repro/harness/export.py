@@ -8,6 +8,7 @@ external plotting.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ def to_csv(result: ExperimentResult) -> str:
 
 
 def to_json(result: ExperimentResult) -> str:
-    """Render an experiment (rows + series) as pretty-printed JSON."""
+    """Render an experiment (rows, series and claims) as pretty-printed JSON."""
     payload = {
         "name": result.name,
         "title": result.title,
@@ -39,6 +40,7 @@ def to_json(result: ExperimentResult) -> str:
         "rows": [list(row) for row in result.rows],
         "series": {label: [list(p) for p in pts] for label, pts in result.series.items()},
         "notes": result.notes,
+        "claims": [dataclasses.asdict(claim) for claim in result.claims],
     }
     return json.dumps(payload, indent=2)
 

@@ -4,9 +4,9 @@ A wall-clock number is meaningless without the host it was measured on:
 PR-6's README had to carry a "host budget drifted ~35%" caveat by hand
 because nothing recorded that the baseline and the new numbers came from
 different machines.  :func:`host_fingerprint` is stamped into every
-document that records one (``benchmarks/e2e/run.py``, and
-``benchmarks/bench_checkpoint.py`` when asked to write a file), so a
-reader can tell a regression from a hardware change.
+document that records one (``benchmarks/e2e/run.py``, the only place a
+wall-clock number is recorded), so a reader can tell a regression from a
+hardware change.
 """
 
 from __future__ import annotations

@@ -69,6 +69,32 @@ class ExperimentRunner:
         )
         self._memo: Dict[RunSpec, SimulationReport] = {}
 
+    def on_machine(
+        self,
+        target: Optional[TargetConfig] = None,
+        host: Optional[HostConfig] = None,
+        num_threads: Optional[int] = None,
+    ) -> "ExperimentRunner":
+        """A runner for another target/host that shares this one's seed,
+        jobs, sanitizer, verbosity, telemetry, persistent cache (or lack
+        of one) and memo.  A :class:`RunSpec` names its machine, so one
+        memo serves both, and this runner's :meth:`prefetch` can fill it
+        with the other's plans."""
+        other = ExperimentRunner(
+            target=target or self.target,
+            host=host or self.host,
+            num_threads=num_threads or self.num_threads,
+            seed=self.seed,
+            verbose=self.verbose,
+            jobs=self.jobs,
+            cache=self.cache,
+            persistent_cache=False,
+            telemetry=self.telemetry,
+            sanitize=self.sanitize,
+        )
+        other._memo = self._memo
+        return other
+
     # ------------------------------------------------------------------ #
 
     def plan(

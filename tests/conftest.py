@@ -1,7 +1,7 @@
 """Shared fixtures: fast target/host configurations and small workloads.
 
 Unit tests use deliberately tiny targets and workloads so the whole suite
-stays fast; the benchmark harness (``benchmarks/``) runs the paper-scale
+stays fast; ``python -m repro experiment all`` runs the paper-scale
 configurations.
 """
 

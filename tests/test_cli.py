@@ -138,7 +138,10 @@ class TestCommands:
 
     def test_experiment_table1_text(self, capsys):
         assert main(["experiment", "table1"]) == 0
-        assert "Benchmarks" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Benchmarks" in out
+        assert "[ok] the paper's four benchmarks, in its order (Table 1)" in out
+        assert "[FAIL]" not in out
 
     def test_experiment_table1_csv(self, capsys):
         assert main(["experiment", "table1", "--format", "csv"]) == 0
@@ -152,6 +155,7 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "table1"
         assert len(payload["rows"]) == 4
+        assert [claim["holds"] for claim in payload["claims"]] == [True, True]
 
     def test_all_experiments_registered(self):
         parser = build_parser()
@@ -235,6 +239,45 @@ class TestParallelAndCacheFlags:
         assert main(["experiment", "fake", "--no-cache", "-j", "2"]) == 0
         assert seen["cache"] is None
         assert seen["jobs"] == 2
+
+    @staticmethod
+    def _claiming(monkeypatch):
+        """Register two fake experiments, the first with a failing claim."""
+        import repro.cli as cli_mod
+        from repro.harness.experiments import Claim, ExperimentResult
+
+        def experiment(name, holds):
+            claim = Claim(f"{name} claim", "Table 9", "observed 3.1x", holds)
+            return lambda runner: ExperimentResult(
+                name=name, title="Fake", headers=("a",), rows=[(1,)], claims=[claim]
+            )
+
+        monkeypatch.setattr(
+            cli_mod, "EXPERIMENTS",
+            {"broken": experiment("broken", False), "sound": experiment("sound", True)},
+        )
+
+    def test_a_failing_claim_fails_the_command_after_every_result(
+        self, monkeypatch, capsys
+    ):
+        self._claiming(monkeypatch)
+        assert main(["experiment", "all", "--no-cache"]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] broken claim (Table 9): observed 3.1x" in out
+        assert "[ok] sound claim (Table 9): observed 3.1x" in out
+        assert err == "claim failed: broken: broken claim\n"
+        assert main(["experiment", "sound", "--no-cache"]) == 0
+
+    def test_json_carries_the_claims(self, monkeypatch, capsys):
+        import json
+
+        self._claiming(monkeypatch)
+        assert main(["experiment", "broken", "--no-cache", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["claims"] == [
+            {"name": "broken claim", "source": "Table 9", "observed": "observed 3.1x",
+             "holds": False}
+        ]
 
     def test_cache_info_and_clear(self, capsys, tmp_path):
         assert main(["cache", "info", "--dir", str(tmp_path)]) == 0

@@ -159,12 +159,32 @@ class TestExperimentStructure:
         assert row[1] == 8
         assert row[4] > 1.0  # SU speedup
 
-    def test_hierarchy_tiny(self):
+    def test_hierarchy_tiny(self, tmp_path, monkeypatch):
+        """Each sub-manager count gets its own host, derived from the
+        caller's runner: a runner without a persistent cache writes none,
+        and the runs land in the caller's memo."""
         from repro.harness.experiments import hierarchy
 
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        runner = ExperimentRunner(persistent_cache=False)
         result = hierarchy(
-            submanager_counts=(0, 2), num_cores=8, benchmark="synthetic", scale=0.5
+            runner, submanager_counts=(0, 2), num_cores=8, benchmark="synthetic", scale=0.5
         )
         flat, hier = result.rows
         assert hier[3] > 0  # sub-managers worked
         assert hier[2] <= flat[2]  # top manager offloaded
+        assert list(cache_dir.iterdir()) == []
+        assert len(runner._memo) == 2
+
+    def test_a_derived_machine_keeps_the_runners_settings(self):
+        runner = ExperimentRunner(jobs=2, verbose=True, sanitize=True, persistent_cache=False)
+        derived = runner.on_machine(num_threads=16)
+        assert (derived.num_threads, derived.target, derived.host) == (
+            16, runner.target, runner.host,
+        )
+        assert (derived.seed, derived.jobs, derived.verbose, derived.sanitize) == (
+            2010, 2, True, True,
+        )
+        assert derived.cache is None and derived._memo is runner._memo

@@ -1,8 +1,10 @@
 """Headline paper-shape regressions at unit-test scale.
 
-The full grids live in ``benchmarks/``; these smaller runs guard the same
+The full grids run in ``python -m repro experiment all``, which checks
+each paper claim on its experiment's default grid (CI diffs its output
+against ``benchmarks/RESULTS.txt``); these smaller runs guard the same
 qualitative results so a plain ``pytest tests/`` catches regressions in
-the reproduction's core claims.
+the reproduction's core claims in seconds.
 """
 
 import pytest

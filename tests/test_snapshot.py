@@ -10,7 +10,10 @@ bit-for-bit the same execution as driving the deepcopy baseline).
 Covers every scheme kind, repeated rollback to the same checkpoint
 (speculative replay that violates again), and torn/partial-dirty-set
 cases where only some pages of an array changed between take and restore
-(hypothesis streams over a small CacheArray).  Every execution segment
+(hypothesis streams over a small CacheArray).  What makes a capture cheap
+is pinned by count, not by a stopwatch: on a cache-filling state a
+steady-state take copies exactly the dirty pages, fewer than the arrays
+hold, and its residue holds stubs in place of the arrays.  Every execution segment
 is the production scheduler loop (``Scheduler.run``), cut on global time.
 """
 
@@ -32,12 +35,13 @@ from repro.config import (
     QuantumConfig,
     SlackConfig,
     SpeculativeConfig,
+    paper_target_config,
     quick_target_config,
 )
 from repro.core.checkpoint import restore_snapshot, take_snapshot
 from repro.core.scheduler import Scheduler
-from repro.core.snapshot import tracked_arrays
-from repro.memory.cache import CacheArray
+from repro.core.snapshot import _ArrayStub, tracked_arrays
+from repro.memory.cache import PAGE_BITS, CacheArray
 from repro.memory.mesi import MesiState
 from repro.workloads import make_workload
 
@@ -246,6 +250,52 @@ class TestRepeatedRollback:
         resume_from(sim, baseline)
         assert run_segment(sim, k3).rollbacks == rollbacks
         assert state_digest(sim.state) == digest_restored
+
+
+class _CountingBank(list):
+    """A shadow bank that counts the page copies written into it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.page_copies = 0
+
+    def __setitem__(self, index, value):
+        self.page_copies += isinstance(index, slice)
+        super().__setitem__(index, value)
+
+
+class TestCaptureIsCopyOnWrite:
+    def test_steady_state_take_copies_only_dirty_pages_and_stubs_the_arrays(self):
+        # A working set that fills the L1s and most of the L2, warmed
+        # before the first capture, so the arrays hold real state.
+        cores = 4
+        sim = Simulation(
+            make_workload(
+                "synthetic", num_threads=cores, steps=500_000, private_lines=2048,
+                shared_lines=512, shared_fraction=0.2, store_fraction=0.4,
+                compute_per_step=2,
+            ),
+            scheme=SlackConfig(bound=8),
+            target=paper_target_config(num_cores=cores),
+            host=HostConfig(num_contexts=cores),
+        )
+        run_segment(sim, 60_000)
+        take_snapshot(sim.state, boundary=0, host_time=0.0)  # syncs every page
+        run_segment(sim, 500)
+
+        arrays = tracked_arrays(sim.state)
+        live_pages = sum(len(array._tag) >> PAGE_BITS for array in arrays)
+        dirty_pages = sum(len(array._dirty) for array in arrays)
+        for array in arrays:
+            tags, states, lru = array._shadow
+            array._shadow = (_CountingBank(tags), states, lru)
+        snap = take_snapshot(sim.state, boundary=0, host_time=0.0)
+
+        assert 0 < snap.host_pages == dirty_pages < live_pages
+        assert sum(array._shadow[0].page_copies for array in arrays) == dirty_pages
+        residue = snap.cow.residue
+        assert [type(cs.model.l1.array) for cs in residue.cores] == [_ArrayStub] * cores
+        assert type(residue.manager.l2.array) is _ArrayStub
 
 
 # --------------------------------------------------------------------- #
