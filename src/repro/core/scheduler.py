@@ -11,6 +11,12 @@ arrival order (and therefore violations), and checkpoint costs pause every
 context.
 
 The run is bit-for-bit deterministic for a given host seed.
+
+A run without an enabled telemetry session or sanitizer takes the same
+loop in C (``_loop.c``, built into ``__pycache__`` when this module is
+first imported; DESIGN.md section 5, "The loop in C").  Where it cannot be
+built, and whenever a probe seam is on, the Python loop below runs: it is
+the reference the C loop must match step for step.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ _DEADLOCK_LIMIT = 200_000
 
 _CLOCK_KEY = attrgetter("clock")
 _READY = ThreadState.READY
+_STATES = tuple(ThreadState)  # indexed by value, for the C loop
 _MASK64 = (1 << 64) - 1
+
+#: How the C loop is compiled (with sysconfig's CC); part of its cache key.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class HostStats:
@@ -164,6 +174,23 @@ class Scheduler:
         :class:`repro.core.simulation.Run` drives.
         """
         sim = self.sim
+        telemetry = self._telemetry
+        sanitizer = getattr(sim, "sanitizer", None)
+        # An enabled telemetry session or sanitizer observes every step of
+        # the general path below; any other run takes the C loop, which
+        # must agree with it bit for bit.
+        seams_on = (telemetry is not None and telemetry.enabled) or (
+            sanitizer is not None and sanitizer.enabled
+        )
+        if _loop is not None and not seams_on:
+            failure = _loop.run(self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES)
+            if failure == 1:
+                raise DeadlockError(self._deadlock_report())
+            if failure == 2:
+                raise DeadlockError(_runaway_message(max_target_cycles))
+            if failure:  # pragma: no cover
+                raise DeadlockError("no runnable simulation thread")
+            return self.stats
         stats = self.stats
         busy_ns = stats.context_busy_ns
         cost_cfg = self.host.cost
@@ -173,8 +200,6 @@ class Scheduler:
         num_cores = len(sim.state.cores)
         heap = self._heap
         controller = sim.controller  # fixed for the life of the Simulation
-        telemetry = self._telemetry
-        sanitizer = getattr(sim, "sanitizer", None)
         idle_manager_steps = 0
         last_state = None
         models = cores = None
@@ -186,9 +211,6 @@ class Scheduler:
         # An enabled telemetry session or sanitizer keeps the general
         # path so its probes see every step; a resumed loop starts
         # unsettled, so a cut never splits a replay chain.
-        seams_on = (telemetry is not None and telemetry.enabled) or (
-            sanitizer is not None and sanitizer.enabled
-        )
         settled_cost = cost_cfg.manager_cycle_ns + self.host.manager_poll_ns
         can_settle = settled = False
         # Termination can only newly hold after a core reports done (a
@@ -355,10 +377,7 @@ class Scheduler:
                     if idle_manager_steps > _DEADLOCK_LIMIT:
                         raise DeadlockError(self._deadlock_report())
                     if max_target_cycles is not None and outcome.global_time > max_target_cycles:
-                        raise DeadlockError(
-                            f"target execution exceeded {max_target_cycles} cycles "
-                            "(runaway simulation; check the workload's barriers)"
-                        )
+                        raise DeadlockError(_runaway_message(max_target_cycles))
                     settled = (
                         can_settle
                         and outcome.settled
@@ -526,3 +545,68 @@ class Scheduler:
                 f"ready={thread.ready_time:.0f} steps={thread.steps}"
             )
         return "\n".join(lines)
+
+
+def _runaway_message(max_target_cycles: int) -> str:
+    return (
+        f"target execution exceeded {max_target_cycles} cycles "
+        "(runaway simulation; check the workload's barriers)"
+    )
+
+
+def _load_loop():
+    """The C loop, or None where it cannot be built or loaded.
+
+    The extension lives in this package's ``__pycache__`` under a name
+    keyed by the source, the flags and the interpreter's extension
+    suffix, so a warm import only hashes and loads it.  A miss compiles
+    it there with sysconfig's C compiler into a temp file that is then
+    renamed into place, so concurrent first imports cannot see a torn
+    file.
+    """
+    import hashlib
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_loop.c")
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    try:
+        with open(source, "rb") as fh:
+            key = hashlib.sha256(fh.read())
+        key.update(" ".join(_CFLAGS).encode())
+        key.update(suffix.encode())
+        path = os.path.join(here, "__pycache__", f"_loop.{key.hexdigest()[:16]}{suffix}")
+        if not os.path.exists(path):
+            _build_loop(source, path)
+        spec = importlib.util.spec_from_file_location("repro.core._loop", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (OSError, ImportError):  # no compiler, no Python.h, a read-only tree, ...
+        return None
+
+
+def _build_loop(source: str, path: str) -> None:
+    import os
+    import shlex
+    import subprocess
+    import sysconfig
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
+        *_CFLAGS, "-I", sysconfig.get_paths()["include"], source, "-o", tmp,
+    ]
+    try:
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:  # failed or hung
+        raise OSError(f"cannot build {path}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+_loop = _load_loop()

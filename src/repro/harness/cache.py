@@ -19,7 +19,9 @@ configuration:
 the golden digests *are* the repo's statement of simulation semantics, so
 re-recording them (``repro bench --update-golden`` after an intentional
 semantics change) automatically invalidates every cached report without
-anyone having to remember ``repro cache clear``.
+anyone having to remember ``repro cache clear``.  An installation without
+the checkout's ``benchmarks/`` hashes the simulation sources it ships
+instead, so a changed kernel still never reads an older kernel's reports.
 
 Storage layout (default ``~/.cache/repro``, override with
 ``$REPRO_CACHE_DIR`` or ``$XDG_CACHE_HOME``)::
@@ -73,6 +75,7 @@ __all__ = [
     "default_cache_dir",
     "field_names",
     "fingerprint",
+    "package_semantics_tag",
     "semantics_tag",
     "spec_key",
 ]
@@ -160,25 +163,40 @@ def fingerprint(obj) -> object:
 
 _semantics_tag_cache: Optional[str] = None
 
+#: The subpackages whose sources decide what a run computes.
+SIMULATION_PACKAGES = ("config", "core", "cpu", "isa", "memory", "sync", "util", "workloads")
+
 
 def semantics_tag() -> str:
-    """Hash of the golden digest matrix — the repo's simulation-semantics
-    version.  Changes exactly when ``--update-golden`` re-records goldens,
-    invalidating every cached report keyed under the old semantics."""
+    """The repo's simulation-semantics version (:func:`package_semantics_tag`
+    of this installation), computed once per process."""
     global _semantics_tag_cache
     if _semantics_tag_cache is None:
-        golden = (
-            pathlib.Path(__file__).resolve().parents[3]
-            / "benchmarks"
-            / "golden_kernel.json"
-        )
-        try:
-            blob = golden.read_bytes()
-        except OSError:
-            _semantics_tag_cache = "no-golden"
-        else:
-            _semantics_tag_cache = hashlib.sha256(blob).hexdigest()[:16]
+        _semantics_tag_cache = package_semantics_tag(pathlib.Path(__file__).resolve().parents[1])
     return _semantics_tag_cache
+
+
+def package_semantics_tag(package: pathlib.Path) -> str:
+    """The semantics tag of the ``repro`` package at ``package``.
+
+    In a checkout, the hash of its golden digest matrix: it changes
+    exactly when ``--update-golden`` re-records goldens, invalidating
+    every cached report keyed under the old semantics.  Without one (an
+    installed package), the hash of the simulation sources shipped in
+    :data:`SIMULATION_PACKAGES`, C included: any kernel change moves it.
+    """
+    golden = package.parents[1] / "benchmarks" / "golden_kernel.json"
+    try:
+        return hashlib.sha256(golden.read_bytes()).hexdigest()[:16]
+    except OSError:
+        pass
+    digest = hashlib.sha256()
+    for name in SIMULATION_PACKAGES:
+        sources = [*(package / name).rglob("*.py"), *(package / name).rglob("*.c")]
+        for path in sorted(sources):
+            digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return "src-" + digest.hexdigest()[:16]
 
 
 def spec_key(spec: RunSpec) -> str:

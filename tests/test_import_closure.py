@@ -19,7 +19,13 @@ import sys
 
 import pytest
 
+import repro.core.scheduler
 import repro.telemetry
+
+# Importing the scheduler builds its C loop on a cold checkout (the only
+# import that may start a compiler); done here once, the probes below
+# measure warm interpreters, as every kernel child after the first is.
+NATIVE = repro.core.scheduler._loop is not None
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -108,6 +114,7 @@ def test_a_kernel_child_loads_only_the_kernel():
         " scheme=SlackConfig(bound=0))\n"
     )
     assert "repro.core.simulation" in loaded
+    assert ("repro.core._loop" in loaded) == NATIVE  # loaded at import, not at the run
     assert offenders(loaded, HEAVY_MODULES + UNUSED_REPRO) == []
 
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
 import pathlib
+import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -30,7 +33,14 @@ from repro.config import (
     SpeculativeConfig,
     quick_target_config,
 )
-from repro.harness.cache import CACHE_SCHEMA, ReportCache, fingerprint, semantics_tag, spec_key
+from repro.harness.cache import (
+    CACHE_SCHEMA,
+    ReportCache,
+    fingerprint,
+    package_semantics_tag,
+    semantics_tag,
+    spec_key,
+)
 from repro.harness.pool import (
     ExecutionTimeoutError,
     ParallelExecutor,
@@ -114,6 +124,31 @@ class TestSpecKey:
         before = spec_key(spec)
         monkeypatch.setattr(cache_mod, "_semantics_tag_cache", "different-tag")
         assert spec_key(spec) != before
+
+    def test_semantics_tag_hashes_the_kernel_without_a_golden_file(self, tmp_path):
+        """A package with no ``benchmarks/golden_kernel.json`` beside it
+        (an install) is tagged by its simulation sources, C included, so
+        a kernel change still invalidates its cached reports; a checkout
+        keeps the golden-file tag."""
+        import repro.harness.cache as cache_mod
+
+        package = pathlib.Path(cache_mod.__file__).resolve().parents[1]
+        golden = package.parents[1] / "benchmarks" / "golden_kernel.json"
+        assert semantics_tag() == hashlib.sha256(golden.read_bytes()).hexdigest()[:16]
+
+        installed = tmp_path / "site-packages" / "repro"
+        shutil.copytree(package, installed, ignore=shutil.ignore_patterns("__pycache__"))
+        tag = package_semantics_tag(installed)
+        assert re.fullmatch(r"src-[0-9a-f]{16}", tag)
+        assert package_semantics_tag(installed) == tag
+        for kernel_source in ("core/scheduler.py", "core/_loop.c", "sync/primitives.py"):
+            path = installed / kernel_source
+            original = path.read_bytes()
+            path.write_bytes(original + b"\n")
+            assert package_semantics_tag(installed) != tag, kernel_source
+            path.write_bytes(original)
+        (installed / "cli.py").write_bytes(b"# not a simulation source\n")
+        assert package_semantics_tag(installed) == tag
 
 
 # --------------------------------------------------------------------- #

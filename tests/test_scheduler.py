@@ -1,16 +1,30 @@
 """Tests for the host-model scheduler: determinism, contexts, pacing,
-the exact work the settled-poll and stall replays save, and the exact
-cost of a disabled probe seam."""
+the exact work the settled-poll and stall replays save, the exact cost
+of a disabled probe seam, and the C loop against the Python loop."""
 
+import contextlib
 import gc
+import os
+import pathlib
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.scheduler as scheduler_mod
 from repro import (
     AdaptiveConfig,
+    AdaptiveQuantumConfig,
     CheckpointConfig,
     HostConfig,
+    P2PConfig,
+    QuantumConfig,
     Simulation,
     SlackConfig,
     SpeculativeConfig,
@@ -23,6 +37,22 @@ from repro.core.threads import CoreRunner
 from repro.errors import DeadlockError
 from repro.telemetry import TelemetrySession
 from repro.workloads import make_workload
+
+#: The C loop as this process loaded it (None: not buildable here).
+NATIVE = scheduler_mod._loop
+
+needs_native = pytest.mark.skipif(NATIVE is None, reason="the C loop is not built here")
+
+
+@contextlib.contextmanager
+def loop(native):
+    """Run the block on the C loop (True) or the Python loop (False)."""
+    saved = scheduler_mod._loop
+    scheduler_mod._loop = NATIVE if native else None
+    try:
+        yield
+    finally:
+        scheduler_mod._loop = saved
 
 
 def make_sim(
@@ -293,10 +323,11 @@ class TestReplayedWork:
 
     #: "Free when off", exactly: what attaching a *disabled* seam may add
     #: to the bare run, in bytecodes per modeled step and Python calls per
-    #: checkpoint.  Measured on CPython 3.11: cc +1.59 (telemetry) and
-    #: +2.34 (sanitizer) bytecodes per step and no call; speculative
-    #: +2.92 and +2.67 bytecodes per step and +140 and +60 calls over its
-    #: 12 checkpoints (the snapshot deep-copies reach the shared seam).
+    #: checkpoint, on either loop.  Measured on CPython 3.11 with the
+    #: Python loop: cc +1.59 (telemetry) and +2.34 (sanitizer) bytecodes
+    #: per step and no call; speculative +2.92 and +2.67 bytecodes per
+    #: step and +140 and +60 calls over its 12 checkpoints (the snapshot
+    #: deep-copies reach the shared seam).
     BYTECODES_PER_STEP = 4.0
     CALLS_PER_CHECKPOINT = 16
 
@@ -358,17 +389,216 @@ class TestReplayedWork:
     @pytest.mark.parametrize("seam", sorted(DISABLED))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_disabled_seams_stay_within_the_bytecode_budget(self, case, seam):
+        """On the loop this host runs (the C loop where it builds)."""
+        self._check_budget(case, seam, native=NATIVE is not None)
+
+    @pytest.mark.parametrize("seam", sorted(DISABLED))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_disabled_seams_stay_within_the_python_loop_budget(self, case, seam):
+        self._check_budget(case, seam, native=False)
+
+    def _check_budget(self, case, seam, native):
         make_scheme = self.CASES[case][0]
-        bare = self._bare_traces.get(case)
-        if bare is None:
-            bare = self._bare_traces[case] = traced_run(make_sim(scheme=make_scheme()))
-        disabled = self.DISABLED[seam]()
-        report, calls, bytecodes = traced_run(
-            make_sim(scheme=make_scheme(), **{seam: disabled})
-        )
+        with loop(native):
+            bare = self._bare_traces.get((case, native))
+            if bare is None:
+                bare = traced_run(make_sim(scheme=make_scheme()))
+                self._bare_traces[case, native] = bare
+            disabled = self.DISABLED[seam]()
+            report, calls, bytecodes = traced_run(
+                make_sim(scheme=make_scheme(), **{seam: disabled})
+            )
         plain, plain_calls, plain_bytecodes = bare
         assert report.digest() == plain.digest()
         steps = report.core_steps + report.manager_steps
         extra = (bytecodes - plain_bytecodes) / steps
         assert extra <= self.BYTECODES_PER_STEP, f"+{extra:.2f} bytecodes per step"
         assert calls - plain_calls <= self.CALLS_PER_CHECKPOINT * report.checkpoints
+
+
+def host_state(scheduler):
+    """What a loop leaves in the scheduler: every HostStats field, per
+    thread its steps, ready time, state, jitter stream and context, per
+    context its clock, last thread and thread set, and the parked list."""
+    return {
+        "stats": dict(vars(scheduler.stats)),
+        "threads": [
+            (t.steps, t.ready_time, t.state, t.rng.state, t.context.index)
+            for t in scheduler.threads
+        ],
+        "contexts": [
+            (
+                c.clock,
+                None if c.last_thread is None else c.last_thread.pos,
+                sorted(t.pos for t in c.threads),
+            )
+            for c in scheduler.contexts
+        ],
+        "parked": [t.pos for t in scheduler._parked],
+    }
+
+
+#: Every scheme kind, sized so that tiny synthetic programs move their
+#: bounds, checkpoints and rollbacks.
+EQUIVALENCE_SCHEMES = {
+    "cc": lambda: SlackConfig(bound=0),
+    "slack": lambda: SlackConfig(bound=4),
+    "unbounded": lambda: SlackConfig(bound=None),
+    "quantum": lambda: QuantumConfig(quantum=8),
+    "adaptive": lambda: AdaptiveConfig(target_rate=1e-3, adjust_period=50),
+    "adaptive-quantum": lambda: AdaptiveQuantumConfig(adjust_period=50),
+    "p2p": lambda: P2PConfig(period=40, max_lead=40),
+    "speculative": lambda: SpeculativeConfig(
+        base=AdaptiveConfig(target_rate=1e-3, adjust_period=50),
+        checkpoint=CheckpointConfig(interval=150),
+    ),
+}
+
+
+@st.composite
+def run_specs(draw):
+    """A synthetic program x a scheme kind x a host variant, with or
+    without periodic checkpoints."""
+    cores = draw(st.sampled_from((2, 4)))
+    workload = dict(
+        num_threads=cores,
+        steps=draw(st.integers(5, 40)),
+        shared_lines=draw(st.integers(1, 8)),
+        shared_fraction=draw(st.sampled_from((0.0, 0.3, 0.8))),
+        lock_every=draw(st.sampled_from((0, 7))),
+        barrier_every=draw(st.sampled_from((0, 10))),
+    )
+    scheme = draw(st.sampled_from(sorted(EQUIVALENCE_SCHEMES)))
+    host = dict(
+        num_contexts=draw(st.sampled_from((1, 4, 8))),
+        num_submanagers=draw(st.sampled_from((0, 2))),
+        manager_migrates=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    checkpoint = None
+    if scheme != "speculative":
+        checkpoint = draw(st.sampled_from((None, 60, 200)))
+    return cores, workload, scheme, host, checkpoint
+
+
+def build(spec):
+    cores, workload, scheme, host, checkpoint = spec
+    return Simulation(
+        make_workload("synthetic", **workload),
+        scheme=EQUIVALENCE_SCHEMES[scheme](),
+        target=quick_target_config(num_cores=cores),
+        host=HostConfig(**host),
+        checkpoint=None if checkpoint is None else CheckpointConfig(interval=checkpoint),
+    )
+
+
+def trajectory(sim, segments, max_target_cycles=None):
+    """Advance ``sim`` through ``segments`` — ``(until, native)`` pairs,
+    each run on the loop it names — and return the digest (or the
+    DeadlockError message) with the host state left behind."""
+    run = sim.start(max_target_cycles)
+    try:
+        for until, native in segments:
+            with loop(native):
+                run.advance(until)
+        outcome = run.report().digest()
+    except DeadlockError as exc:
+        outcome = f"DeadlockError: {exc}"
+    return outcome, host_state(run.scheduler)
+
+
+@needs_native
+class TestNativeLoop:
+    """The C loop is the Python loop, bit for bit: same digest, same
+    host state, same errors, and a cut may hand a run from either loop
+    to the other."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=run_specs(),
+        cuts=st.lists(st.tuples(st.integers(1, 1500), st.booleans()), max_size=3),
+        last=st.booleans(),
+    )
+    def test_both_loops_take_the_same_path(self, spec, cuts, last):
+        python = trajectory(build(spec), [(None, False)])
+        assert trajectory(build(spec), [(None, True)]) == python
+        assert trajectory(build(spec), sorted(cuts) + [(None, last)]) == python
+
+    def test_deadlock_reports_match(self, monkeypatch):
+        from repro.isa import Emit, barrier as barrier_op
+        from repro.workloads.base import Workload
+
+        def builder(tid):
+            return [] if tid == 0 else [Emit(lambda ctx: barrier_op(0, 4))]
+
+        monkeypatch.setattr(scheduler_mod, "_DEADLOCK_LIMIT", 500)
+        runs = [
+            trajectory(make_sim(workload=Workload("broken", 4, builder)), [(None, native)])
+            for native in (False, True)
+        ]
+        assert runs[0][0].startswith("DeadlockError: simulation deadlock")
+        assert runs[1] == runs[0]
+
+    def test_the_c_loop_keeps_nothing_per_step(self):
+        """The mirror is written back before every controller hook, one
+        per served manager step (1,398 on this speculative case): what the
+        C loop allocates and leaves alive is bounded by the threads and
+        contexts, not the steps."""
+        sim = make_sim(scheme=TestReplayedWork.CASES["speculative"][0]())
+        tracemalloc.start()
+        try:
+            report = sim.run()
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, scheduler_mod.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert report.manager_steps == 2867
+        assert sum(stat.count for stat in kept.statistics("filename")) < 300
+
+    def test_runaway_errors_match(self):
+        runs = [
+            trajectory(make_sim(), [(None, native)], max_target_cycles=300)
+            for native in (False, True)
+        ]
+        assert runs[0][0].startswith("DeadlockError: target execution exceeded 300")
+        assert runs[1] == runs[0]
+
+
+class TestLoopBuild:
+    def test_the_c_loop_loads_wherever_it_can_be_built(self):
+        """Where a C compiler and Python.h exist the C loop must load, so
+        a broken build fails here instead of falling back silently."""
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+        header = pathlib.Path(sysconfig.get_paths()["include"]) / "Python.h"
+        if shutil.which(compiler) is None or not header.exists():
+            pytest.skip("no C compiler or no Python.h on this host")
+        assert NATIVE is not None
+
+    def test_without_a_compiler_the_python_loop_gives_the_same_digest(self, tmp_path):
+        """A fresh copy of the sources on a host whose compiler is
+        missing builds nothing, keeps the Python loop and digests alike."""
+        src = pathlib.Path(scheduler_mod.__file__).resolve().parents[2]
+        shutil.copytree(
+            src / "repro", tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        body = (
+            "import sysconfig\n"
+            "sysconfig.get_config_vars()['CC'] = '/nonexistent/cc'\n"
+            "import repro.core.scheduler as s\n"
+            "assert s._loop is None, s._loop\n"
+            "from repro import Simulation, SlackConfig\n"
+            "from repro.workloads import make_workload\n"
+            "print(Simulation(make_workload('fft', num_threads=4, scale=0.05),"
+            " scheme=SlackConfig(bound=0)).run().digest())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", body],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        expected = Simulation(
+            make_workload("fft", num_threads=4, scale=0.05), scheme=SlackConfig(bound=0)
+        ).run().digest()
+        assert done.stdout.split() == [expected]
+        assert not list((tmp_path / "repro" / "core").glob("__pycache__/_loop.*"))
