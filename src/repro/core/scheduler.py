@@ -14,9 +14,12 @@ The run is bit-for-bit deterministic for a given host seed.
 
 A run without an enabled telemetry session or sanitizer takes the same
 loop in C (``_loop.c``, built into ``__pycache__`` when this module is
-first imported; DESIGN.md section 5, "The loop in C").  Where it cannot be
-built, and whenever a probe seam is on, the Python loop below runs: it is
-the reference the C loop must match step for step.
+first imported; DESIGN.md section 5, "The loop in C"), which also steps
+the cores of the fused fast pipeline with a C copy of
+``CoreRunner.step`` ("The core step in C").  Where it cannot be built,
+and whenever a probe seam is on, the Python loop below runs: it and
+``CoreRunner.step`` are the reference the C code must match step for
+step.
 """
 
 from __future__ import annotations
@@ -28,8 +31,15 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.config import HostConfig
 from repro.core.hostmodel import HostContext, HostThread, ThreadState
+from repro.core.events import InMsg, OutMsg
 from repro.core.threads import CoreRunner, ManagerRunner, StepResult, SubManagerRunner
+from repro.cpu.core import _ILP_RATE, CoreModel, CoreRequest, RequestKind
 from repro.errors import DeadlockError
+from repro.isa.operations import Op, OpKind
+from repro.memory.cache import CacheArray
+from repro.memory.l1 import L1Cache
+from repro.memory.mesi import BusOpKind, MesiState
+from repro.memory.mshr import MshrEntry, MshrFile
 from repro.util import SplitMix64
 
 #: Consecutive all-idle manager steps before declaring deadlock.
@@ -42,6 +52,21 @@ _MASK64 = (1 << 64) - 1
 
 #: How the C loop is compiled (with sysconfig's CC); part of its cache key.
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+#: The methods the C core step copies.  It stands in for them only while
+#: they are the ones defined here, so a wrapped method (a test counting
+#: calls) is still called.
+_COPIED = tuple(
+    (owner, name, vars(owner)[name])
+    for owner, names in (
+        (CoreRunner, ("step", "_replay_stall", "_record_stall", "_skip_stalls")),
+        (CoreModel, ("commit_burst", "skip_stall_cycles")),
+        (L1Cache, ("access_line",)),
+        (CacheArray, ("find",)),
+        (MshrFile, ("allocate",)),
+    )
+    for name in names
+)
 
 
 class HostStats:
@@ -183,7 +208,10 @@ class Scheduler:
             sanitizer is not None and sanitizer.enabled
         )
         if _loop is not None and not seams_on:
-            failure = _loop.run(self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES)
+            native_step = all(vars(owner).get(name) is fn for owner, name, fn in _COPIED)
+            failure = _loop.run(
+                self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES, native_step
+            )
             if failure == 1:
                 raise DeadlockError(self._deadlock_report())
             if failure == 2:
@@ -583,18 +611,29 @@ def _load_loop():
         spec = importlib.util.spec_from_file_location("repro.core._loop", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        module.bind(
+            (CoreRunner, CoreModel, L1Cache, CacheArray, MshrFile, MshrEntry, Op,
+             InMsg, OutMsg, CoreRequest),
+            (OpKind.LOAD, OpKind.STORE, OpKind.COMPUTE, RequestKind.BUS, BusOpKind.GETS,
+             BusOpKind.GETX, BusOpKind.UPGR, MesiState.MODIFIED, _ILP_RATE,
+             int(MesiState.EXCLUSIVE)),
+        )
         return module
     except (OSError, ImportError):  # no compiler, no Python.h, a read-only tree, ...
         return None
 
 
 def _build_loop(source: str, path: str) -> None:
+    """Compile the C loop to ``path``, then remove the builds of older
+    sources beside it (a warm import never lists the directory)."""
     import os
+    import re
     import shlex
     import subprocess
     import sysconfig
 
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    folder, name = os.path.split(path)
+    os.makedirs(folder, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
         *_CFLAGS, "-I", sysconfig.get_paths()["include"], source, "-o", tmp,
@@ -607,6 +646,16 @@ def _build_loop(source: str, path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    build = re.compile(r"_loop\.[0-9a-f]{16}" + re.escape(name[len("_loop.") + 16:]) + r"\Z")
+    try:
+        stale = [entry for entry in os.listdir(folder) if entry != name and build.match(entry)]
+    except OSError:
+        stale = []
+    for entry in stale:
+        try:
+            os.unlink(os.path.join(folder, entry))
+        except OSError:
+            pass  # another process's build, already gone or not ours to remove
 
 
 _loop = _load_loop()

@@ -124,6 +124,10 @@ class CoreRunner:
         return self.sim.state.cores[self.index]
 
     def step(self, host_now: float) -> StepResult:
+        # core/_loop.c holds a C copy of this step and of the helpers it
+        # calls for the fast pipeline, which the C loop runs instead:
+        # keep the two in lockstep (tests/test_scheduler.py,
+        # TestNativeLoop, checks them against each other).
         if self._stall is not None and self._replay_stall():
             return self._result
         # One root-identity check + one tuple unpack replaces the ~10

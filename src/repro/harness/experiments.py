@@ -690,11 +690,11 @@ def p2p_comparison(
 ) -> ExperimentResult:
     """E2: Graphite-style Lax-P2P vs bounded and unbounded slack."""
     runner = runner or ExperimentRunner()
-    p2p_schemes = (
-        SlackConfig(bound=8),
-        SlackConfig(bound=None),
-        P2PConfig(period=100, max_lead=100),
-    )
+    unbounded = SlackConfig(bound=None)
+    # Period 10, lead 5: at 100/100 the pairwise bound never bound, and
+    # every column equalled unbounded slack's.
+    p2p = P2PConfig(period=10, max_lead=5)
+    p2p_schemes = (SlackConfig(bound=8), unbounded, p2p)
     runner.prefetch(
         [runner.reference_spec(benchmark, scale=scale) for benchmark in benchmarks]
         + [
@@ -704,10 +704,13 @@ def p2p_comparison(
         ]
     )
     rows = []
+    binds = []
     for benchmark in benchmarks:
         cc = runner.reference(benchmark, scale=scale)
+        cycles = {}
         for scheme in p2p_schemes:
             report = runner.run(benchmark, scheme, scale=scale)
+            cycles[scheme] = report.target_cycles
             rows.append(
                 (
                     benchmark,
@@ -717,6 +720,11 @@ def p2p_comparison(
                     report.violation_rate,
                 )
             )
+        binds.append((
+            benchmark,
+            f"{cycles[p2p]} vs {cycles[unbounded]} cycles",
+            cycles[p2p] != cycles[unbounded],
+        ))
     p2p_rows = [row for row in rows if row[1].startswith("p2p")]
     return ExperimentResult(
         name="p2p",
@@ -729,6 +737,7 @@ def p2p_comparison(
                     for name, _, speedup, _, _ in p2p_rows]),
             _every("P2P error below 35%", "E2 (§6)",
                    [(name, f"{error:.1%}", error < 0.35) for name, _, _, error, _ in p2p_rows]),
+            _every("P2P binds: its target cycles differ from unbounded's", "E2 (§6)", binds),
         ],
     )
 

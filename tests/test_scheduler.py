@@ -1,11 +1,14 @@
 """Tests for the host-model scheduler: determinism, contexts, pacing,
 the exact work the settled-poll and stall replays save, the exact cost
-of a disabled probe seam, and the C loop against the Python loop."""
+of a disabled probe seam, and the C loop and C core step against the
+Python loop and step."""
 
 import contextlib
+import dataclasses
 import gc
 import os
 import pathlib
+import re
 import shlex
 import shutil
 import subprocess
@@ -14,7 +17,7 @@ import sysconfig
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.scheduler as scheduler_mod
@@ -30,11 +33,12 @@ from repro import (
     SpeculativeConfig,
 )
 from repro.analysis.sanitizer import SlackSanitizer
-from repro.config import quick_target_config
+from repro.config import CoreConfig, quick_target_config
 from repro.core.manager import ManagerState
 from repro.core.scheduler import Scheduler
 from repro.core.threads import CoreRunner
 from repro.errors import DeadlockError
+from repro.memory.l1 import L1Cache
 from repro.telemetry import TelemetrySession
 from repro.workloads import make_workload
 
@@ -457,8 +461,10 @@ EQUIVALENCE_SCHEMES = {
 
 @st.composite
 def run_specs(draw):
-    """A synthetic program x a scheme kind x a host variant, with or
-    without periodic checkpoints."""
+    """A synthetic program x a scheme kind x a target core x a host
+    variant, with or without periodic checkpoints.  An icache core takes
+    the Python core step under either loop; every other core takes the C
+    step under the C loop."""
     cores = draw(st.sampled_from((2, 4)))
     workload = dict(
         num_threads=cores,
@@ -469,42 +475,115 @@ def run_specs(draw):
         barrier_every=draw(st.sampled_from((0, 10))),
     )
     scheme = draw(st.sampled_from(sorted(EQUIVALENCE_SCHEMES)))
+    core = dict(
+        num_mshrs=draw(st.sampled_from((1, 4))),
+        window_size=draw(st.sampled_from((4, 16))),
+        issue_width=draw(st.sampled_from((1, 2, 4))),
+        model_icache=draw(st.booleans()),
+    )
     host = dict(
         num_contexts=draw(st.sampled_from((1, 4, 8))),
         num_submanagers=draw(st.sampled_from((0, 2))),
         manager_migrates=draw(st.booleans()),
+        max_batch_cycles=draw(st.sampled_from((1, 8))),
+        max_stall_batch=draw(st.sampled_from((1, 16))),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
     checkpoint = None
     if scheme != "speculative":
         checkpoint = draw(st.sampled_from((None, 60, 200)))
-    return cores, workload, scheme, host, checkpoint
+    return cores, workload, scheme, core, host, checkpoint
 
 
 def build(spec):
-    cores, workload, scheme, host, checkpoint = spec
+    cores, workload, scheme, core, host, checkpoint = spec
+    target = quick_target_config(num_cores=cores)
     return Simulation(
         make_workload("synthetic", **workload),
         scheme=EQUIVALENCE_SCHEMES[scheme](),
-        target=quick_target_config(num_cores=cores),
+        target=dataclasses.replace(target, core=CoreConfig(**core)),
         host=HostConfig(**host),
         checkpoint=None if checkpoint is None else CheckpointConfig(interval=checkpoint),
     )
 
 
+def model_state(state):
+    """What the core steps leave in each core: the model's counters,
+    pending loads and dirtied pages, the L1's counters, LRU clock and
+    banks, and the MSHR entries with the number of merges into each."""
+    cores = []
+    for cs in state.cores:
+        model = cs.model
+        l1 = model.l1
+        array = l1.array
+        mshrs = l1.mshrs
+        cores.append((
+            cs.local_time,
+            (model.cycles, model.stall_cycles, model.sync_stall_cycles, model.instructions),
+            (model._issue_seq, model._fetch_seq, model._compute_remaining, model._compute_rate),
+            (model._current_op, model.waiting_sync, model.finished),
+            list(model._pending_loads),
+            sorted(model.pages_touched),
+            (l1.loads, l1.stores, l1.load_misses, l1.store_misses, l1.upgrades, l1.last_bus_op),
+            (array.hits, array.misses, array.evictions, array._clock),
+            (array._tag, array._state, array._lru),
+            (mshrs.allocations, mshrs.merges, mshrs.full_stalls),
+            sorted(
+                (line, entry.kind, entry.issue_time, len(entry.merged_rob_ids))
+                for line, entry in mshrs._entries.items()
+            ),
+        ))
+    return cores
+
+
 def trajectory(sim, segments, max_target_cycles=None):
     """Advance ``sim`` through ``segments`` — ``(until, native)`` pairs,
     each run on the loop it names — and return the digest (or the
-    DeadlockError message) with the host state left behind."""
+    DeadlockError message) with the host state and model state left
+    behind, and every OutQ entry as the manager merged it.  (A message's
+    host stamp orders it only among messages of one manager step, so
+    the digest alone cannot see a stamp moved by a constant.)"""
+    posted = []
+    merge = ManagerState._merge_outqs
+
+    def recorded(self, state, core_ids=None):
+        for index in range(len(state.cores)) if core_ids is None else core_ids:
+            posted.extend(
+                (msg.core_id, msg.ts, msg.host_time, msg.request.kind)
+                for msg in state.cores[index].outq
+            )
+        return merge(self, state, core_ids)
+
     run = sim.start(max_target_cycles)
-    try:
-        for until, native in segments:
-            with loop(native):
-                run.advance(until)
-        outcome = run.report().digest()
-    except DeadlockError as exc:
-        outcome = f"DeadlockError: {exc}"
-    return outcome, host_state(run.scheduler)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ManagerState, "_merge_outqs", recorded)
+        try:
+            for until, native in segments:
+                with loop(native):
+                    run.advance(until)
+            outcome = run.report().digest()
+        except DeadlockError as exc:
+            outcome = f"DeadlockError: {exc}"
+    return outcome, host_state(run.scheduler), model_state(sim.state), posted
+
+
+def kept_blocks(native, make_scheme, steps=40):
+    """The run's report and the memory blocks it leaves alive, as
+    tracemalloc counts them, on the C loop (True) or the Python loop."""
+    workload = make_workload(
+        "synthetic", num_threads=4, steps=steps, shared_lines=8, barrier_every=20
+    )
+    with loop(native):
+        sim = make_sim(scheme=make_scheme(), workload=workload)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = sim.run()
+            gc.collect()
+            kept = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    return report, sum(stat.count for stat in kept.statistics("filename"))
 
 
 @needs_native
@@ -513,12 +592,40 @@ class TestNativeLoop:
     host state, same errors, and a cut may hand a run from either loop
     to the other."""
 
+    #: Two runs whose multi-cycle steps touch the L1 before a delivery in
+    #: the same step: they fail if the LRU clock is not written back
+    #: before the delivery's fill, which 30 drawn examples may miss.
+    CLOCK_WRITE_BACK = (
+        (
+            2,
+            dict(num_threads=2, steps=30, shared_lines=5, shared_fraction=0.0,
+                 lock_every=0, barrier_every=0),
+            "slack",
+            dict(num_mshrs=4, window_size=16, issue_width=4, model_icache=False),
+            dict(num_contexts=8, num_submanagers=2, manager_migrates=True,
+                 max_batch_cycles=8, max_stall_batch=16, seed=3128971925910127598),
+            200,
+        ),
+        (
+            2,
+            dict(num_threads=2, steps=13, shared_lines=3, shared_fraction=0.3,
+                 lock_every=7, barrier_every=10),
+            "speculative",
+            dict(num_mshrs=1, window_size=4, issue_width=1, model_icache=False),
+            dict(num_contexts=4, num_submanagers=0, manager_migrates=True,
+                 max_batch_cycles=8, max_stall_batch=16, seed=4163994234249967631),
+            None,
+        ),
+    )
+
     @settings(max_examples=30, deadline=None)
     @given(
         spec=run_specs(),
         cuts=st.lists(st.tuples(st.integers(1, 1500), st.booleans()), max_size=3),
         last=st.booleans(),
     )
+    @example(spec=CLOCK_WRITE_BACK[0], cuts=[(300, True)], last=False)
+    @example(spec=CLOCK_WRITE_BACK[1], cuts=[], last=True)
     def test_both_loops_take_the_same_path(self, spec, cuts, last):
         python = trajectory(build(spec), [(None, False)])
         assert trajectory(build(spec), [(None, True)]) == python
@@ -539,22 +646,35 @@ class TestNativeLoop:
         assert runs[0][0].startswith("DeadlockError: simulation deadlock")
         assert runs[1] == runs[0]
 
+    #: Blocks the C loop may keep beyond what the Python loop keeps for
+    #: the same run (measured: +17 on the speculative case).
+    KEPT_BLOCKS_SLACK = 100
+
     def test_the_c_loop_keeps_nothing_per_step(self):
         """The mirror is written back before every controller hook, one
-        per served manager step (1,398 on this speculative case): what the
-        C loop allocates and leaves alive is bounded by the threads and
-        contexts, not the steps."""
-        sim = make_sim(scheme=TestReplayedWork.CASES["speculative"][0]())
-        tracemalloc.start()
-        try:
-            report = sim.run()
-            kept = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, scheduler_mod.__file__)]
-            )
-        finally:
-            tracemalloc.stop()
+        per served manager step (1,398 on this speculative case), and the
+        C core step builds the model's records itself: a run leaves alive
+        what the same run on the Python loop leaves, within a bound set by
+        the threads and contexts, not the steps.  (The blocks cannot be
+        told apart by file: C allocates the core's banks and queue entries
+        under the scheduler's frame.)"""
+        make_scheme = TestReplayedWork.CASES["speculative"][0]
+        report, python = kept_blocks(False, make_scheme)
         assert report.manager_steps == 2867
-        assert sum(stat.count for stat in kept.statistics("filename")) < 300
+        report, native = kept_blocks(True, make_scheme)
+        assert report.manager_steps == 2867
+        assert native <= python + self.KEPT_BLOCKS_SLACK
+
+    @pytest.mark.parametrize("bound, steps", ((0, 80), (16, 300)))
+    def test_the_c_step_keeps_nothing_per_step(self, bound, steps):
+        """The same bound over longer runs, at the stall-replay heavy
+        cycle-by-cycle end and the L1-access heavy slack end."""
+        make_scheme = lambda: SlackConfig(bound=bound)  # noqa: E731
+        report, python = kept_blocks(False, make_scheme, steps=steps)
+        native_report, native = kept_blocks(True, make_scheme, steps=steps)
+        assert native_report.digest() == report.digest()
+        assert report.core_steps > 2000
+        assert native <= python + self.KEPT_BLOCKS_SLACK
 
     def test_runaway_errors_match(self):
         runs = [
@@ -563,6 +683,59 @@ class TestNativeLoop:
         ]
         assert runs[0][0].startswith("DeadlockError: target execution exceeded 300")
         assert runs[1] == runs[0]
+
+
+@needs_native
+class TestNativeStep:
+    """Exact counts of the Python calls the C core step saves: a plain
+    run of the fused fast pipeline makes none to the core step, the stall
+    replay or the L1 access, and an icache run takes the Python step on
+    every core step."""
+
+    def _python_calls(self, sim):
+        watched = {
+            CoreRunner.step.__code__: "step",
+            CoreRunner._replay_stall.__code__: "replay_stall",
+            L1Cache.access_line.__code__: "access_line",
+        }
+        counts = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name = watched.get(frame.f_code)
+                if name is not None:
+                    counts[name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            report = sim.run()
+        finally:
+            sys.setprofile(previous)
+        return report, counts
+
+    @pytest.mark.parametrize("case", sorted(TestReplayedWork.CASES))
+    def test_a_plain_run_makes_no_python_core_step(self, case):
+        report, counts = self._python_calls(
+            make_sim(scheme=TestReplayedWork.CASES[case][0]())
+        )
+        assert report.core_steps == TestReplayedWork.CASES[case][1]
+        assert counts == {"step": 0, "replay_stall": 0, "access_line": 0}
+
+    def test_an_icache_run_takes_the_python_step(self):
+        target = quick_target_config(num_cores=4)
+        sim = Simulation(
+            make_workload("synthetic", num_threads=4, steps=40, shared_lines=8, barrier_every=20),
+            scheme=SlackConfig(bound=2),
+            target=dataclasses.replace(
+                target, core=dataclasses.replace(target.core, model_icache=True)
+            ),
+            host=HostConfig(num_contexts=4),
+            seed=1,
+        )
+        report, counts = self._python_calls(sim)
+        assert counts["step"] == report.core_steps > 0
+        assert counts["access_line"] > 0
 
 
 class TestLoopBuild:
@@ -574,6 +747,38 @@ class TestLoopBuild:
         if shutil.which(compiler) is None or not header.exists():
             pytest.skip("no C compiler or no Python.h on this host")
         assert NATIVE is not None
+
+    def test_a_rebuild_removes_the_stale_builds(self, tmp_path):
+        """A build removes the builds of older sources beside it (and
+        nothing else); a warm import removes nothing."""
+        src = pathlib.Path(scheduler_mod.__file__).resolve().parents[2]
+        shutil.copytree(
+            src / "repro", tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        cache = tmp_path / "repro" / "core" / "__pycache__"
+        cache.mkdir()
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        stale = cache / f"_loop.0123456789abcdef{suffix}"
+        others = [cache / f"_loop.0123456789abcdef{suffix}.77.tmp", cache / "threads.pyc"]
+        for path in [stale, *others]:
+            path.write_bytes(b"")
+        body = "import repro.core.scheduler as s\nprint(s._loop.__file__)\n"
+
+        def load():
+            done = subprocess.run(
+                [sys.executable, "-c", body],
+                env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                capture_output=True, text=True, timeout=300, check=True,
+            )
+            return pathlib.Path(done.stdout.strip())
+
+        built = load()
+        assert re.fullmatch(r"_loop\.[0-9a-f]{16}" + re.escape(suffix), built.name)
+        assert sorted(cache.glob("_loop.*")) == sorted([built, others[0]])
+        assert others[1].exists()
+        stale.write_bytes(b"")
+        assert load() == built
+        assert stale.exists()
 
     def test_without_a_compiler_the_python_loop_gives_the_same_digest(self, tmp_path):
         """A fresh copy of the sources on a host whose compiler is
