@@ -37,6 +37,9 @@ enum { READY = 0, BLOCKED = 1, DONE = 2 };
  * matching DeadlockError, so the messages have one definition. */
 enum { DEADLOCK = 1, RUNAWAY = 2, NO_THREAD = 3 };
 
+/* Scheduler._path_counts: how each manager and core step ran. */
+enum { MANAGER_C, MANAGER_PYTHON, MANAGER_REPLAYED, CORE_C, CORE_PYTHON, N_PATHS };
+
 #define NAMES(X)                                                              \
     X(sim) X(stats) X(host) X(cost) X(jitter_frac) X(context_switch_ns)        \
     X(manager_cycle_ns) X(manager_poll_ns) X(wake_latency_ns)                 \
@@ -61,13 +64,30 @@ enum { DEADLOCK = 1, RUNAWAY = 2, NO_THREAD = 3 };
     X(capacity) X(merges) X(full_stalls) X(allocations) X(cycles)             \
     X(stall_cycles) X(sync_stall_cycles) X(instructions) X(_issue_seq)        \
     X(_fetch_seq) X(_compute_remaining) X(_compute_rate) X(_current_op)       \
-    X(_pending_loads)
+    X(_pending_loads) X(_shadow) X(_dirty) X(_path_counts) X(direct_cores)    \
+    X(gq) X(_grant_floor) X(events_served) X(_serving_conservative)           \
+    X(_batch_grant_min) X(_limits_key) X(_outcome) X(bus) X(l2) X(cache_map)  \
+    X(detector) X(c2c_latency) X(config) X(arbitration_latency)               \
+    X(request_cycles) X(response_cycles) X(requests) X(responses)             \
+    X(request_conflict_cycles) X(response_conflict_cycles) X(stale_grants)    \
+    X(request_free_at) X(response_free_at) X(_last_request_ts) X(num_banks)   \
+    X(_bank_free_at) X(BANK_BUSY_CYCLES) X(dram) X(accesses)                  \
+    X(writebacks_received) X(bank_conflict_cycles) X(cache) X(hit_latency)    \
+    X(miss_latency) X(_tag) X(evictions) X(_assoc) X(_set_mask) X(_set_bits)  \
+    X(_journal) X(gets_served) X(getx_served) X(upgr_served) X(writebacks)    \
+    X(cache_to_cache) X(enabled) X(counts) X(window_counts) X(_bus_monitor)   \
+    X(_map_monitors) X(_pending) X(last_violation) X(local_times)             \
+    X(max_local_times) X(conservative_service) X(control_tick) X(window)      \
+    X(overrides) X(_serve_one) X(per_gq_event_ns) X(violation_tracking_ns)    \
+    X(per_mem_event_ns) X(adaptive_adjust_ns) X(clear) X(conservative)        \
+    X(force_window) X(window_cap) X(control_enabled)
 
 #define DECLARE(n) static PyObject *s_##n;
 NAMES(DECLARE)
 #undef DECLARE
 
 typedef struct core Core; /* a core runner the C step may take */
+typedef struct manager Manager; /* the flat manager the C step may take */
 
 /* The scheduler's Python objects and their C mirror. */
 typedef struct {
@@ -76,6 +96,7 @@ typedef struct {
     PyObject *contexts; /* list: HostContext.index == index */
     PyObject **step;    /* bound runner.step per thread */
     Core *core;         /* per core thread (positions [0, ncores)) */
+    Manager *manager;   /* the manager thread's */
     Py_ssize_t nthreads, nctx, mgr, ncores;
     /* per context */
     double *clock, *busy;
@@ -92,6 +113,7 @@ typedef struct {
     int mirrored; /* the arrays hold the scheduler's state */
     long long manager_steps, core_steps, wakeups, violations_observed;
     double manager_busy, submanager_busy;
+    long long paths[N_PATHS]; /* Scheduler._path_counts */
 } Loop;
 
 /* ------------------------------------------------------------------ */
@@ -258,6 +280,23 @@ load(Loop *L)
         || get_double(L->stats, s_manager_busy_ns, &L->manager_busy) < 0
         || get_double(L->stats, s_submanager_busy_ns, &L->submanager_busy) < 0)
         return -1;
+    seq = PyObject_GetAttr(L->sched, s__path_counts);
+    if (seq == NULL)
+        return -1;
+    for (i = 0; i < N_PATHS; i++) {
+        PyObject *item = PySequence_GetItem(seq, i);
+        int rc = -1;
+        if (item != NULL) {
+            L->paths[i] = PyLong_AsLongLong(item);
+            rc = L->paths[i] == -1 && PyErr_Occurred() ? -1 : 0;
+            Py_DECREF(item);
+        }
+        if (rc < 0) {
+            Py_DECREF(seq);
+            return -1;
+        }
+    }
+    Py_DECREF(seq);
     busy = PyObject_GetAttr(L->stats, s_context_busy_ns);
     if (busy == NULL)
         return -1;
@@ -321,7 +360,7 @@ static int
 store(Loop *L, int heap)
 {
     Py_ssize_t i;
-    PyObject *manager, *target, *current, *parked, *busy;
+    PyObject *manager, *target, *current, *parked, *paths, *busy;
     for (i = 0; i < L->nctx; i++) {
         PyObject *ctx = PyList_GET_ITEM(L->contexts, i);
         PyObject *last = L->last[i] < 0 ? Py_None : PyList_GET_ITEM(L->threads, L->last[i]);
@@ -387,6 +426,19 @@ store(Loop *L, int heap)
         || set_double(L->stats, s_manager_busy_ns, L->manager_busy) < 0
         || set_double(L->stats, s_submanager_busy_ns, L->submanager_busy) < 0)
         return -1;
+    paths = PyObject_GetAttr(L->sched, s__path_counts);
+    if (paths == NULL)
+        return -1;
+    for (i = 0; i < N_PATHS; i++) {
+        PyObject *value = PyLong_FromLongLong(L->paths[i]);
+        int rc = value == NULL ? -1 : PySequence_SetItem(paths, i, value);
+        Py_XDECREF(value);
+        if (rc < 0) {
+            Py_DECREF(paths);
+            return -1;
+        }
+    }
+    Py_DECREF(paths);
     busy = PyObject_GetAttr(L->stats, s_context_busy_ns);
     if (busy == NULL)
         return -1;
@@ -623,7 +675,7 @@ static PyTypeObject *T_runner, *T_model, *T_l1, *T_array, *T_mshrs;
 static PyTypeObject *T_entry, *T_op, *T_inmsg, *T_outmsg, *T_request;
 static PyObject *K_LOAD, *K_STORE, *K_COMPUTE, *K_BUS, *K_GETS, *K_GETX, *K_UPGR;
 static PyObject *K_MODIFIED, *ILP_RATE, *ZERO;
-static long EXCLUSIVE;
+static long EXCLUSIVE, PAGE_BITS;
 /* __slots__ offsets of the records the step reads or builds. */
 static Py_ssize_t O_op_kind, O_op_arg1, O_op_arg2, O_in_ts;
 static Py_ssize_t O_out_core, O_out_ts, O_out_host, O_out_request;
@@ -949,6 +1001,25 @@ mirror_flush_on_error(Mirror *M)
 
 /* ---- L1Cache.access_line ---- */
 
+/* A content write to ``slot`` of the CacheArray whose __dict__ is ``ad``:
+ * with a shadow (a checkpoint exists) its page is dirtied, as every
+ * CacheArray mutator does, so a rollback rewinds it. */
+static int
+mark_page(PyObject *ad, Py_ssize_t slot)
+{
+    PyObject *shadow = dget(ad, s__shadow), *dirty, *page;
+    int rc;
+    if (shadow == NULL)
+        return -1;
+    if (shadow == Py_None)
+        return 0;
+    if ((dirty = dget(ad, s__dirty)) == NULL || (page = PyLong_FromSsize_t(slot >> PAGE_BITS)) == NULL)
+        return -1;
+    rc = PySet_Add(dirty, page);
+    Py_DECREF(page);
+    return rc;
+}
+
 /* MshrFile.allocate(line_addr, kind, now) on the mirror. */
 static int
 mshr_allocate(Mirror *M, PyObject *key, PyObject *kind, long long now)
@@ -1013,7 +1084,8 @@ l1_access(Mirror *M, PyObject *key, int is_store, long long now, PyObject **bus_
                 return -1;
             if (state >= EXCLUSIVE) { /* writable (E or M) -> M */
                 Py_INCREF(K_MODIFIED);
-                if (PyList_SetItem(M->states, slot, K_MODIFIED) < 0)
+                if (PyList_SetItem(M->states, slot, K_MODIFIED) < 0
+                    || mark_page(M->owner[ON_ARRAY], slot) < 0)
                     return -1;
                 M->v[F_HITS]++;
                 return HIT;
@@ -1765,13 +1837,1586 @@ cores_release(Loop *L)
     PyMem_Free(L->core);
 }
 
+/* ------------------------------------------------------------------ */
+/* The manager step in C: ManagerRunner.step for the flat manager.
+ *
+ * The manager of a run without sub-managers, whose scheme paces every
+ * core with one window (``uniform_window`` and not
+ * ``wants_core_clocks``) and whose L2 has no DRAM model, is stepped here
+ * instead of through ``runner.step``, bit for bit as ManagerRunner.step
+ * and ManagerState.service step it (the Python manager stays the
+ * reference; DESIGN.md section 5, "The manager step in C").  Here: the
+ * OutQ merge and its stable arrival-order sort, both service disciplines
+ * (an arrival-order batch, and the conservative horizon with its requeue
+ * behind a sync grant), the bus and writeback service with the snoop bus,
+ * the cache status map and its journal, the L2 and its array, the
+ * violation monitors, the InQ pushes, the global time, the uniform pacing
+ * limits, the drain of the pending violations, the outcome and the cost.
+ * Python callbacks: ``manager._serve_one`` for IFETCH and the sync kinds,
+ * ``scheme.window`` and, where the scheme overrides the base no-op,
+ * ``scheme.control_tick``, and ``controller.overrides``.
+ *
+ * The integer fields of the manager, bus, L2, its array and the map are
+ * mirrored in an MStep for one step, each object's at its first use.
+ * They are written back at its end and before every callback, and read
+ * again after it.  Per root only the objects are cached (Manager below),
+ * keyed on the identity of ``sim.state``: a rollback replaces the root. */
+
+/* What scheduler.py binds for the manager step (bind_manager). */
+static int mbound;
+static PyTypeObject *T_mrunner, *T_manager, *T_outcome, *T_bus, *T_l2, *T_map;
+static PyTypeObject *T_detector, *T_monitor, *T_monitors, *T_record;
+static PyObject *K_FILL, *K_SYNC_GRANT, *K_INVALIDATE, *K_DOWNGRADE, *K_WRITEBACK;
+static PyObject *K_SHARED, *K_EXCLUSIVE, *V_BUS, *V_MAP, *NO_VIOLATIONS, *BASE_CONTROL_TICK;
+static Py_ssize_t O_oc_served, O_oc_merged, O_oc_adjusted, O_oc_violations, O_oc_global;
+static Py_ssize_t O_oc_idle, O_oc_wake, O_oc_settled;
+static Py_ssize_t O_in_kind, O_in_line, O_in_state;
+static Py_ssize_t O_mon_last, O_monitors, O_rec_vtype, O_rec_ts, O_rec_global, O_rec_core;
+
+/* The mirrored fields, the object each lives on and the group that loads
+ * it (an object's fields load together, at the first use in a step). */
+enum {
+    MF_GLOBAL, MF_FLOOR, MF_SERVED,
+    MF_REQUESTS, MF_RESPONSES, MF_REQ_CONFLICT, MF_RESP_CONFLICT, MF_STALE, MF_REQ_FREE,
+    MF_RESP_FREE, MF_LAST_REQ,
+    MF_ACCESSES, MF_L2_MISSES, MF_WB_RECEIVED, MF_BANK_CONFLICT, MF_L2_CLOCK, MF_EVICTIONS,
+    MF_GETS, MF_GETX, MF_UPGR, MF_WRITEBACKS, MF_C2C,
+    N_MFIELDS
+};
+enum { OWN_MGR, OWN_BUS, OWN_L2, OWN_ARRAY, OWN_MAP, N_OWNERS };
+enum { G_MGR, G_BUS, G_L2, G_MAP, N_GROUPS };
+static PyObject **const mfield_name[N_MFIELDS] = {
+    &s_global_time, &s__grant_floor, &s_events_served,
+    &s_requests, &s_responses, &s_request_conflict_cycles, &s_response_conflict_cycles,
+    &s_stale_grants, &s_request_free_at, &s_response_free_at, &s__last_request_ts,
+    &s_accesses, &s_misses, &s_writebacks_received, &s_bank_conflict_cycles, &s__clock,
+    &s_evictions,
+    &s_gets_served, &s_getx_served, &s_upgr_served, &s_writebacks, &s_cache_to_cache,
+};
+static const int mfield_owner[N_MFIELDS] = {
+    OWN_MGR, OWN_MGR, OWN_MGR,
+    OWN_BUS, OWN_BUS, OWN_BUS, OWN_BUS, OWN_BUS, OWN_BUS, OWN_BUS, OWN_BUS,
+    OWN_L2, OWN_L2, OWN_L2, OWN_L2, OWN_ARRAY, OWN_ARRAY,
+    OWN_MAP, OWN_MAP, OWN_MAP, OWN_MAP, OWN_MAP,
+};
+static const int mfield_group[N_MFIELDS] = {
+    G_MGR, G_MGR, G_MGR,
+    G_BUS, G_BUS, G_BUS, G_BUS, G_BUS, G_BUS, G_BUS, G_BUS,
+    G_L2, G_L2, G_L2, G_L2, G_L2, G_L2,
+    G_MAP, G_MAP, G_MAP, G_MAP, G_MAP,
+};
+
+/* The flat manager: its constants and its per-root binds. */
+struct manager {
+    int eligible; /* an exact flat ManagerRunner the C step may stand in for */
+    int native;   /* the bound root takes the C step */
+    double cycle_ns, gq_ns, tracking_ns, mem_ns, adjust_ns, poll_ns;
+    /* Fixed while sim.state is ``state``. */
+    PyObject *state, *manager, *scheme, *window, *control_tick, *serve_one, *outcome;
+    PyObject *detector, *dd, *bus_monitor, *monitors, *times, *limits;
+    PyObject *own[N_OWNERS]; /* the __dict__ of manager, bus, L2, array, map */
+    PyObject **inq, **inq_append, **outq, **model;
+    Py_ssize_t ncores;
+    int conservative;
+    long long arbitration, request_cycles, response_cycles, c2c;
+    long long banks, bank_busy, hit_latency, miss_latency, assoc, set_mask, set_bits;
+    PyObject *no_args;
+    /* Scratch for the two sorts (holds no reference between steps). */
+    struct entry *sorted, *spare;
+    Py_ssize_t room;
+};
+
+/* One step's mirror. */
+typedef struct {
+    Manager *m;
+    long long v[N_MFIELDS], o[N_MFIELDS];
+    int have[N_GROUPS];
+    PyObject *tags, *states, *lrus, *index, *bank_free; /* G_L2 */
+    PyObject *entries, *journal;                        /* G_MAP */
+} MStep;
+
+/* What one manager step hands the loop. */
+typedef struct {
+    int idle, wake, settled;
+    Py_ssize_t violations;
+    long long global_time;
+} MOut;
+
+struct entry {
+    PyObject *msg; /* borrowed from the list the sort reads */
+    long long first, second;
+    double host;
+};
+
+/* (host_time, core_id): the GQ's arrival order. */
+static int
+arrival_before(const struct entry *a, const struct entry *b)
+{
+    return a->host < b->host || (a->host == b->host && a->first < b->first);
+}
+
+/* (ts, core_id, host_time): a service batch's timestamp order. */
+static int
+timestamp_before(const struct entry *a, const struct entry *b)
+{
+    if (a->first != b->first)
+        return a->first < b->first;
+    if (a->second != b->second)
+        return a->second < b->second;
+    return a->host < b->host;
+}
+
+/* A stable merge sort of a[0:n] (list.sort's order for equal keys),
+ * using spare[0:n]. */
+static void
+stable_sort(struct entry *a, struct entry *spare, Py_ssize_t n,
+            int (*before)(const struct entry *, const struct entry *))
+{
+    Py_ssize_t width, lo;
+    struct entry *src = a, *dst = spare, *swap;
+    for (width = 1; width < n; width *= 2) {
+        for (lo = 0; lo < n; lo += 2 * width) {
+            Py_ssize_t mid = lo + width < n ? lo + width : n;
+            Py_ssize_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            Py_ssize_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                dst[k++] = before(&src[j], &src[i]) ? src[j++] : src[i++];
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < hi)
+                dst[k++] = src[j++];
+        }
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        memcpy(a, src, n * sizeof(*a));
+}
+
+static int
+manager_room(Manager *m, Py_ssize_t n)
+{
+    if (n <= m->room)
+        return 0;
+    PyMem_Free(m->sorted);
+    PyMem_Free(m->spare);
+    m->room = n * 2;
+    m->sorted = PyMem_Malloc(m->room * sizeof(struct entry));
+    m->spare = PyMem_Malloc(m->room * sizeof(struct entry));
+    if (m->sorted == NULL || m->spare == NULL) {
+        m->room = 0;
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Fill m->sorted[k] from an OutMsg with the keys of ``arrival``. */
+static int
+entry_of(struct entry *e, PyObject *msg, int arrival)
+{
+    PyObject *value;
+    if (!Py_IS_TYPE(msg, T_outmsg)) {
+        PyErr_SetString(PyExc_TypeError, "a queue holds a non-OutMsg");
+        return -1;
+    }
+    e->msg = msg;
+    if ((value = slot_get(msg, O_out_host)) == NULL)
+        return -1;
+    e->host = PyFloat_AsDouble(value);
+    if (e->host == -1.0 && PyErr_Occurred())
+        return -1;
+    if ((value = slot_get(msg, O_out_core)) == NULL
+        || as_ll(value, arrival ? &e->first : &e->second) < 0)
+        return -1;
+    if (!arrival && ((value = slot_get(msg, O_out_ts)) == NULL || as_ll(value, &e->first) < 0))
+        return -1;
+    return 0;
+}
+
+/* ---- the mirror ---- */
+
+static int
+mstep_load(MStep *S, int group)
+{
+    Manager *m = S->m;
+    PyObject *ad = m->own[OWN_ARRAY], *md = m->own[OWN_MAP];
+    int i;
+    for (i = 0; i < N_MFIELDS; i++) {
+        if (mfield_group[i] != group)
+            continue;
+        if (dget_ll(m->own[mfield_owner[i]], *mfield_name[i], &S->v[i]) < 0)
+            return -1;
+        S->o[i] = S->v[i];
+    }
+    if (group == G_L2) {
+        S->tags = dget(ad, s__tag);
+        S->states = dget(ad, s__state);
+        S->lrus = dget(ad, s__lru);
+        S->index = dget(ad, s__index);
+        S->bank_free = dget(m->own[OWN_L2], s__bank_free_at);
+        if (S->tags == NULL || S->states == NULL || S->lrus == NULL || S->index == NULL
+            || S->bank_free == NULL)
+            return -1;
+        if (!PyList_Check(S->tags) || !PyList_Check(S->states) || !PyList_Check(S->lrus)
+            || !PyDict_Check(S->index) || !PyList_Check(S->bank_free)) {
+            PyErr_SetString(PyExc_TypeError, "unexpected L2 bank types");
+            return -1;
+        }
+        Py_INCREF(S->tags);
+        Py_INCREF(S->states);
+        Py_INCREF(S->lrus);
+        Py_INCREF(S->index);
+        Py_INCREF(S->bank_free);
+    }
+    else if (group == G_MAP) {
+        S->entries = dget(md, s__entries);
+        S->journal = dget(md, s__journal);
+        if (S->entries == NULL || S->journal == NULL)
+            return -1;
+        if (!PyDict_Check(S->entries) || !PyDict_Check(S->journal)) {
+            PyErr_SetString(PyExc_TypeError, "unexpected cache map types");
+            return -1;
+        }
+        Py_INCREF(S->entries);
+        Py_INCREF(S->journal);
+    }
+    S->have[group] = 1;
+    return 0;
+}
+
+/* The group's fields, loaded if this step has not yet. */
+#define NEED(S, group) ((S)->have[group] || mstep_load((S), (group)) == 0)
+
+static int
+mstep_flush(MStep *S)
+{
+    int i;
+    for (i = 0; i < N_MFIELDS; i++) {
+        if (!S->have[mfield_group[i]] || S->v[i] == S->o[i])
+            continue;
+        if (dset_ll(S->m->own[mfield_owner[i]], *mfield_name[i], S->v[i]) < 0)
+            return -1;
+        S->o[i] = S->v[i];
+    }
+    return 0;
+}
+
+/* After a callback (or at the end): nothing mirrored is kept. */
+static void
+mstep_drop(MStep *S)
+{
+    memset(S->have, 0, sizeof(S->have));
+    Py_CLEAR(S->tags);
+    Py_CLEAR(S->states);
+    Py_CLEAR(S->lrus);
+    Py_CLEAR(S->index);
+    Py_CLEAR(S->bank_free);
+    Py_CLEAR(S->entries);
+    Py_CLEAR(S->journal);
+}
+
+/* A Python callback sees every field as Python leaves it. */
+static PyObject *
+mstep_call(MStep *S, PyObject *callable, PyObject *args, PyObject *kwargs)
+{
+    if (mstep_flush(S) < 0)
+        return NULL;
+    mstep_drop(S);
+    return PyObject_Call(callable, args, kwargs);
+}
+
+static void
+mstep_flush_on_error(MStep *S)
+{
+    PyObject *type, *value, *traceback;
+    PyErr_Fetch(&type, &value, &traceback);
+    if (mstep_flush(S) < 0)
+        PyErr_Clear();
+    PyErr_Restore(type, value, traceback);
+}
+
+/* ---- ViolationDetector ---- */
+
+/* ``d[key] += 1`` */
+static int
+dict_increment(PyObject *d, PyObject *key)
+{
+    long long value;
+    return dget_ll(d, key, &value) < 0 ? -1 : dset_ll(d, key, value + 1);
+}
+
+/* ViolationDetector._record */
+static int
+record_violation(MStep *S, PyObject *vtype, long long ts, long long core)
+{
+    Manager *m = S->m;
+    PyObject *counts, *record, *pending, *value;
+    int rc;
+    if ((counts = dget(m->dd, s_counts)) == NULL || dict_increment(counts, vtype) < 0
+        || (counts = dget(m->dd, s_window_counts)) == NULL || dict_increment(counts, vtype) < 0)
+        return -1;
+    if ((record = T_record->tp_alloc(T_record, 0)) == NULL)
+        return -1;
+    slot_set(record, O_rec_vtype, vtype);
+    if ((value = PyLong_FromLongLong(ts)) == NULL)
+        goto fail;
+    slot_set(record, O_rec_ts, value);
+    Py_DECREF(value);
+    if ((value = PyLong_FromLongLong(S->v[MF_GLOBAL])) == NULL)
+        goto fail;
+    slot_set(record, O_rec_global, value);
+    Py_DECREF(value);
+    if ((value = PyLong_FromLongLong(core)) == NULL)
+        goto fail;
+    slot_set(record, O_rec_core, value);
+    Py_DECREF(value);
+    if (PyDict_SetItem(m->dd, s_last_violation, record) < 0
+        || (pending = dget(m->dd, s__pending)) == NULL)
+        goto fail;
+    rc = PyList_Append(pending, record);
+    Py_DECREF(record);
+    return rc;
+fail:
+    Py_DECREF(record);
+    return -1;
+}
+
+/* check_bus and check_map for one operation stamped ``ts`` on ``line``. */
+static int
+check_violations(MStep *S, PyObject *line, long long ts, long long core)
+{
+    Manager *m = S->m;
+    PyObject *value = dget(m->dd, s_enabled), *stamp;
+    long long last;
+    int enabled;
+    if (value == NULL || (enabled = PyObject_IsTrue(value)) < 0)
+        return -1;
+    if (!enabled)
+        return 0;
+    if ((value = slot_get(m->bus_monitor, O_mon_last)) == NULL || as_ll(value, &last) < 0)
+        return -1;
+    if (ts < last) {
+        if (record_violation(S, V_BUS, ts, core) < 0)
+            return -1;
+    }
+    else {
+        if ((stamp = PyLong_FromLongLong(ts)) == NULL)
+            return -1;
+        slot_set(m->bus_monitor, O_mon_last, stamp);
+        Py_DECREF(stamp);
+    }
+    value = PyDict_GetItemWithError(m->monitors, line);
+    if (value == NULL && PyErr_Occurred())
+        return -1;
+    last = -1;
+    if (value != NULL && as_ll(value, &last) < 0)
+        return -1;
+    if (ts < last)
+        return record_violation(S, V_MAP, ts, core);
+    if ((stamp = PyLong_FromLongLong(ts)) == NULL)
+        return -1;
+    enabled = PyDict_SetItem(m->monitors, line, stamp);
+    Py_DECREF(stamp);
+    return enabled;
+}
+
+/* ---- SnoopBus ---- */
+
+/* grant_request(ts): the target time the snoop request appears. */
+static int
+grant_request(MStep *S, long long ts, long long *grant)
+{
+    long long *v = S->v, earliest;
+    if (!NEED(S, G_BUS))
+        return -1;
+    v[MF_REQUESTS]++;
+    earliest = ts + S->m->arbitration;
+    if (ts < v[MF_LAST_REQ])
+        v[MF_STALE]++;
+    else
+        v[MF_LAST_REQ] = ts;
+    *grant = earliest > v[MF_REQ_FREE] ? earliest : v[MF_REQ_FREE];
+    v[MF_REQ_CONFLICT] += *grant - earliest;
+    v[MF_REQ_FREE] = *grant + S->m->request_cycles;
+    return 0;
+}
+
+/* schedule_response(data_ready): the ``done`` time (the bus is loaded). */
+static long long
+schedule_response(MStep *S, long long data_ready)
+{
+    long long *v = S->v, start;
+    v[MF_RESPONSES]++;
+    start = data_ready > v[MF_RESP_FREE] ? data_ready : v[MF_RESP_FREE];
+    v[MF_RESP_CONFLICT] += start - data_ready;
+    v[MF_RESP_FREE] = start + S->m->response_cycles;
+    return v[MF_RESP_FREE];
+}
+
+/* ---- CacheStatusMap ---- */
+
+/* The line's entry (borrowed; NULL for absent) and its first-touch
+ * journal record. */
+static int
+map_entry(MStep *S, PyObject *line, int journal, PyObject **cur, long long *mask, long long *owner)
+{
+    PyObject *item;
+    if (!NEED(S, G_MAP))
+        return -1;
+    *cur = PyDict_GetItemWithError(S->entries, line);
+    *mask = 0;
+    *owner = -1;
+    if (*cur == NULL && PyErr_Occurred())
+        return -1;
+    if (*cur != NULL) {
+        if (!PyTuple_Check(*cur) || PyTuple_GET_SIZE(*cur) != 2) {
+            PyErr_SetString(PyExc_TypeError, "a cache map entry is not (mask, owner)");
+            return -1;
+        }
+        if (as_ll(PyTuple_GET_ITEM(*cur, 0), mask) < 0)
+            return -1;
+        item = PyTuple_GET_ITEM(*cur, 1);
+        if (item != Py_None && as_ll(item, owner) < 0)
+            return -1;
+    }
+    if (journal) {
+        int known = PyDict_Contains(S->journal, line);
+        if (known < 0
+            || (!known && PyDict_SetItem(S->journal, line, *cur == NULL ? Py_None : *cur) < 0))
+            return -1;
+    }
+    return 0;
+}
+
+static int
+map_set(MStep *S, PyObject *line, long long mask, long long owner)
+{
+    PyObject *entry = Py_BuildValue("(LN)", mask,
+                                    owner < 0 ? Py_NewRef(Py_None) : PyLong_FromLongLong(owner));
+    int rc;
+    if (entry == NULL)
+        return -1;
+    rc = PyDict_SetItem(S->entries, line, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+/* ---- L2Cache and its CacheArray ---- */
+
+static int
+l2_find(MStep *S, PyObject *line, int touch, Py_ssize_t *slot)
+{
+    PyObject *found = PyDict_GetItemWithError(S->index, line);
+    *slot = -1;
+    if (found == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if ((*slot = PyLong_AsSsize_t(found)) == -1 && PyErr_Occurred())
+        return -1;
+    if (touch)
+        return list_set_ll(S->lrus, *slot, ++S->v[MF_L2_CLOCK]);
+    return 0;
+}
+
+/* CacheArray.fill(line, state) (the victim is not needed). */
+static int
+l2_fill(MStep *S, PyObject *line, long long addr, PyObject *state)
+{
+    Manager *m = S->m;
+    long long set_index = addr & m->set_mask, best_lru, lru, victim_state;
+    Py_ssize_t base = (Py_ssize_t)(set_index * m->assoc), victim = base, slot;
+    int best_valid, valid;
+    if (base + m->assoc > PyList_GET_SIZE(S->states) || base + m->assoc > PyList_GET_SIZE(S->lrus)) {
+        PyErr_SetString(PyExc_IndexError, "L2 set out of range");
+        return -1;
+    }
+    if (list_get_ll(S->states, base, &victim_state) < 0 || list_get_ll(S->lrus, base, &best_lru) < 0)
+        return -1;
+    best_valid = victim_state != 0;
+    for (slot = base + 1; slot < base + m->assoc; slot++) {
+        long long st;
+        if (list_get_ll(S->states, slot, &st) < 0 || list_get_ll(S->lrus, slot, &lru) < 0)
+            return -1;
+        valid = st != 0;
+        if (valid < best_valid || (valid == best_valid && lru < best_lru)) {
+            victim = slot;
+            best_valid = valid;
+            best_lru = lru;
+        }
+    }
+    if (list_get_ll(S->states, victim, &victim_state) < 0)
+        return -1;
+    if (victim_state != 0) {
+        long long tag;
+        PyObject *key;
+        int rc;
+        if (list_get_ll(S->tags, victim, &tag) < 0
+            || (key = PyLong_FromLongLong((tag << m->set_bits) | set_index)) == NULL)
+            return -1;
+        S->v[MF_EVICTIONS]++;
+        rc = PyDict_DelItem(S->index, key);
+        Py_DECREF(key);
+        if (rc < 0)
+            return -1;
+    }
+    if (list_set_ll(S->tags, victim, addr >> m->set_bits) < 0)
+        return -1;
+    Py_INCREF(state);
+    if (PyList_SetItem(S->states, victim, state) < 0
+        || list_set_ll(S->lrus, victim, ++S->v[MF_L2_CLOCK]) < 0
+        || mark_page(m->own[OWN_ARRAY], victim) < 0)
+        return -1;
+    /* The state filled is never INVALID here. */
+    {
+        PyObject *where = PyLong_FromSsize_t(victim);
+        int rc = where == NULL ? -1 : PyDict_SetItem(S->index, line, where);
+        Py_XDECREF(where);
+        return rc;
+    }
+}
+
+/* L2Cache.access(line, at=at): the latency. */
+static int
+l2_access(MStep *S, PyObject *line, long long addr, long long at, long long *latency)
+{
+    Manager *m = S->m;
+    long long wait = 0;
+    Py_ssize_t slot;
+    if (!NEED(S, G_L2))
+        return -1;
+    S->v[MF_ACCESSES]++;
+    if (m->banks > 1) {
+        Py_ssize_t bank = (Py_ssize_t)(addr % m->banks);
+        long long free_at, start;
+        if (list_get_ll(S->bank_free, bank, &free_at) < 0)
+            return -1;
+        start = at > free_at ? at : free_at;
+        wait = start - at;
+        S->v[MF_BANK_CONFLICT] += wait;
+        if (list_set_ll(S->bank_free, bank, start + m->bank_busy) < 0)
+            return -1;
+    }
+    if (l2_find(S, line, 1, &slot) < 0)
+        return -1;
+    if (slot >= 0) {
+        *latency = wait + m->hit_latency;
+        return 0;
+    }
+    S->v[MF_L2_MISSES]++;
+    if (l2_fill(S, line, addr, K_EXCLUSIVE) < 0)
+        return -1;
+    *latency = wait + m->miss_latency;
+    return 0;
+}
+
+/* L2Cache.writeback(line) */
+static int
+l2_writeback(MStep *S, PyObject *line, long long addr)
+{
+    Py_ssize_t slot;
+    if (!NEED(S, G_L2))
+        return -1;
+    S->v[MF_WB_RECEIVED]++;
+    if (l2_find(S, line, 0, &slot) < 0)
+        return -1;
+    if (slot < 0)
+        return l2_fill(S, line, addr, K_MODIFIED);
+    Py_INCREF(K_MODIFIED);
+    if (PyList_SetItem(S->states, slot, K_MODIFIED) < 0)
+        return -1;
+    return mark_page(S->m->own[OWN_ARRAY], slot);
+}
+
+/* ---- the service ---- */
+
+/* ``sim.cores[core].inq.append(InMsg(kind, ts, line, state))`` */
+static int
+push(Manager *m, long long core, PyObject *kind, long long ts, PyObject *line, PyObject *state)
+{
+    PyObject *msg, *value, *done;
+    if (core < 0 || core >= m->ncores) {
+        PyErr_SetString(PyExc_IndexError, "InQ push to a core out of range");
+        return -1;
+    }
+    if ((msg = T_inmsg->tp_alloc(T_inmsg, 0)) == NULL)
+        return -1;
+    if ((value = PyLong_FromLongLong(ts)) == NULL) {
+        Py_DECREF(msg);
+        return -1;
+    }
+    slot_set(msg, O_in_kind, kind);
+    slot_set(msg, O_in_ts, value);
+    Py_DECREF(value);
+    slot_set(msg, O_in_line, line == NULL ? ZERO : line);
+    slot_set(msg, O_in_state, state == NULL ? Py_None : state);
+    done = PyObject_CallOneArg(m->inq_append[core], msg);
+    Py_DECREF(msg);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
+    return 0;
+}
+
+/* Push ``kind`` at ``ts`` to every core in ``mask``, lowest first. */
+static int
+push_each(Manager *m, long long mask, PyObject *kind, long long ts, PyObject *line)
+{
+    long long core;
+    for (core = 0; mask; core++, mask >>= 1) {
+        if ((mask & 1) && push(m, core, kind, ts, line, NULL) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* ManagerState._serve_bus */
+static int
+serve_bus(MStep *S, PyObject *request, long long core, long long ts)
+{
+    Manager *m = S->m;
+    PyObject *line, *bus_op, *cur;
+    long long addr, grant, snoop_seen, mask, owner, data_ready, done, latency;
+    if ((line = slot_get(request, O_req_line)) == NULL || as_ll(line, &addr) < 0
+        || (bus_op = slot_get(request, O_req_bus)) == NULL)
+        return -1;
+    if (check_violations(S, line, ts, core) < 0 || grant_request(S, ts, &grant) < 0)
+        return -1;
+    snoop_seen = grant + m->request_cycles;
+    if (bus_op == K_UPGR) {
+        /* is_sharer: an upgrader invalidated in flight issues a GETX. */
+        if (map_entry(S, line, 0, &cur, &mask, &owner) < 0)
+            return -1;
+        if (!(cur != NULL && ((mask >> core) & 1)))
+            bus_op = K_GETX;
+    }
+    if (map_entry(S, line, 1, &cur, &mask, &owner) < 0)
+        return -1;
+    if (bus_op == K_GETS) {
+        long long others = mask & ~(1LL << core);
+        int downgrade = owner >= 0 && owner != core;
+        if (downgrade)
+            S->v[MF_C2C]++;
+        S->v[MF_GETS]++;
+        if (map_set(S, line, mask | (1LL << core), (others || downgrade) ? -1 : core) < 0)
+            return -1;
+        if (downgrade) {
+            if (push(m, owner, K_DOWNGRADE, snoop_seen, line, NULL) < 0
+                || l2_writeback(S, line, addr) < 0)
+                return -1;
+            data_ready = grant + m->c2c;
+        }
+        else {
+            if (l2_access(S, line, addr, grant, &latency) < 0)
+                return -1;
+            data_ready = grant + latency;
+        }
+        done = schedule_response(S, data_ready);
+        return push(m, core, K_FILL, done, line, others ? K_SHARED : K_EXCLUSIVE);
+    }
+    if (bus_op == K_GETX) {
+        int source = owner >= 0 && owner != core;
+        S->v[MF_GETX]++;
+        if (source)
+            S->v[MF_C2C]++;
+        if (map_set(S, line, 1LL << core, core) < 0
+            || push_each(m, mask & ~(1LL << core), K_INVALIDATE, snoop_seen, line) < 0)
+            return -1;
+        if (source) {
+            data_ready = grant + m->c2c;
+        }
+        else {
+            if (l2_access(S, line, addr, grant, &latency) < 0)
+                return -1;
+            data_ready = grant + latency;
+        }
+        done = schedule_response(S, data_ready);
+        return push(m, core, K_FILL, done, line, K_MODIFIED);
+    }
+    if (bus_op == K_UPGR) {
+        S->v[MF_UPGR]++;
+        if (map_set(S, line, 1LL << core, core) < 0
+            || push_each(m, mask & ~(1LL << core), K_INVALIDATE, snoop_seen, line) < 0)
+            return -1;
+        return push(m, core, K_FILL, snoop_seen, line, K_MODIFIED);
+    }
+    PyErr_Format(PyExc_ValueError, "unexpected bus op %R", bus_op);
+    return -1;
+}
+
+/* ManagerState._serve_writeback */
+static int
+serve_writeback(MStep *S, PyObject *request, long long core, long long ts)
+{
+    PyObject *line, *cur;
+    long long addr, grant, mask, owner;
+    if ((line = slot_get(request, O_req_line)) == NULL || as_ll(line, &addr) < 0)
+        return -1;
+    if (check_violations(S, line, ts, core) < 0 || grant_request(S, ts, &grant) < 0)
+        return -1;
+    /* CacheStatusMap.apply_writeback */
+    if (map_entry(S, line, 0, &cur, &mask, &owner) < 0)
+        return -1;
+    S->v[MF_WRITEBACKS]++;
+    if (cur != NULL) {
+        int known = PyDict_Contains(S->journal, line);
+        if (known < 0 || (!known && PyDict_SetItem(S->journal, line, cur) < 0))
+            return -1;
+        mask &= ~(1LL << core);
+        if (owner == core)
+            owner = -1;
+        if (mask) {
+            if (map_set(S, line, mask, owner) < 0)
+                return -1;
+        }
+        else if (PyDict_DelItem(S->entries, line) < 0) {
+            return -1;
+        }
+    }
+    return l2_writeback(S, line, addr);
+}
+
+/* ManagerState._serve_one for one GQ event; IFETCH and the sync kinds go
+ * to the Python method. */
+static int
+serve_one(MStep *S, PyObject *msg, long long core, long long ts)
+{
+    Manager *m = S->m;
+    PyObject *request = slot_get(msg, O_out_request), *kind, *args, *done;
+    if (request == NULL)
+        return -1;
+    if (!Py_IS_TYPE(request, T_request)) {
+        PyErr_SetString(PyExc_TypeError, "a GQ event holds a non-CoreRequest");
+        return -1;
+    }
+    if ((kind = slot_get(request, O_req_kind)) == NULL)
+        return -1;
+    if (kind == K_BUS)
+        return serve_bus(S, request, core, ts);
+    if (kind == K_WRITEBACK)
+        return serve_writeback(S, request, core, ts);
+    if ((args = PyTuple_Pack(2, m->state, msg)) == NULL)
+        return -1;
+    done = mstep_call(S, m->serve_one, args, NULL);
+    Py_DECREF(args);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
+    return 0;
+}
+
+/* ManagerState._merge_outqs over every core: the entries merged. */
+static Py_ssize_t
+merge_outqs(Manager *m)
+{
+    Py_ssize_t i, j, n = 0, total = 0;
+    PyObject **drained = PyMem_Calloc(m->ncores, sizeof(PyObject *)), *gq;
+    int rc = -1;
+    if (drained == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < m->ncores; i++) {
+        PyObject *done;
+        Py_ssize_t size = PySequence_Size(m->outq[i]);
+        if (size < 0)
+            goto done;
+        if (size == 0)
+            continue;
+        if ((drained[i] = PySequence_List(m->outq[i])) == NULL)
+            goto done;
+        if ((done = PyObject_CallMethodNoArgs(m->outq[i], s_clear)) == NULL)
+            goto done;
+        Py_DECREF(done);
+        total += PyList_GET_SIZE(drained[i]);
+    }
+    if (total == 0) {
+        rc = 0;
+        goto done;
+    }
+    if (manager_room(m, total) < 0)
+        goto done;
+    for (i = 0; i < m->ncores; i++) {
+        if (drained[i] == NULL)
+            continue;
+        for (j = 0; j < PyList_GET_SIZE(drained[i]); j++) {
+            if (entry_of(&m->sorted[n++], PyList_GET_ITEM(drained[i], j), 1) < 0)
+                goto done;
+        }
+    }
+    stable_sort(m->sorted, m->spare, n, arrival_before);
+    if ((gq = dget(m->own[OWN_MGR], s_gq)) == NULL)
+        goto done;
+    if (!PyList_Check(gq)) {
+        PyErr_SetString(PyExc_TypeError, "ManagerState.gq is not a list");
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        if (PyList_Append(gq, m->sorted[i].msg) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    for (i = 0; i < m->ncores; i++)
+        Py_XDECREF(drained[i]);
+    PyMem_Free(drained);
+    return rc < 0 ? -1 : n;
+}
+
+/* SimulationState.service_horizon: 1 with *out set, 0 for None. */
+static int
+service_horizon(Manager *m, long long *out)
+{
+    Py_ssize_t i, k;
+    int has = 0;
+    for (i = 0; i < m->ncores; i++) {
+        PyObject *value;
+        long long bound = 0, ts;
+        int finished, waiting, found = 0;
+        Py_ssize_t size = PySequence_Size(m->outq[i]);
+        if (size < 0)
+            return -1;
+        for (k = 0; k < size; k++) {
+            PyObject *msg = PySequence_GetItem(m->outq[i], k);
+            int rc;
+            if (msg == NULL)
+                return -1;
+            rc = (value = slot_get(msg, O_out_ts)) == NULL || as_ll(value, &ts) < 0;
+            Py_DECREF(msg);
+            if (rc)
+                return -1;
+            if (!has || ts < *out) {
+                *out = ts;
+                has = 1;
+            }
+        }
+        if ((value = dget(m->model[i], s_finished)) == NULL
+            || (finished = PyObject_IsTrue(value)) < 0)
+            return -1;
+        if (finished)
+            continue;
+        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
+            || (waiting = PyObject_IsTrue(value)) < 0)
+            return -1;
+        if (waiting) {
+            size = PySequence_Size(m->inq[i]);
+            if (size < 0)
+                return -1;
+            for (k = 0; k < size; k++) {
+                PyObject *msg = PySequence_GetItem(m->inq[i], k), *kind;
+                int grant = -1;
+                if (msg == NULL)
+                    return -1;
+                if (!Py_IS_TYPE(msg, T_inmsg))
+                    PyErr_SetString(PyExc_TypeError, "an InQ holds a non-InMsg");
+                else if ((kind = slot_get(msg, O_in_kind)) != NULL)
+                    grant = PyObject_RichCompareBool(kind, K_SYNC_GRANT, Py_EQ);
+                if (grant > 0 && ((value = slot_get(msg, O_in_ts)) == NULL || as_ll(value, &ts) < 0))
+                    grant = -1;
+                Py_DECREF(msg);
+                if (grant < 0)
+                    return -1;
+                if (grant && (!found || ts < bound)) {
+                    bound = ts;
+                    found = 1;
+                }
+            }
+            if (!found)
+                continue;
+        }
+        else if (list_get_ll(m->times, i, &bound) < 0) {
+            return -1;
+        }
+        if (!has || bound < *out) {
+            *out = bound;
+            has = 1;
+        }
+    }
+    return has;
+}
+
+/* The GQ's events below ``horizon`` appended to ``below``, the rest to
+ * ``rest``, each in GQ order. */
+static int
+split_gq(PyObject *gq, long long horizon, PyObject *below, PyObject *rest)
+{
+    Py_ssize_t i;
+    for (i = 0; i < PyList_GET_SIZE(gq); i++) {
+        PyObject *msg = PyList_GET_ITEM(gq, i), *value;
+        long long ts;
+        if (!Py_IS_TYPE(msg, T_outmsg)) {
+            PyErr_SetString(PyExc_TypeError, "the GQ holds a non-OutMsg");
+            return -1;
+        }
+        if ((value = slot_get(msg, O_out_ts)) == NULL || as_ll(value, &ts) < 0)
+            return -1;
+        if (PyList_Append(ts < horizon ? below : rest, msg) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* ``md[name] = value``, stealing ``value``. */
+static int
+dset_steal(PyObject *d, PyObject *name, PyObject *value)
+{
+    int rc;
+    if (value == NULL)
+        return -1;
+    rc = PyDict_SetItem(d, name, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* ManagerState._serve: the events served; clears *settled on a requeue. */
+static long long
+serve(MStep *S, int conservative, int *settled)
+{
+    Manager *m = S->m;
+    PyObject *md = m->own[OWN_MGR], *gq = dget(md, s_gq), *servable = NULL;
+    PyObject *batch_min;
+    Py_ssize_t i, n;
+    long long served = 0, horizon = 0, bgm = 0;
+    int has_bgm = 0;
+    if (gq == NULL)
+        return -1;
+    if (!PyList_Check(gq)) {
+        PyErr_SetString(PyExc_TypeError, "ManagerState.gq is not a list");
+        return -1;
+    }
+    if (PyList_GET_SIZE(gq) == 0)
+        return 0;
+    if (PyDict_SetItem(md, s__serving_conservative, conservative ? Py_True : Py_False) < 0)
+        return -1;
+    Py_INCREF(gq); /* the list the batch is taken from */
+    if (conservative) {
+        int has = service_horizon(m, &horizon);
+        if (has < 0)
+            goto fail;
+        if (has) {
+            PyObject *rest = PyList_New(0);
+            if (rest == NULL || (servable = PyList_New(0)) == NULL
+                || split_gq(gq, horizon, servable, rest) < 0) {
+                Py_XDECREF(rest);
+                goto fail;
+            }
+            if (PyList_GET_SIZE(servable) == 0) {
+                Py_DECREF(rest);
+                Py_DECREF(servable);
+                Py_DECREF(gq);
+                return 0;
+            }
+            if (dset_steal(md, s_gq, rest) < 0)
+                goto fail;
+            Py_SETREF(gq, servable);
+            servable = NULL;
+        }
+        else if (dset_steal(md, s_gq, PyList_New(0)) < 0) {
+            goto fail;
+        }
+    }
+    else if (dset_steal(md, s_gq, PyList_New(0)) < 0) {
+        goto fail;
+    }
+    /* ``gq`` now holds the batch, in GQ order: sort it by timestamp. */
+    n = PyList_GET_SIZE(gq);
+    if (manager_room(m, n) < 0)
+        goto fail;
+    for (i = 0; i < n; i++) {
+        if (entry_of(&m->sorted[i], PyList_GET_ITEM(gq, i), 0) < 0)
+            goto fail;
+    }
+    stable_sort(m->sorted, m->spare, n, timestamp_before);
+    if (PyDict_SetItem(md, s__batch_grant_min, Py_None) < 0 || !NEED(S, G_MGR))
+        goto fail;
+    for (i = 0; i < n; i++) {
+        struct entry *e = &m->sorted[i];
+        if (conservative && has_bgm && e->first >= bgm) {
+            /* A sync grant earlier in the batch lowered the horizon:
+             * requeue the rest ahead of the GQ. */
+            PyObject *rest = PyList_New(0), *tail = dget(md, s_gq);
+            Py_ssize_t k;
+            if (rest == NULL)
+                goto fail;
+            for (k = i; k < n; k++) {
+                if (PyList_Append(rest, m->sorted[k].msg) < 0) {
+                    Py_DECREF(rest);
+                    goto fail;
+                }
+            }
+            if (tail == NULL || PySequence_SetSlice(rest, n - i, n - i, tail) < 0) {
+                Py_DECREF(rest);
+                goto fail;
+            }
+            if (dset_steal(md, s_gq, rest) < 0)
+                goto fail;
+            slot_set(m->outcome, O_oc_settled, Py_False);
+            *settled = 0;
+            break;
+        }
+        if (serve_one(S, e->msg, e->second, e->first) < 0 || !NEED(S, G_MGR))
+            goto fail;
+        served++;
+        if (e->first > S->v[MF_FLOOR])
+            S->v[MF_FLOOR] = e->first;
+        if (conservative) {
+            /* A Python callback may have issued a sync grant. */
+            if ((batch_min = dget(md, s__batch_grant_min)) == NULL)
+                goto fail;
+            has_bgm = batch_min != Py_None;
+            if (has_bgm && as_ll(batch_min, &bgm) < 0)
+                goto fail;
+        }
+    }
+    S->v[MF_SERVED] += served;
+    Py_DECREF(gq);
+    return served;
+fail:
+    Py_XDECREF(servable);
+    Py_DECREF(gq);
+    return -1;
+}
+
+/* SimulationState.global_time */
+static int
+global_time(Manager *m, long long *out)
+{
+    Py_ssize_t i;
+    long long running = 0, fallback = 0, local;
+    int has_running = 0, has_fallback = 0;
+    for (i = 0; i < m->ncores; i++) {
+        PyObject *value;
+        int finished, waiting;
+        if ((value = dget(m->model[i], s_finished)) == NULL
+            || (finished = PyObject_IsTrue(value)) < 0)
+            return -1;
+        if (finished)
+            continue;
+        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
+            || (waiting = PyObject_IsTrue(value)) < 0 || list_get_ll(m->times, i, &local) < 0)
+            return -1;
+        if (!waiting) {
+            if (!has_running || local < running) {
+                running = local;
+                has_running = 1;
+            }
+        }
+        else if (!has_fallback || local < fallback) {
+            fallback = local;
+            has_fallback = 1;
+        }
+    }
+    if (has_running)
+        *out = running;
+    else if (has_fallback)
+        *out = fallback;
+    else {
+        *out = LLONG_MIN;
+        for (i = 0; i < m->ncores; i++) {
+            if (list_get_ll(m->times, i, &local) < 0)
+                return -1;
+            if (local > *out)
+                *out = local;
+        }
+    }
+    return 0;
+}
+
+/* ``item == value`` for a key element that is None (has == 0) or an int. */
+static int
+key_item_is(PyObject *item, int has, long long value)
+{
+    long long held;
+    int overflow;
+    if (!has)
+        return item == Py_None;
+    if (!PyLong_CheckExact(item))
+        return 0;
+    held = PyLong_AsLongLongAndOverflow(item, &overflow);
+    return !overflow && held == value;
+}
+
+/* ManagerState._update_max_locals for a uniform window: 1 if the limit
+ * bank moved. */
+static int
+update_max_locals(MStep *S, PyObject *force_window, PyObject *window_cap)
+{
+    Manager *m = S->m;
+    PyObject *md = m->own[OWN_MGR], *window, *key, *old, *limit;
+    long long gt = S->v[MF_GLOBAL], w = 0, cap = 0, value;
+    int has_w, has_cap = window_cap != Py_None, has_limit;
+    Py_ssize_t i;
+    if (force_window != Py_None) {
+        window = Py_NewRef(force_window);
+    }
+    else if ((window = mstep_call(S, m->window, m->no_args, NULL)) == NULL
+             || !NEED(S, G_MGR)) {
+        Py_XDECREF(window);
+        return -1;
+    }
+    has_w = window != Py_None;
+    if ((has_w && as_ll(window, &w) < 0) || (has_cap && as_ll(window_cap, &cap) < 0))
+        goto fail;
+    if ((old = dget(md, s__limits_key)) == NULL)
+        goto fail;
+    if (PyTuple_Check(old) && PyTuple_GET_SIZE(old) == 3
+        && key_item_is(PyTuple_GET_ITEM(old, 0), 1, gt)
+        && key_item_is(PyTuple_GET_ITEM(old, 1), has_w, w)
+        && key_item_is(PyTuple_GET_ITEM(old, 2), has_cap, cap)) {
+        Py_DECREF(window);
+        return 0;
+    }
+    key = Py_BuildValue("(LOO)", gt, window, window_cap);
+    if (dset_steal(md, s__limits_key, key) < 0)
+        goto fail;
+    has_limit = has_w;
+    value = gt + w;
+    if (has_cap && (!has_limit || cap < value)) {
+        value = cap;
+        has_limit = 1;
+    }
+    limit = has_limit ? PyLong_FromLongLong(value) : Py_NewRef(Py_None);
+    if (limit == NULL)
+        goto fail;
+    for (i = 0; i < m->ncores; i++) {
+        PyObject *finished = dget(m->model[i], s_finished);
+        int truth = finished == NULL ? -1 : PyObject_IsTrue(finished);
+        if (truth < 0) {
+            Py_DECREF(limit);
+            goto fail;
+        }
+        if (truth)
+            continue;
+        Py_INCREF(limit);
+        if (PyList_SetItem(m->limits, i, limit) < 0) {
+            Py_DECREF(limit);
+            goto fail;
+        }
+    }
+    Py_DECREF(limit);
+    Py_DECREF(window);
+    return 1;
+fail:
+    Py_DECREF(window);
+    return -1;
+}
+
+/* ``controller.overrides()`` as service() keyword arguments. */
+static int
+read_overrides(PyObject *controller, int *conservative, PyObject **force_window,
+               PyObject **window_cap, int *control_enabled, PyObject **held)
+{
+    PyObject *key, *value, *ov = PyObject_CallMethodNoArgs(controller, s_overrides);
+    Py_ssize_t pos = 0;
+    if (ov == NULL)
+        return -1;
+    *held = ov;
+    if (!PyDict_Check(ov)) {
+        PyErr_SetString(PyExc_TypeError, "controller.overrides() must return a dict");
+        return -1;
+    }
+    while (PyDict_Next(ov, &pos, &key, &value)) {
+        int truth;
+        if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_conservative) == 0) {
+            if (value != Py_None) {
+                if ((truth = PyObject_IsTrue(value)) < 0)
+                    return -1;
+                *conservative = truth;
+            }
+        }
+        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_force_window) == 0) {
+            *force_window = value;
+        }
+        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_window_cap) == 0) {
+            *window_cap = value;
+        }
+        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_control_enabled) == 0) {
+            if ((truth = PyObject_IsTrue(value)) < 0)
+                return -1;
+            *control_enabled = truth;
+        }
+        else {
+            PyErr_Format(PyExc_TypeError,
+                         "service() got an unexpected keyword argument %R", key);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* ViolationDetector.drain_pending: the list (new reference). */
+static PyObject *
+drain_pending(Manager *m)
+{
+    PyObject *pending = dget(m->dd, s__pending);
+    if (pending == NULL)
+        return NULL;
+    if (PyObject_IsTrue(pending) <= 0)
+        return PyErr_Occurred() ? NULL : Py_NewRef(NO_VIOLATIONS);
+    Py_INCREF(pending);
+    if (dset_steal(m->dd, s__pending, PyList_New(0)) < 0) {
+        Py_DECREF(pending);
+        return NULL;
+    }
+    return pending;
+}
+
+static int
+outcome_set(PyObject *outcome, Py_ssize_t offset, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    slot_set(outcome, offset, value);
+    Py_DECREF(value);
+    return 0;
+}
+
+/* ManagerRunner.step for the flat manager: its cost and what the loop
+ * reads of the outcome. */
+static int
+manager_step_native(Manager *m, PyObject *controller, double *cost_out, MOut *out)
+{
+    MStep S;
+    PyObject *held = NULL, *force_window = Py_None, *window_cap = Py_None, *adjusted = NULL;
+    PyObject *violations = NULL, *value;
+    long long merged, served, old_global;
+    int conservative = m->conservative, control_enabled = 1, settled = 1, moved, truth, enabled;
+    double cost;
+
+    memset(&S, 0, sizeof(S));
+    S.m = m;
+    if (controller != Py_None
+        && read_overrides(controller, &conservative, &force_window, &window_cap,
+                          &control_enabled, &held) < 0)
+        goto error;
+    slot_set(m->outcome, O_oc_settled, Py_True);
+    if ((merged = merge_outqs(m)) < 0 || (served = serve(&S, conservative, &settled)) < 0)
+        goto error;
+    if (!NEED(&S, G_MGR))
+        goto error;
+    old_global = S.v[MF_GLOBAL];
+    if (global_time(m, &S.v[MF_GLOBAL]) < 0)
+        goto error;
+    if (control_enabled && force_window == Py_None && m->control_tick != NULL) {
+        PyObject *args = Py_BuildValue("(OL)", m->detector, S.v[MF_GLOBAL]);
+        PyObject *kwargs = args == NULL ? NULL
+                                        : Py_BuildValue("{OL}", s_events_served, S.v[MF_SERVED]);
+        if (kwargs != NULL)
+            adjusted = mstep_call(&S, m->control_tick, args, kwargs);
+        Py_XDECREF(args);
+        Py_XDECREF(kwargs);
+        if (adjusted == NULL || !NEED(&S, G_MGR))
+            goto error;
+    }
+    else {
+        adjusted = Py_NewRef(Py_False);
+    }
+    if ((moved = update_max_locals(&S, force_window, window_cap)) < 0)
+        goto error;
+    if ((violations = drain_pending(m)) == NULL || (truth = PyObject_IsTrue(adjusted)) < 0)
+        goto error;
+    out->global_time = S.v[MF_GLOBAL];
+    out->idle = served == 0 && !truth && S.v[MF_GLOBAL] == old_global;
+    out->wake = served > 0 || moved;
+    out->settled = settled;
+    out->violations = PyList_GET_SIZE(violations);
+    if (outcome_set(m->outcome, O_oc_served, PyLong_FromLongLong(served)) < 0
+        || outcome_set(m->outcome, O_oc_merged, PyLong_FromLongLong(merged)) < 0
+        || outcome_set(m->outcome, O_oc_global, PyLong_FromLongLong(S.v[MF_GLOBAL])) < 0)
+        goto error;
+    slot_set(m->outcome, O_oc_adjusted, adjusted);
+    slot_set(m->outcome, O_oc_violations, violations);
+    slot_set(m->outcome, O_oc_idle, out->idle ? Py_True : Py_False);
+    slot_set(m->outcome, O_oc_wake, out->wake ? Py_True : Py_False);
+    if (mstep_flush(&S) < 0)
+        goto error;
+
+    cost = m->cycle_ns;
+    if (served) {
+        cost += (double)served * m->gq_ns;
+        if ((value = dget(m->dd, s_enabled)) == NULL || (enabled = PyObject_IsTrue(value)) < 0)
+            goto error;
+        if (enabled)
+            cost += (double)served * m->tracking_ns;
+    }
+    if (merged)
+        cost += (double)merged * m->mem_ns;
+    if (truth)
+        cost += m->adjust_ns;
+    if (out->idle)
+        cost += m->poll_ns;
+    *cost_out = cost;
+    mstep_drop(&S);
+    Py_XDECREF(held);
+    Py_DECREF(adjusted);
+    Py_DECREF(violations);
+    return 0;
+error:
+    mstep_flush_on_error(&S);
+    mstep_drop(&S);
+    Py_XDECREF(held);
+    Py_XDECREF(adjusted);
+    Py_XDECREF(violations);
+    return -1;
+}
+
+/* ServiceOutcome.reset_idle */
+static void
+outcome_reset_idle(PyObject *outcome)
+{
+    slot_set(outcome, O_oc_served, ZERO);
+    slot_set(outcome, O_oc_merged, ZERO);
+    slot_set(outcome, O_oc_adjusted, Py_False);
+    slot_set(outcome, O_oc_violations, NO_VIOLATIONS);
+    slot_set(outcome, O_oc_idle, Py_True);
+    slot_set(outcome, O_oc_wake, Py_False);
+}
+
+/* ---- binds ---- */
+
+static void
+manager_unbind(Manager *m)
+{
+    Py_ssize_t i;
+    int k;
+    for (i = 0; i < m->ncores; i++) {
+        Py_XDECREF(m->inq[i]);
+        Py_XDECREF(m->inq_append[i]);
+        Py_XDECREF(m->outq[i]);
+        Py_XDECREF(m->model[i]);
+    }
+    PyMem_Free(m->inq);
+    PyMem_Free(m->inq_append);
+    PyMem_Free(m->outq);
+    PyMem_Free(m->model);
+    m->inq = m->inq_append = m->outq = m->model = NULL;
+    m->ncores = 0;
+    m->native = 0;
+    for (k = 0; k < N_OWNERS; k++)
+        Py_CLEAR(m->own[k]);
+    Py_CLEAR(m->state);
+    Py_CLEAR(m->manager);
+    Py_CLEAR(m->scheme);
+    Py_CLEAR(m->window);
+    Py_CLEAR(m->control_tick);
+    Py_CLEAR(m->serve_one);
+    Py_CLEAR(m->outcome);
+    Py_CLEAR(m->detector);
+    Py_CLEAR(m->dd);
+    Py_CLEAR(m->bus_monitor);
+    Py_CLEAR(m->monitors);
+    Py_CLEAR(m->times);
+    Py_CLEAR(m->limits);
+}
+
+/* ``obj.__dict__`` when ``obj`` is exactly ``type``: 1, 0 when not. */
+static int
+exact_dict(PyObject *obj, PyTypeObject *type, PyObject **dict)
+{
+    if (obj == NULL)
+        return -1;
+    if (!Py_IS_TYPE(obj, type))
+        return 0;
+    return (*dict = PyObject_GenericGetDict(obj, NULL)) == NULL ? -1 : 1;
+}
+
+/* The manager's objects for a new root; m->native says whether the
+ * root's manager takes the C step. */
+static int
+manager_bind(Manager *m, PyObject *state)
+{
+    PyObject *md, *obj, *config = NULL, *cache = NULL, *cores = NULL, *type_tick;
+    Py_ssize_t i, n;
+    int truth;
+    manager_unbind(m);
+    m->state = Py_NewRef(state);
+    if ((m->scheme = PyObject_GetAttr(state, s_scheme)) == NULL
+        || (m->manager = PyObject_GetAttr(state, s_manager)) == NULL)
+        return -1;
+    if ((truth = get_bool(m->scheme, s_uniform_window)) <= 0)
+        return truth;
+    if ((truth = get_bool(m->scheme, s_wants_core_clocks)) != 0)
+        return truth < 0 ? -1 : 0;
+    if ((m->conservative = get_bool(m->scheme, s_conservative_service)) < 0
+        || (m->window = PyObject_GetAttr(m->scheme, s_window)) == NULL
+        || (type_tick = PyObject_GetAttr((PyObject *)Py_TYPE(m->scheme), s_control_tick)) == NULL)
+        return -1;
+    if (type_tick != BASE_CONTROL_TICK
+        && (m->control_tick = PyObject_GetAttr(m->scheme, s_control_tick)) == NULL) {
+        Py_DECREF(type_tick);
+        return -1;
+    }
+    Py_DECREF(type_tick);
+    if ((truth = exact_dict(m->manager, T_manager, &m->own[OWN_MGR])) <= 0)
+        return truth;
+    md = m->own[OWN_MGR];
+    if ((truth = exact_dict(dget(md, s_bus), T_bus, &m->own[OWN_BUS])) <= 0
+        || (truth = exact_dict(dget(md, s_l2), T_l2, &m->own[OWN_L2])) <= 0
+        || (truth = exact_dict(dget(md, s_cache_map), T_map, &m->own[OWN_MAP])) <= 0)
+        return truth;
+    if ((obj = dget(m->own[OWN_L2], s_dram)) == NULL)
+        return -1;
+    if (obj != Py_None)
+        return 0; /* the DRAM model stays in Python */
+    if ((truth = exact_dict(dget(m->own[OWN_L2], s_array), T_array, &m->own[OWN_ARRAY])) <= 0)
+        return truth;
+    if ((m->detector = dget(md, s_detector)) == NULL)
+        return -1;
+    Py_INCREF(m->detector);
+    if ((truth = exact_dict(m->detector, T_detector, &m->dd)) <= 0)
+        return truth;
+    if ((obj = dget(m->dd, s__bus_monitor)) == NULL)
+        return -1;
+    if (!Py_IS_TYPE(obj, T_monitor))
+        return 0;
+    m->bus_monitor = Py_NewRef(obj);
+    if ((obj = dget(m->dd, s__map_monitors)) == NULL)
+        return -1;
+    if (!Py_IS_TYPE(obj, T_monitors))
+        return 0;
+    if ((obj = slot_get(obj, O_monitors)) == NULL)
+        return -1;
+    if (!PyDict_Check(obj))
+        return 0;
+    m->monitors = Py_NewRef(obj);
+    if ((obj = dget(md, s__outcome)) == NULL)
+        return -1;
+    if (!Py_IS_TYPE(obj, T_outcome))
+        return 0;
+    m->outcome = Py_NewRef(obj);
+    if ((m->serve_one = PyObject_GetAttr(m->manager, s__serve_one)) == NULL
+        || dget_ll(md, s_c2c_latency, &m->c2c) < 0
+        || (config = PyObject_GetAttr(dget(md, s_bus), s_config)) == NULL
+        || get_ll(config, s_arbitration_latency, &m->arbitration) < 0
+        || get_ll(config, s_request_cycles, &m->request_cycles) < 0
+        || get_ll(config, s_response_cycles, &m->response_cycles) < 0)
+        goto fail;
+    Py_SETREF(config, PyObject_GetAttr(dget(md, s_l2), s_config));
+    if (config == NULL
+        || get_ll(config, s_num_banks, &m->banks) < 0
+        || get_ll(config, s_miss_latency, &m->miss_latency) < 0
+        || (cache = PyObject_GetAttr(config, s_cache)) == NULL
+        || get_ll(cache, s_hit_latency, &m->hit_latency) < 0
+        || get_ll(dget(md, s_l2), s_BANK_BUSY_CYCLES, &m->bank_busy) < 0
+        || dget_ll(m->own[OWN_ARRAY], s__assoc, &m->assoc) < 0
+        || dget_ll(m->own[OWN_ARRAY], s__set_mask, &m->set_mask) < 0
+        || dget_ll(m->own[OWN_ARRAY], s__set_bits, &m->set_bits) < 0)
+        goto fail;
+    Py_CLEAR(config);
+    Py_CLEAR(cache);
+    if ((cores = PyObject_GetAttr(state, s_cores)) == NULL
+        || (m->times = PyObject_GetAttr(state, s_local_times)) == NULL
+        || (m->limits = PyObject_GetAttr(state, s_max_local_times)) == NULL)
+        goto fail;
+    if (!PyList_Check(cores) || !PyList_Check(m->times) || !PyList_Check(m->limits)) {
+        Py_DECREF(cores);
+        return 0;
+    }
+    n = PyList_GET_SIZE(cores);
+    if (n < 1 || n > 62 || PyList_GET_SIZE(m->times) != n || PyList_GET_SIZE(m->limits) != n) {
+        Py_DECREF(cores); /* a core mask must fit in a long long */
+        return 0;
+    }
+    m->inq = PyMem_Calloc(n, sizeof(PyObject *));
+    m->inq_append = PyMem_Calloc(n, sizeof(PyObject *));
+    m->outq = PyMem_Calloc(n, sizeof(PyObject *));
+    m->model = PyMem_Calloc(n, sizeof(PyObject *));
+    if (!m->inq || !m->inq_append || !m->outq || !m->model) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    m->ncores = n;
+    for (i = 0; i < n; i++) {
+        PyObject *cs = PyList_GET_ITEM(cores, i), *model;
+        if ((m->inq[i] = PyObject_GetAttr(cs, s_inq)) == NULL
+            || (m->inq_append[i] = PyObject_GetAttr(m->inq[i], s_append)) == NULL
+            || (m->outq[i] = PyObject_GetAttr(cs, s_outq)) == NULL
+            || (model = PyObject_GetAttr(cs, s_model)) == NULL)
+            goto fail;
+        m->model[i] = PyObject_GenericGetDict(model, NULL);
+        Py_DECREF(model);
+        if (m->model[i] == NULL)
+            goto fail;
+    }
+    Py_DECREF(cores);
+    m->native = 1;
+    return 0;
+fail:
+    Py_XDECREF(config);
+    Py_XDECREF(cache);
+    Py_XDECREF(cores);
+    return -1;
+}
+
+/* The flat manager, when the C step may stand in for its runner. */
+static int
+manager_setup(Loop *L, int native_manager)
+{
+    Manager *m;
+    PyObject *runner, *obj, *cost = NULL, *host = NULL;
+    int rc = -1;
+    if ((m = L->manager = PyMem_Calloc(1, sizeof(Manager))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (!bound || !mbound || !native_manager)
+        return 0;
+    runner = PyObject_GetAttr(PyList_GET_ITEM(L->threads, L->mgr), s_runner);
+    if (runner == NULL)
+        return -1;
+    if (!Py_IS_TYPE(runner, T_mrunner)) {
+        Py_DECREF(runner);
+        return 0;
+    }
+    if ((obj = PyObject_GetAttr(runner, s_direct_cores)) == NULL)
+        goto done;
+    Py_DECREF(obj);
+    if (obj != Py_None) {
+        rc = 0; /* sub-managers: the Python manager */
+        goto done;
+    }
+    if ((cost = PyObject_GetAttr(runner, s_cost)) == NULL
+        || (host = PyObject_GetAttr(runner, s_host)) == NULL
+        || get_double(cost, s_manager_cycle_ns, &m->cycle_ns) < 0
+        || get_double(cost, s_per_gq_event_ns, &m->gq_ns) < 0
+        || get_double(cost, s_violation_tracking_ns, &m->tracking_ns) < 0
+        || get_double(cost, s_per_mem_event_ns, &m->mem_ns) < 0
+        || get_double(cost, s_adaptive_adjust_ns, &m->adjust_ns) < 0
+        || get_double(host, s_manager_poll_ns, &m->poll_ns) < 0)
+        goto done;
+    if ((m->no_args = PyTuple_New(0)) == NULL)
+        goto done;
+    m->eligible = 1;
+    rc = 0;
+done:
+    Py_DECREF(runner);
+    Py_XDECREF(cost);
+    Py_XDECREF(host);
+    return rc;
+}
+
+static void
+manager_release(Loop *L)
+{
+    Manager *m = L->manager;
+    if (m == NULL)
+        return;
+    manager_unbind(m);
+    Py_CLEAR(m->no_args);
+    PyMem_Free(m->sorted);
+    PyMem_Free(m->spare);
+    PyMem_Free(m);
+    L->manager = NULL;
+}
+
 /* Consecutive C core steps after which the loop lets other threads and
  * signal handlers in, as the eval loop would (a manager step enters
  * Python and so does the same). */
 #define YIELD_EVERY 4096
 
 /* run(scheduler, max_target_cycles, stop_when, deadlock_limit, states,
- *     native_step) -> 0, or DEADLOCK / RUNAWAY / NO_THREAD to raise. */
+ *     native_step, native_manager) -> 0, or DEADLOCK / RUNAWAY / NO_THREAD
+ * to raise. */
 static PyObject *
 loop_run(PyObject *module, PyObject *args)
 {
@@ -1783,13 +3428,20 @@ loop_run(PyObject *module, PyObject *args)
     double jitter_frac, context_switch_ns, manager_cycle_ns, manager_poll_ns, wake_latency;
     double settled_cost;
     int migrates, can_settle = 0, settled = 0, check_done = 1, status = 0, native_step;
-    int native_run = 0;
+    int native_manager, native_run = 0, max_overflow = 0;
+    long long max_ll = 0;
     Py_ssize_t ncores;
 
     memset(&L, 0, sizeof(L));
-    if (!PyArg_ParseTuple(args, "OOOLO!p:run", &L.sched, &max_cycles, &stop_when,
-                          &deadlock_limit, &PyTuple_Type, &L.states, &native_step))
+    if (!PyArg_ParseTuple(args, "OOOLO!pp:run", &L.sched, &max_cycles, &stop_when,
+                          &deadlock_limit, &PyTuple_Type, &L.states, &native_step,
+                          &native_manager))
         return NULL;
+    if (max_cycles != Py_None) {
+        max_ll = PyLong_AsLongLongAndOverflow(max_cycles, &max_overflow);
+        if (max_ll == -1 && PyErr_Occurred())
+            return NULL;
+    }
     if (setup(&L) < 0)
         goto error;
     host = PyObject_GetAttr(L.sched, s_host);
@@ -1818,7 +3470,7 @@ loop_run(PyObject *module, PyObject *args)
             goto error;
     }
     L.ncores = ncores < L.mgr ? ncores : L.mgr;
-    if (cores_setup(&L, host, cost, native_step) < 0)
+    if (cores_setup(&L, host, cost, native_step) < 0 || manager_setup(&L, native_manager) < 0)
         goto error;
     if (load(&L) < 0)
         goto error;
@@ -1827,6 +3479,8 @@ loop_run(PyObject *module, PyObject *args)
     for (;;) {
         Py_ssize_t i;
         int t, ctx, have_manager, best, replay, native = 0, native_done = 0, native_blocked = 0;
+        int mnative = 0;
+        MOut mout;
         double m_dispatch = 0.0, m_ready = 0.0, start, step_cost, end;
         double best_dispatch = 0.0, best_ready = 0.0;
         PyObject *state = PyObject_GetAttr(L.sim, s_state), *result = NULL;
@@ -1968,6 +3622,16 @@ loop_run(PyObject *module, PyObject *args)
         if (replay) {
             step_cost = settled_cost;
         }
+        else if (t == L.mgr && L.manager->eligible
+                 && (L.manager->state == last_state || manager_bind(L.manager, last_state) == 0)
+                 && L.manager->native) {
+            mnative = 1;
+            if (manager_step_native(L.manager, controller, &step_cost, &mout) < 0)
+                goto error;
+        }
+        else if (PyErr_Occurred()) {
+            goto error; /* manager_bind failed */
+        }
         else if (t < L.ncores && L.core[t].eligible
                  && (L.core[t].state == last_state || core_bind(&L.core[t], last_state, cores) == 0)
                  && L.core[t].native) {
@@ -2022,10 +3686,16 @@ loop_run(PyObject *module, PyObject *args)
             L.manager_steps++;
             if (replay) {
                 /* A settled poll: nothing to serve, hook or wake. */
-                PyObject *none = PyObject_CallMethodNoArgs(outcome, s_reset_idle);
-                if (none == NULL)
-                    goto error;
-                Py_DECREF(none);
+                L.paths[MANAGER_REPLAYED]++;
+                if (L.manager->eligible && Py_IS_TYPE(outcome, T_outcome)) {
+                    outcome_reset_idle(outcome);
+                }
+                else {
+                    PyObject *none = PyObject_CallMethodNoArgs(outcome, s_reset_idle);
+                    if (none == NULL)
+                        goto error;
+                    Py_DECREF(none);
+                }
                 if (++idle_manager_steps > deadlock_limit) {
                     status = DEADLOCK;
                     goto finish;
@@ -2035,19 +3705,28 @@ loop_run(PyObject *module, PyObject *args)
                 PyObject *violations, *gtime;
                 Py_ssize_t nviolations;
                 int idle, acted = 0, wake, outcome_settled, over;
-                Py_XSETREF(outcome, PyObject_GetAttr(result, s_outcome));
-                Py_CLEAR(result);
-                if (outcome == NULL || (idle = get_bool(outcome, s_idle)) < 0)
-                    goto error;
+                if (mnative) {
+                    L.paths[MANAGER_C]++;
+                    Py_XSETREF(outcome, Py_NewRef(L.manager->outcome));
+                    idle = mout.idle;
+                    nviolations = mout.violations;
+                }
+                else {
+                    L.paths[MANAGER_PYTHON]++;
+                    Py_XSETREF(outcome, PyObject_GetAttr(result, s_outcome));
+                    Py_CLEAR(result);
+                    if (outcome == NULL || (idle = get_bool(outcome, s_idle)) < 0)
+                        goto error;
+                    violations = PyObject_GetAttr(outcome, s_violations);
+                    if (violations == NULL)
+                        goto error;
+                    nviolations = PyObject_Length(violations);
+                    Py_DECREF(violations);
+                    if (nviolations < 0)
+                        goto error;
+                }
                 if (!idle)
                     L.manager_busy += step_cost;
-                violations = PyObject_GetAttr(outcome, s_violations);
-                if (violations == NULL)
-                    goto error;
-                nviolations = PyObject_Length(violations);
-                Py_DECREF(violations);
-                if (nviolations < 0)
-                    goto error;
                 L.violations_observed += nviolations;
                 if (hook != NULL) {
                     /* The hook sees (and may move) the real scheduler. */
@@ -2072,7 +3751,9 @@ loop_run(PyObject *module, PyObject *args)
                         L.mirrored = 1;
                     }
                 }
-                if ((wake = get_bool(outcome, s_maybe_wake)) < 0)
+                if (mnative)
+                    wake = mout.wake;
+                else if ((wake = get_bool(outcome, s_maybe_wake)) < 0)
                     goto error;
                 if (wake || L.parked_dirty) {
                     L.parked_dirty = 0;
@@ -2085,13 +3766,18 @@ loop_run(PyObject *module, PyObject *args)
                     goto finish;
                 }
                 if (max_cycles != Py_None) {
-                    gtime = PyObject_GetAttr(outcome, s_global_time);
-                    if (gtime == NULL)
-                        goto error;
-                    over = PyObject_RichCompareBool(gtime, max_cycles, Py_GT);
-                    Py_DECREF(gtime);
-                    if (over < 0)
-                        goto error;
+                    if (mnative) {
+                        over = max_overflow == 0 ? mout.global_time > max_ll : max_overflow < 0;
+                    }
+                    else {
+                        gtime = PyObject_GetAttr(outcome, s_global_time);
+                        if (gtime == NULL)
+                            goto error;
+                        over = PyObject_RichCompareBool(gtime, max_cycles, Py_GT);
+                        Py_DECREF(gtime);
+                        if (over < 0)
+                            goto error;
+                    }
                     if (over) {
                         status = RUNAWAY;
                         goto finish;
@@ -2100,7 +3786,9 @@ loop_run(PyObject *module, PyObject *args)
                 settled = 0;
                 if (can_settle && !acted) {
                     PyObject *now_state;
-                    if ((outcome_settled = get_bool(outcome, s_settled)) < 0)
+                    if (mnative)
+                        outcome_settled = mout.settled;
+                    else if ((outcome_settled = get_bool(outcome, s_settled)) < 0)
                         goto error;
                     now_state = PyObject_GetAttr(L.sim, s_state);
                     if (now_state == NULL)
@@ -2126,6 +3814,7 @@ loop_run(PyObject *module, PyObject *args)
             int done, blocked = 0;
             settled = 0;
             L.core_steps++;
+            L.paths[native ? CORE_C : CORE_PYTHON]++;
             if (native) {
                 done = native_done;
                 blocked = native_blocked;
@@ -2181,6 +3870,7 @@ cleanup:
     Py_XDECREF(models);
     Py_XDECREF(outcome);
     cores_release(&L);
+    manager_release(&L);
     release(&L);
     return returned;
 }
@@ -2221,12 +3911,12 @@ loop_bind(PyObject *module, PyObject *args)
     PyObject *k[9];
     size_t i;
     bound = 0;
-    if (!PyArg_ParseTuple(args, "(O!O!O!O!O!O!O!O!O!O!)(OOOOOOOOO!l):bind",
+    if (!PyArg_ParseTuple(args, "(O!O!O!O!O!O!O!O!O!O!)(OOOOOOOOO!ll):bind",
                           &PyType_Type, &t[0], &PyType_Type, &t[1], &PyType_Type, &t[2],
                           &PyType_Type, &t[3], &PyType_Type, &t[4], &PyType_Type, &t[5],
                           &PyType_Type, &t[6], &PyType_Type, &t[7], &PyType_Type, &t[8],
                           &PyType_Type, &t[9], &k[0], &k[1], &k[2], &k[3], &k[4], &k[5],
-                          &k[6], &k[7], &PyDict_Type, &k[8], &EXCLUSIVE))
+                          &k[6], &k[7], &PyDict_Type, &k[8], &EXCLUSIVE, &PAGE_BITS))
         return NULL;
     for (i = 0; i < 10; i++) {
         Py_INCREF(t[i]);
@@ -2246,13 +3936,66 @@ loop_bind(PyObject *module, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* bind_manager(types, constants): what the C manager step needs; after
+ * bind(). */
+static PyObject *
+loop_bind_manager(PyObject *module, PyObject *args)
+{
+    static const struct { Py_ssize_t *offset; PyTypeObject **type; const char *name; } slots[] = {
+        {&O_oc_served, &T_outcome, "events_served"}, {&O_oc_merged, &T_outcome, "events_merged"},
+        {&O_oc_adjusted, &T_outcome, "adjusted"}, {&O_oc_violations, &T_outcome, "violations"},
+        {&O_oc_global, &T_outcome, "global_time"}, {&O_oc_idle, &T_outcome, "idle"},
+        {&O_oc_wake, &T_outcome, "maybe_wake"}, {&O_oc_settled, &T_outcome, "settled"},
+        {&O_in_kind, &T_inmsg, "kind"}, {&O_in_line, &T_inmsg, "line_addr"},
+        {&O_in_state, &T_inmsg, "state"},
+        {&O_mon_last, &T_monitor, "last_ts"}, {&O_monitors, &T_monitors, "_monitors"},
+        {&O_rec_vtype, &T_record, "vtype"}, {&O_rec_ts, &T_record, "ts"},
+        {&O_rec_global, &T_record, "global_time"}, {&O_rec_core, &T_record, "core_id"},
+    };
+    PyTypeObject **types[] = {&T_mrunner, &T_manager, &T_outcome, &T_bus, &T_l2, &T_map,
+                              &T_detector, &T_monitor, &T_monitors, &T_record};
+    PyObject **constants[] = {&K_FILL, &K_SYNC_GRANT, &K_INVALIDATE, &K_DOWNGRADE,
+                              &K_WRITEBACK, &K_SHARED, &K_EXCLUSIVE, &V_BUS, &V_MAP,
+                              &NO_VIOLATIONS, &BASE_CONTROL_TICK};
+    PyTypeObject *t[10];
+    PyObject *k[11];
+    size_t i;
+    mbound = 0;
+    if (!bound) {
+        PyErr_SetString(PyExc_RuntimeError, "bind_manager() before bind()");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "(O!O!O!O!O!O!O!O!O!O!)(OOOOOOOUUO!O):bind_manager",
+                          &PyType_Type, &t[0], &PyType_Type, &t[1], &PyType_Type, &t[2],
+                          &PyType_Type, &t[3], &PyType_Type, &t[4], &PyType_Type, &t[5],
+                          &PyType_Type, &t[6], &PyType_Type, &t[7], &PyType_Type, &t[8],
+                          &PyType_Type, &t[9], &k[0], &k[1], &k[2], &k[3], &k[4], &k[5],
+                          &k[6], &k[7], &k[8], &PyList_Type, &k[9], &k[10]))
+        return NULL;
+    for (i = 0; i < 10; i++) {
+        Py_INCREF(t[i]);
+        Py_XSETREF(*types[i], t[i]);
+    }
+    for (i = 0; i < 11; i++) {
+        Py_INCREF(k[i]);
+        Py_XSETREF(*constants[i], k[i]);
+    }
+    for (i = 0; i < sizeof(slots) / sizeof(slots[0]); i++) {
+        if ((*slots[i].offset = slot_offset(*slots[i].type, slots[i].name)) < 0)
+            return NULL;
+    }
+    mbound = 1;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef loop_methods[] = {
     {"run", loop_run, METH_VARARGS,
      "run(scheduler, max_target_cycles, stop_when, deadlock_limit, states,\n"
-     "    native_step)\n"
+     "    native_step, native_manager)\n"
      "--\n\n"
      "Scheduler.run's loop for a run without enabled probe seams; with\n"
-     "native_step, core runners of the fused fast pipeline step in C.  Returns\n"
+     "native_step, core runners of the fused fast pipeline step in C, and\n"
+     "with native_manager, so does a flat manager pacing one window.  Returns\n"
      "0 when the run finished or was cut, else the DeadlockError to raise:\n"
      "1 deadlock, 2 runaway, 3 no runnable thread."},
     {"bind", loop_bind, METH_VARARGS,
@@ -2262,7 +4005,18 @@ static PyMethodDef loop_methods[] = {
      "(CoreRunner, CoreModel, L1Cache, CacheArray, MshrFile, MshrEntry, Op,\n"
      "InMsg, OutMsg, CoreRequest), constants are (OpKind.LOAD, .STORE,\n"
      ".COMPUTE, RequestKind.BUS, BusOpKind.GETS, .GETX, .UPGR,\n"
-     "MesiState.MODIFIED, the ILP-rate dict, int(MesiState.EXCLUSIVE))."},
+     "MesiState.MODIFIED, the ILP-rate dict, int(MesiState.EXCLUSIVE),\n"
+     "memory.cache.PAGE_BITS)."},
+    {"bind_manager", loop_bind_manager, METH_VARARGS,
+     "bind_manager(types, constants)\n"
+     "--\n\n"
+     "Give the C manager step the manager's classes and constants: types are\n"
+     "(ManagerRunner, ManagerState, ServiceOutcome, SnoopBus, L2Cache,\n"
+     "CacheStatusMap, ViolationDetector, TimestampMonitor, MapMonitorTable,\n"
+     "ViolationRecord), constants are (InMsgKind.FILL, .SYNC_GRANT,\n"
+     ".INVALIDATE, .DOWNGRADE, RequestKind.WRITEBACK, MesiState.SHARED,\n"
+     ".EXCLUSIVE, the bus and map violation types, the shared empty drain\n"
+     "list, SchemePolicy.control_tick)."},
     {NULL, NULL, 0, NULL},
 };
 

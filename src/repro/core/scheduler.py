@@ -16,10 +16,11 @@ A run without an enabled telemetry session or sanitizer takes the same
 loop in C (``_loop.c``, built into ``__pycache__`` when this module is
 first imported; DESIGN.md section 5, "The loop in C"), which also steps
 the cores of the fused fast pipeline with a C copy of
-``CoreRunner.step`` ("The core step in C").  Where it cannot be built,
-and whenever a probe seam is on, the Python loop below runs: it and
-``CoreRunner.step`` are the reference the C code must match step for
-step.
+``CoreRunner.step`` ("The core step in C") and a flat manager with a C
+copy of ``ManagerRunner.step`` ("The manager step in C").  Where it
+cannot be built, and whenever a probe seam is on, the Python loop below
+runs: it, ``CoreRunner.step`` and ``ManagerRunner.step`` are the
+reference the C code must match step for step.
 """
 
 from __future__ import annotations
@@ -31,13 +32,28 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.config import HostConfig
 from repro.core.hostmodel import HostContext, HostThread, ThreadState
-from repro.core.events import InMsg, OutMsg
+from repro.core.events import InMsg, InMsgKind, OutMsg
+from repro.core.manager import ManagerState, ServiceOutcome
+from repro.core.schemes.base import SchemePolicy
+from repro.core.state import SimulationState
 from repro.core.threads import CoreRunner, ManagerRunner, StepResult, SubManagerRunner
+from repro.core.violations import (
+    _NO_VIOLATIONS,
+    BUS,
+    MAP,
+    MapMonitorTable,
+    TimestampMonitor,
+    ViolationDetector,
+    ViolationRecord,
+)
 from repro.cpu.core import _ILP_RATE, CoreModel, CoreRequest, RequestKind
 from repro.errors import DeadlockError
 from repro.isa.operations import Op, OpKind
-from repro.memory.cache import CacheArray
+from repro.memory.bus import SnoopBus
+from repro.memory.cache import PAGE_BITS, CacheArray
+from repro.memory.cache_map import CacheStatusMap
 from repro.memory.l1 import L1Cache
+from repro.memory.l2 import L2Cache
 from repro.memory.mesi import BusOpKind, MesiState
 from repro.memory.mshr import MshrEntry, MshrFile
 from repro.util import SplitMix64
@@ -53,20 +69,42 @@ _MASK64 = (1 << 64) - 1
 #: How the C loop is compiled (with sysconfig's CC); part of its cache key.
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
+
+def _methods(*owners):
+    return tuple((owner, name, vars(owner)[name]) for owner, names in owners for name in names)
+
+
 #: The methods the C core step copies.  It stands in for them only while
 #: they are the ones defined here, so a wrapped method (a test counting
 #: calls) is still called.
-_COPIED = tuple(
-    (owner, name, vars(owner)[name])
-    for owner, names in (
-        (CoreRunner, ("step", "_replay_stall", "_record_stall", "_skip_stalls")),
-        (CoreModel, ("commit_burst", "skip_stall_cycles")),
-        (L1Cache, ("access_line",)),
-        (CacheArray, ("find",)),
-        (MshrFile, ("allocate",)),
-    )
-    for name in names
+_COPIED = _methods(
+    (CoreRunner, ("step", "_replay_stall", "_record_stall", "_skip_stalls")),
+    (CoreModel, ("commit_burst", "skip_stall_cycles")),
+    (L1Cache, ("access_line",)),
+    (CacheArray, ("find",)),
+    (MshrFile, ("allocate",)),
 )
+
+#: The methods the C manager step copies, under the same rule.
+_MANAGER_COPIED = _methods(
+    (ManagerRunner, ("step",)),
+    (ManagerState, (
+        "service", "_merge_outqs", "_serve", "_serve_one", "_serve_bus",
+        "_serve_writeback", "_push", "_update_max_locals",
+    )),
+    (ServiceOutcome, ("reset_idle",)),
+    (SimulationState, ("global_time", "service_horizon")),
+    (SnoopBus, ("grant_request", "schedule_response")),
+    (CacheStatusMap, ("apply_gets", "apply_getx", "apply_upgr", "apply_writeback", "is_sharer")),
+    (L2Cache, ("access", "writeback")),
+    (CacheArray, ("find", "fill", "write_state")),
+    (ViolationDetector, ("check_bus", "check_map", "_record", "drain_pending")),
+    (TimestampMonitor, ("check_and_update",)),
+    (MapMonitorTable, ("check_and_update",)),
+)
+
+#: The order of ``Scheduler.path_counts`` (and of the C loop's counters).
+_PATHS = ("manager_c", "manager_python", "manager_replayed", "core_c", "core_python")
 
 
 class HostStats:
@@ -98,6 +136,8 @@ class Scheduler:
         self._manager_migrates = host.manager_migrates
         self.contexts = [HostContext(i) for i in range(host.num_contexts)]
         self.stats = HostStats(host.num_contexts)
+        # How each step ran (see path_counts), in _PATHS order.
+        self._path_counts = [0] * len(_PATHS)
         # Telemetry (host-side, observation only; None when not attached).
         self._telemetry = getattr(sim, "telemetry", None)
 
@@ -165,6 +205,13 @@ class Scheduler:
             if thread is not self.manager_thread:
                 self._enqueue(thread)
 
+    @property
+    def path_counts(self) -> dict:
+        """How the steps so far ran: manager steps in C, in Python and
+        replayed (a settled poll), and core steps in C and in Python.
+        Host-side only: never part of the report or its digest."""
+        return dict(zip(_PATHS, self._path_counts))
+
     def _enqueue(self, thread: HostThread) -> None:
         """Add a (non-manager) thread to the ready heap with its exact key."""
         if thread.queued:
@@ -208,9 +255,9 @@ class Scheduler:
             sanitizer is not None and sanitizer.enabled
         )
         if _loop is not None and not seams_on:
-            native_step = all(vars(owner).get(name) is fn for owner, name, fn in _COPIED)
             failure = _loop.run(
-                self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES, native_step
+                self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES,
+                _unpatched(_COPIED), _unpatched(_MANAGER_COPIED),
             )
             if failure == 1:
                 raise DeadlockError(self._deadlock_report())
@@ -249,6 +296,7 @@ class Scheduler:
         check_done = True
         migrates = self._manager_migrates
         contexts = self.contexts
+        paths = self._path_counts
         _ready = _READY
         while True:
             state = sim.state
@@ -375,6 +423,7 @@ class Scheduler:
 
             if thread is manager_thread:
                 stats.manager_steps += 1
+                paths[2 if replay else 1] += 1
                 if replay:
                     # Nothing to merge or serve, the same global time (so
                     # control_tick is a no-op), no limit moved and no
@@ -420,6 +469,7 @@ class Scheduler:
             elif thread.pos < num_cores:  # core runner
                 settled = False
                 stats.core_steps += 1
+                paths[4] += 1
                 if sanitizer is not None and sanitizer.enabled:
                     # Re-fetch through sim.state: a rollback swaps the root.
                     pos = thread.pos
@@ -575,6 +625,11 @@ class Scheduler:
         return "\n".join(lines)
 
 
+def _unpatched(methods) -> bool:
+    """Whether every one of ``methods`` is still the one its class defines."""
+    return all(vars(owner).get(name) is fn for owner, name, fn in methods)
+
+
 def _runaway_message(max_target_cycles: int) -> str:
     return (
         f"target execution exceeded {max_target_cycles} cycles "
@@ -616,7 +671,14 @@ def _load_loop():
              InMsg, OutMsg, CoreRequest),
             (OpKind.LOAD, OpKind.STORE, OpKind.COMPUTE, RequestKind.BUS, BusOpKind.GETS,
              BusOpKind.GETX, BusOpKind.UPGR, MesiState.MODIFIED, _ILP_RATE,
-             int(MesiState.EXCLUSIVE)),
+             int(MesiState.EXCLUSIVE), PAGE_BITS),
+        )
+        module.bind_manager(
+            (ManagerRunner, ManagerState, ServiceOutcome, SnoopBus, L2Cache, CacheStatusMap,
+             ViolationDetector, TimestampMonitor, MapMonitorTable, ViolationRecord),
+            (InMsgKind.FILL, InMsgKind.SYNC_GRANT, InMsgKind.INVALIDATE, InMsgKind.DOWNGRADE,
+             RequestKind.WRITEBACK, MesiState.SHARED, MesiState.EXCLUSIVE, BUS, MAP,
+             _NO_VIOLATIONS, SchemePolicy.control_tick),
         )
         return module
     except (OSError, ImportError):  # no compiler, no Python.h, a read-only tree, ...

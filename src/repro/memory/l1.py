@@ -13,7 +13,7 @@ from enum import IntEnum
 from typing import List, Optional, Tuple
 
 from repro.config import CacheConfig, CoreConfig
-from repro.memory.cache import CacheArray
+from repro.memory.cache import PAGE_BITS, CacheArray
 from repro.memory.mesi import BusOpKind, MesiState
 from repro.memory.mshr import MshrEntry, MshrFile
 
@@ -131,8 +131,11 @@ class L1Cache:
             if slot is not None:
                 states = array._state
                 if states[slot] >= _EXCLUSIVE:  # writable (E or M) -> M
-                    # The find() above already dirtied this slot's page.
+                    # A content write: dirty the slot's page (find() marks
+                    # none), so a rollback rewinds an E -> M upgrade.
                     states[slot] = _MODIFIED
+                    if array._shadow is not None:
+                        array._dirty.add(slot >> PAGE_BITS)
                     array.hits += 1
                     return _HIT
                 # Store to a Shared line: needs an upgrade transaction.

@@ -1,7 +1,7 @@
 """Tests for the host-model scheduler: determinism, contexts, pacing,
 the exact work the settled-poll and stall replays save, the exact cost
-of a disabled probe seam, and the C loop and C core step against the
-Python loop and step."""
+of a disabled probe seam, and the C loop, C core step and C manager step
+against the Python loop, step and manager."""
 
 import contextlib
 import dataclasses
@@ -33,11 +33,14 @@ from repro import (
     SpeculativeConfig,
 )
 from repro.analysis.sanitizer import SlackSanitizer
-from repro.config import CoreConfig, quick_target_config
+from repro.config import CoreConfig, HostCostModel, quick_target_config
 from repro.core.manager import ManagerState
 from repro.core.scheduler import Scheduler
+from repro.core.state import SimulationState
 from repro.core.threads import CoreRunner
 from repro.errors import DeadlockError
+from repro.memory.cache import CacheArray
+from repro.memory.dram import DramConfig
 from repro.memory.l1 import L1Cache
 from repro.telemetry import TelemetrySession
 from repro.workloads import make_workload
@@ -59,9 +62,13 @@ def loop(native):
         scheduler_mod._loop = saved
 
 
+#: The target make_sim runs.
+QUICK_TARGET = quick_target_config(num_cores=4)
+
+
 def make_sim(
     scheme=None, num_contexts=4, seed=1, workload=None, checkpoint=None,
-    telemetry=None, sanitizer=None, **host_kwargs
+    telemetry=None, sanitizer=None, l2=None, **host_kwargs
 ):
     workload = workload or make_workload(
         "synthetic", num_threads=4, steps=40, shared_lines=8, barrier_every=20
@@ -69,7 +76,7 @@ def make_sim(
     return Simulation(
         workload,
         scheme=scheme or SlackConfig(bound=2),
-        target=quick_target_config(num_cores=4),
+        target=QUICK_TARGET if l2 is None else dataclasses.replace(QUICK_TARGET, l2=l2),
         host=HostConfig(num_contexts=num_contexts, **host_kwargs),
         checkpoint=checkpoint,
         seed=seed,
@@ -461,10 +468,12 @@ EQUIVALENCE_SCHEMES = {
 
 @st.composite
 def run_specs(draw):
-    """A synthetic program x a scheme kind x a target core x a host
-    variant, with or without periodic checkpoints.  An icache core takes
-    the Python core step under either loop; every other core takes the C
-    step under the C loop."""
+    """A synthetic program x a scheme kind x a target core and L2 x a
+    host variant, with or without periodic checkpoints.  An icache core
+    takes the Python core step under either loop; every other core takes
+    the C step under the C loop.  A flat manager pacing one window takes
+    the C manager step under the C loop; sub-managers and p2p keep the
+    Python one."""
     cores = draw(st.sampled_from((2, 4)))
     workload = dict(
         num_threads=cores,
@@ -481,6 +490,10 @@ def run_specs(draw):
         issue_width=draw(st.sampled_from((1, 2, 4))),
         model_icache=draw(st.booleans()),
     )
+    l2 = dict(
+        size=draw(st.sampled_from((1024, 4096))),
+        num_banks=draw(st.sampled_from((1, 2))),
+    )
     host = dict(
         num_contexts=draw(st.sampled_from((1, 4, 8))),
         num_submanagers=draw(st.sampled_from((0, 2))),
@@ -488,20 +501,34 @@ def run_specs(draw):
         max_batch_cycles=draw(st.sampled_from((1, 8))),
         max_stall_batch=draw(st.sampled_from((1, 16))),
         seed=draw(st.integers(0, 2**64 - 1)),
+        # A free OutQ post stamps a cycle's requests alike, so the GQ's
+        # sorts meet equal keys and must keep their order (stable).
+        per_mem_event_ns=draw(st.sampled_from((3000.0, 0.0))),
     )
     checkpoint = None
     if scheme != "speculative":
         checkpoint = draw(st.sampled_from((None, 60, 200)))
-    return cores, workload, scheme, core, host, checkpoint
+    return cores, workload, scheme, core, l2, host, checkpoint
+
+
+#: The L2 of ``quick_target_config``.
+QUICK_L2 = dict(size=4096, num_banks=1)
 
 
 def build(spec):
-    cores, workload, scheme, core, host, checkpoint = spec
+    cores, workload, scheme, core, l2, host, checkpoint = spec
+    host = dict(host)
+    host["cost"] = HostCostModel(per_mem_event_ns=host.pop("per_mem_event_ns", 3000.0))
     target = quick_target_config(num_cores=cores)
+    l2_config = dataclasses.replace(
+        target.l2,
+        cache=dataclasses.replace(target.l2.cache, size=l2["size"]),
+        num_banks=l2["num_banks"],
+    )
     return Simulation(
         make_workload("synthetic", **workload),
         scheme=EQUIVALENCE_SCHEMES[scheme](),
-        target=dataclasses.replace(target, core=CoreConfig(**core)),
+        target=dataclasses.replace(target, core=CoreConfig(**core), l2=l2_config),
         host=HostConfig(**host),
         checkpoint=None if checkpoint is None else CheckpointConfig(interval=checkpoint),
     )
@@ -536,13 +563,48 @@ def model_state(state):
     return cores
 
 
-def trajectory(sim, segments, max_target_cycles=None):
+def manager_state(state):
+    """What the manager steps leave: the GQ in order, the bus, the L2 and
+    its array, the cache map and its journal, the detector, the manager's
+    own fields, and every core's InQ and L1 dirty pages."""
+    manager = state.manager
+    bus, l2, cmap, detector = manager.bus, manager.l2, manager.cache_map, manager.detector
+    array = l2.array
+    last = detector.last_violation
+    return (
+        [(m.core_id, m.ts, m.host_time, m.request.kind, m.request.line_addr) for m in manager.gq],
+        (bus.request_free_at, bus.response_free_at, bus._last_request_ts, bus.requests,
+         bus.responses, bus.request_conflict_cycles, bus.response_conflict_cycles,
+         bus.stale_grants),
+        (l2.accesses, l2.misses, l2.writebacks_received, l2.bank_conflict_cycles,
+         l2._bank_free_at),
+        (array._tag, array._state, array._lru, array._index, array._clock,
+         sorted(array._dirty), array.evictions),
+        (cmap._entries, cmap._journal, cmap.gets_served, cmap.getx_served, cmap.upgr_served,
+         cmap.writebacks, cmap.cache_to_cache),
+        (detector.counts, detector.window_counts, detector._bus_monitor.last_ts,
+         detector._map_monitors._monitors, len(detector._pending),
+         None if last is None else (last.vtype, last.ts, last.global_time, last.core_id)),
+        (manager._grant_floor, manager._limits_key, manager.events_served,
+         manager.global_time, manager._serving_conservative, manager._batch_grant_min),
+        [
+            ([(m.kind, m.ts, m.line_addr, m.state) for m in cs.inq],
+             sorted(cs.model.l1.array._dirty))
+            for cs in state.cores
+        ],
+    )
+
+
+def trajectory(sim, segments, max_target_cycles=None, log=True):
     """Advance ``sim`` through ``segments`` — ``(until, native)`` pairs,
     each run on the loop it names — and return the digest (or the
-    DeadlockError message) with the host state and model state left
-    behind, and every OutQ entry as the manager merged it.  (A message's
-    host stamp orders it only among messages of one manager step, so
-    the digest alone cannot see a stamp moved by a constant.)"""
+    DeadlockError message) with the host, model and manager state left
+    behind, and (with ``log``) every OutQ entry as the manager merged
+    it.  (A message's host stamp orders it only among messages of one
+    manager step, so the digest alone cannot see a stamp moved by a
+    constant.)  The log wraps ``ManagerState._merge_outqs``, which keeps
+    the Python manager step under the C loop: without it, a flat
+    manager takes the C manager step there."""
     posted = []
     merge = ManagerState._merge_outqs
 
@@ -556,7 +618,8 @@ def trajectory(sim, segments, max_target_cycles=None):
 
     run = sim.start(max_target_cycles)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ManagerState, "_merge_outqs", recorded)
+        if log:
+            patch.setattr(ManagerState, "_merge_outqs", recorded)
         try:
             for until, native in segments:
                 with loop(native):
@@ -564,17 +627,21 @@ def trajectory(sim, segments, max_target_cycles=None):
             outcome = run.report().digest()
         except DeadlockError as exc:
             outcome = f"DeadlockError: {exc}"
-    return outcome, host_state(run.scheduler), model_state(sim.state), posted
+    return (
+        outcome, host_state(run.scheduler), model_state(sim.state), manager_state(sim.state),
+        posted if log else None,
+    )
 
 
-def kept_blocks(native, make_scheme, steps=40):
+def kept_blocks(native, make_scheme, steps=40, l2=None, **workload):
     """The run's report and the memory blocks it leaves alive, as
     tracemalloc counts them, on the C loop (True) or the Python loop."""
     workload = make_workload(
-        "synthetic", num_threads=4, steps=steps, shared_lines=8, barrier_every=20
+        "synthetic", **dict(num_threads=4, steps=steps, shared_lines=8, barrier_every=20),
+        **workload,
     )
     with loop(native):
-        sim = make_sim(scheme=make_scheme(), workload=workload)
+        sim = make_sim(scheme=make_scheme(), workload=workload, l2=l2)
         gc.collect()
         tracemalloc.start()
         try:
@@ -602,6 +669,7 @@ class TestNativeLoop:
                  lock_every=0, barrier_every=0),
             "slack",
             dict(num_mshrs=4, window_size=16, issue_width=4, model_icache=False),
+            QUICK_L2,
             dict(num_contexts=8, num_submanagers=2, manager_migrates=True,
                  max_batch_cycles=8, max_stall_batch=16, seed=3128971925910127598),
             200,
@@ -612,10 +680,51 @@ class TestNativeLoop:
                  lock_every=7, barrier_every=10),
             "speculative",
             dict(num_mshrs=1, window_size=4, issue_width=1, model_icache=False),
+            QUICK_L2,
             dict(num_contexts=4, num_submanagers=0, manager_migrates=True,
                  max_batch_cycles=8, max_stall_batch=16, seed=4163994234249967631),
             None,
         ),
+    )
+
+    #: A quantum run (conservative service behind barriers) whose locks
+    #: make it requeue a batch behind a sync grant, a speculative run on
+    #: a small L2 that rolls back, and a slack run with free OutQ posts
+    #: whose merges meet equal sort keys, which a sort that reorders
+    #: them serves in another order: the manager's rarest paths
+    #: (TestNativeManager checks that they still reach them).
+    REQUEUE = (
+        4,
+        dict(num_threads=4, steps=9, shared_lines=6, shared_fraction=0.3,
+             lock_every=7, barrier_every=0),
+        "quantum",
+        dict(num_mshrs=4, window_size=16, issue_width=2, model_icache=False),
+        dict(size=1024, num_banks=2),
+        dict(num_contexts=8, num_submanagers=0, manager_migrates=False,
+             max_batch_cycles=8, max_stall_batch=1, seed=16375494175790753126),
+        None,
+    )
+    ROLLBACK = (
+        4,
+        dict(num_threads=4, steps=19, shared_lines=2, shared_fraction=0.3,
+             lock_every=0, barrier_every=0),
+        "speculative",
+        dict(num_mshrs=1, window_size=4, issue_width=2, model_icache=False),
+        dict(size=1024, num_banks=1),
+        dict(num_contexts=4, num_submanagers=0, manager_migrates=True,
+             max_batch_cycles=1, max_stall_batch=16, seed=6377047045578648633),
+        None,
+    )
+    TIES = (
+        4,
+        dict(num_threads=4, steps=40, shared_lines=5, shared_fraction=0.3,
+             lock_every=7, barrier_every=10),
+        "slack",
+        dict(num_mshrs=4, window_size=16, issue_width=4, model_icache=False),
+        QUICK_L2,
+        dict(num_contexts=8, num_submanagers=0, manager_migrates=True, max_batch_cycles=1,
+             max_stall_batch=16, seed=14272559850356971611, per_mem_event_ns=0.0),
+        None,
     )
 
     @settings(max_examples=30, deadline=None)
@@ -626,10 +735,17 @@ class TestNativeLoop:
     )
     @example(spec=CLOCK_WRITE_BACK[0], cuts=[(300, True)], last=False)
     @example(spec=CLOCK_WRITE_BACK[1], cuts=[], last=True)
+    @example(spec=REQUEUE, cuts=[(40, True)], last=False)
+    @example(spec=ROLLBACK, cuts=[(150, False)], last=True)
+    @example(spec=TIES, cuts=[], last=True)
     def test_both_loops_take_the_same_path(self, spec, cuts, last):
         python = trajectory(build(spec), [(None, False)])
         assert trajectory(build(spec), [(None, True)]) == python
         assert trajectory(build(spec), sorted(cuts) + [(None, last)]) == python
+        # Without the stamp log a flat manager steps in C as well.
+        unlogged = python[:-1]
+        assert trajectory(build(spec), [(None, True)], log=False)[:-1] == unlogged
+        assert trajectory(build(spec), sorted(cuts) + [(None, last)], log=False)[:-1] == unlogged
 
     def test_deadlock_reports_match(self, monkeypatch):
         from repro.isa import Emit, barrier as barrier_op
@@ -663,6 +779,30 @@ class TestNativeLoop:
         assert report.manager_steps == 2867
         report, native = kept_blocks(True, make_scheme)
         assert report.manager_steps == 2867
+        assert native <= python + self.KEPT_BLOCKS_SLACK
+
+    @pytest.mark.parametrize("case", ("slack", "speculative"))
+    def test_the_c_manager_keeps_nothing_per_step(self, case):
+        """The C manager step builds the GQ lists, InQ messages, map
+        entries, L2 bank values and violation records itself: long
+        serve-heavy runs (most accesses shared, a 1 KB L2 that evicts)
+        leave alive what the Python loop leaves, within the same bound."""
+        make_scheme = {
+            "slack": lambda: SlackConfig(bound=16),
+            "speculative": TestReplayedWork.CASES["speculative"][0],
+        }[case]
+        l2 = dataclasses.replace(
+            QUICK_TARGET.l2, cache=dataclasses.replace(QUICK_TARGET.l2.cache, size=1024)
+        )
+        runs = [
+            kept_blocks(native, make_scheme, steps=300, l2=l2, shared_fraction=0.8)
+            for native in (False, True)
+        ]
+        (report, python), (native_report, native) = runs
+        assert native_report.digest() == report.digest()
+        # Violations were recorded (a rollback erases the ones behind it).
+        assert report.manager_steps > 2000
+        assert sum(report.violation_counts.values()) + report.rollbacks > 0
         assert native <= python + self.KEPT_BLOCKS_SLACK
 
     @pytest.mark.parametrize("bound, steps", ((0, 80), (16, 300)))
@@ -736,6 +876,136 @@ class TestNativeStep:
         report, counts = self._python_calls(sim)
         assert counts["step"] == report.core_steps > 0
         assert counts["access_line"] > 0
+
+
+@needs_native
+class TestNativeManager:
+    """Exact counts of the Python calls the C manager step saves: a plain
+    run with a flat manager pacing one window makes none to the service,
+    the bus service, the global time or the L2 fill, and a run with
+    sub-managers, p2p pacing or a DRAM L2 makes one service call per
+    real (not replayed) manager step."""
+
+    def _python_calls(self, sim):
+        l2_array = sim.state.manager.l2.array  # a rollback keeps the live array
+        watched = {
+            ManagerState.service.__code__: "service",
+            ManagerState._serve_bus.__code__: "serve_bus",
+            SimulationState.global_time.__code__: "global_time",
+            CacheArray.fill.__code__: "l2_fill",
+        }
+        counts = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name = watched.get(frame.f_code)
+                if name is not None and (
+                    name != "l2_fill" or frame.f_locals.get("self") is l2_array
+                ):
+                    counts[name] += 1
+
+        run = sim.start(None)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run.advance()
+        finally:
+            sys.setprofile(previous)
+        return run.report(), counts, run.scheduler.path_counts
+
+    PLAIN = {
+        "cc": TestReplayedWork.CASES["cc"][0],
+        "slack": lambda: SlackConfig(bound=16),
+        "speculative": TestReplayedWork.CASES["speculative"][0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLAIN))
+    def test_a_plain_run_makes_no_python_manager_step(self, case):
+        report, counts, paths = self._python_calls(make_sim(scheme=self.PLAIN[case]()))
+        assert counts == {"service": 0, "serve_bus": 0, "global_time": 0, "l2_fill": 0}
+        assert paths["manager_python"] == 0
+        assert paths["manager_c"] + paths["manager_replayed"] == report.manager_steps
+        assert paths["manager_c"] > 0 and report.bus_requests > 0
+
+    PYTHON = {
+        "submanagers": lambda: make_sim(num_submanagers=2),
+        "p2p": lambda: make_sim(scheme=P2PConfig(period=40, max_lead=40)),
+        "dram": lambda: make_sim(l2=dataclasses.replace(QUICK_TARGET.l2, dram=DramConfig())),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PYTHON))
+    def test_other_runs_keep_the_python_manager(self, case):
+        report, counts, paths = self._python_calls(self.PYTHON[case]())
+        assert paths["manager_c"] == 0
+        assert counts["service"] == paths["manager_python"]
+        assert paths["manager_python"] + paths["manager_replayed"] == report.manager_steps
+
+    @pytest.mark.parametrize("case", ("cc", "p2p", "icache"))
+    def test_path_counts_add_up_on_both_loops(self, case):
+        """Each loop counts every step once, on the path it took."""
+
+        def build_case():
+            if case == "p2p":
+                return make_sim(scheme=P2PConfig(period=40, max_lead=40))
+            if case == "icache":
+                target = quick_target_config(num_cores=4)
+                return Simulation(
+                    make_workload("synthetic", num_threads=4, steps=40, shared_lines=8),
+                    scheme=SlackConfig(bound=0),
+                    target=dataclasses.replace(
+                        target, core=dataclasses.replace(target.core, model_icache=True)
+                    ),
+                    host=HostConfig(num_contexts=4),
+                )
+            return make_sim(scheme=SlackConfig(bound=0))
+
+        counted = []
+        for native in (False, True):
+            with loop(native):
+                run = build_case().start(None)
+                run.advance()
+            stats, paths = run.scheduler.stats, run.scheduler.path_counts
+            manager = paths["manager_c"] + paths["manager_python"] + paths["manager_replayed"]
+            assert manager == stats.manager_steps
+            assert paths["core_c"] + paths["core_python"] == stats.core_steps
+            counted.append((paths, stats.manager_steps, stats.core_steps))
+        (python, *python_totals), (native, *native_totals) = counted
+        assert native_totals == python_totals
+        assert python["manager_c"] == python["core_c"] == 0
+        assert native["manager_replayed"] == python["manager_replayed"]
+        if case == "cc":
+            assert native["manager_python"] == native["core_python"] == 0
+        elif case == "p2p":
+            assert native["manager_c"] == 0 and native["core_python"] == 0
+        else:
+            assert native["core_c"] == 0 and native["manager_python"] == 0
+
+    def test_the_examples_reach_their_paths(self):
+        """TestNativeLoop's REQUEUE example requeues a batch behind a sync
+        grant, its ROLLBACK example rolls back on a small L2, and its TIES
+        example merges equal arrival keys."""
+        settled, tied = [], []
+        serve, merge = ManagerState._serve, ManagerState._merge_outqs
+
+        def watched_serve(self, sim, conservative):
+            served = serve(self, sim, conservative)
+            settled.append(self._outcome.settled)
+            return served
+
+        def watched_merge(self, sim, core_ids=None):
+            keys = [(m.host_time, m.core_id) for cs in sim.cores for m in cs.outq]
+            tied.append(len(set(keys)) < len(keys))
+            return merge(self, sim, core_ids)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ManagerState, "_serve", watched_serve)
+            patch.setattr(ManagerState, "_merge_outqs", watched_merge)
+            build(TestNativeLoop.REQUEUE).run()
+            build(TestNativeLoop.TIES).run()
+        assert False in settled
+        assert True in tied
+        report = build(TestNativeLoop.ROLLBACK).run()
+        assert report.rollbacks >= 1
 
 
 class TestLoopBuild:

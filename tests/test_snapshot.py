@@ -370,3 +370,21 @@ def test_array_syncs_stack_across_generations(gen1, gen2, gen3):
     _drive(array, gen3)
     array.snapshot_restore()
     _assert_banks_equal(array, baseline)
+
+
+def test_a_store_hit_on_an_exclusive_line_rewinds():
+    """The L1 turns a store hit on an E line into M with a bank write of
+    its own (not through a ``CacheArray`` mutator): it must dirty the
+    slot's page, or a rollback resumes with the line still M."""
+    from repro.config import CoreConfig
+    from repro.memory.l1 import L1Cache, L1Outcome
+
+    l1 = L1Cache(0, _CONFIG, CoreConfig())
+    array = l1.array
+    array.fill(7, MesiState.EXCLUSIVE)
+    array.snapshot_sync()
+    assert l1.access_line(7, True, 0) is L1Outcome.HIT
+    assert array.lookup(7, touch=False).state is MesiState.MODIFIED
+    array.snapshot_restore()
+    assert array.lookup(7, touch=False).state is MesiState.EXCLUSIVE
+    assert array._dirty == set()
