@@ -115,6 +115,11 @@ class CoreRunner:
             stall_ns = cost.slack_check_ns  # every step consumes host time
         self._stall_ns = stall_ns
         self._stall_barrier_ns = stall_ns + cost.barrier_ns
+        # Host-side path counts (Scheduler.path_counts): InQ deliveries
+        # applied and fused-pipeline program refills made by this Python
+        # step and its sync drain.
+        self.python_deliveries = 0
+        self.python_refills = 0
 
     @property
     def name(self) -> str:
@@ -125,9 +130,10 @@ class CoreRunner:
 
     def step(self, host_now: float) -> StepResult:
         # core/_loop.c holds a C copy of this step and of the helpers it
-        # calls for the fast pipeline, which the C loop runs instead:
-        # keep the two in lockstep (tests/test_scheduler.py,
-        # TestNativeLoop, checks them against each other).
+        # calls for the fast pipeline (the InQ deliveries and the program
+        # refill included), which the C loop runs instead: keep the two
+        # in lockstep (tests/test_scheduler.py, TestNativeLoop, checks
+        # them against each other).
         if self._stall is not None and self._replay_stall():
             return self._result
         # One root-identity check + one tuple unpack replaces the ~10
@@ -210,6 +216,7 @@ class CoreRunner:
             while inq:
                 apply(cs, inq.popleft())
                 cost += per_mem_event_ns
+                self.python_deliveries += 1
             result.cost_ns = max(cost, slack_check_ns)
             result.blocked = False
             result.done = True
@@ -227,6 +234,7 @@ class CoreRunner:
                 while inq and inq[0].ts <= local:
                     apply(cs, inq.popleft())
                     cost += per_mem_event_ns
+                    self.python_deliveries += 1
                 next_due = inq[0].ts if inq else None
                 pending = model._pending_loads  # a FILL may have rebound it
             if model.waiting_sync:
@@ -302,7 +310,11 @@ class CoreRunner:
                         continue
                     op = model._current_op
                     if op is None:
-                        op = op_buffer.popleft() if op_buffer else program.next_op()
+                        if op_buffer:
+                            op = op_buffer.popleft()
+                        else:
+                            self.python_refills += 1
+                            op = program.next_op()
                         model._current_op = op
                         if op is None:
                             break
@@ -517,6 +529,7 @@ class CoreRunner:
                         self._sync_wait_start = None
             self._apply(cs, msg)
             cost += self.cost.per_mem_event_ns
+            self.python_deliveries += 1
         return cost
 
     def _skip_stalls(self, cs: CoreState) -> float:

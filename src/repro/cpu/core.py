@@ -436,12 +436,12 @@ class CoreModel:
         self.l1.snoop_invalidate(line_addr)
 
     def snoop_downgrade(self, line_addr: int) -> None:
-        """Apply a remote downgrade (M/E -> S) to the L1."""
-        victim = self.l1.snoop_downgrade(line_addr)
-        if victim == MesiState.MODIFIED:
-            # Supplying dirty data to a GETS also updates the L2 copy; the
-            # manager models that as part of the cache-to-cache transfer.
-            pass
+        """Apply a remote downgrade (M/E -> S) to the L1.
+
+        A Modified copy's dirty data reaches the L2 as part of the
+        manager's cache-to-cache transfer, so nothing is written back here.
+        """
+        self.l1.snoop_downgrade(line_addr)
 
     # ------------------------------------------------------------------ #
 
