@@ -12,7 +12,9 @@
  * the parked list, the migrate-min context and the HostStats counters the
  * loop owns) is mirrored in C arrays.  It is read from the Python objects
  * on entry and after a controller hook that acted, and written back before
- * every controller hook, on a cut, on an error and at the end.  Core
+ * every controller hook call, on a cut, on an error and at the end (after
+ * a C manager step the loop calls the hook only when it may act: see
+ * core_moves_below).  Core
  * runners of the fused fast pipeline are stepped here too (the core step
  * section below).  The rest of the simulation stays in Python: manager,
  * sub-manager and icache core steps, the controller hook, the cut
@@ -37,11 +39,12 @@ enum { READY = 0, BLOCKED = 1, DONE = 2 };
  * matching DeadlockError, so the messages have one definition. */
 enum { DEADLOCK = 1, RUNAWAY = 2, NO_THREAD = 3 };
 
-/* Scheduler._path_counts: how each manager and core step ran, and the
- * InQ deliveries and program refills the C core step made. */
+/* Scheduler._path_counts: how each manager and core step ran, the InQ
+ * deliveries and program refills the C core step made, and the controller
+ * hooks the loop skipped (decided idle in C) and called. */
 enum {
     MANAGER_C, MANAGER_PYTHON, MANAGER_REPLAYED, CORE_C, CORE_PYTHON,
-    DELIVERIES_C, REFILLS_C, N_PATHS
+    DELIVERIES_C, REFILLS_C, HOOKS_C, HOOKS_PYTHON, N_PATHS
 };
 
 #define NAMES(X)                                                              \
@@ -82,9 +85,8 @@ enum {
     X(cache_to_cache) X(enabled) X(counts) X(window_counts) X(_bus_monitor)   \
     X(_map_monitors) X(_pending) X(last_violation) X(local_times)             \
     X(max_local_times) X(conservative_service) X(control_tick) X(window)      \
-    X(overrides) X(_serve_one) X(per_gq_event_ns) X(violation_tracking_ns)    \
-    X(per_mem_event_ns) X(adaptive_adjust_ns) X(clear) X(conservative)        \
-    X(force_window) X(window_cap) X(control_enabled)   \
+    X(_serve_one) X(per_gq_event_ns) X(violation_tracking_ns)                \
+    X(per_mem_event_ns) X(adaptive_adjust_ns) X(clear) X(next_boundary)       \
     X(_frames) X(ctx) X(_ended) X(snoop_invalidations) X(snoop_downgrades)    \
     X(pop)
 
@@ -2479,7 +2481,9 @@ cores_release(Loop *L)
  * limits, the drain of the pending violations, the outcome and the cost.
  * Python callbacks: ``manager._serve_one`` for IFETCH and the sync kinds,
  * ``scheme.window`` and, where the scheme overrides the base no-op,
- * ``scheme.control_tick``, and ``controller.overrides``.
+ * ``scheme.control_tick``.  The controller's overrides are read from its
+ * fields (Ctl below): scheduler.py passes native_manager only for an
+ * exact CheckpointController (or none).
  *
  * The integer fields of the manager, bus, L2, its array and the map are
  * mirrored in an MStep for one step, each object's at its first use.
@@ -3543,45 +3547,56 @@ fail:
     return -1;
 }
 
-/* ``controller.overrides()`` as service() keyword arguments. */
+/* What the C manager step and the hook's idle check read of an exact
+ * CheckpointController, in place of calling ``overrides()`` and the hook:
+ * read on entry and after every hook call that acted (only the hook and
+ * ``on_run_start`` move them). */
+typedef struct {
+    PyObject *cap;      /* next_boundary: the window cap */
+    long long boundary; /* its value */
+    int replaying;      /* force a window of 1, conservatively, no control */
+} Ctl;
+
 static int
-read_overrides(PyObject *controller, int *conservative, PyObject **force_window,
-               PyObject **window_cap, int *control_enabled, PyObject **held)
+ctl_read(Ctl *c, PyObject *controller)
 {
-    PyObject *key, *value, *ov = PyObject_CallMethodNoArgs(controller, s_overrides);
-    Py_ssize_t pos = 0;
-    if (ov == NULL)
+    PyObject *cap = PyObject_GetAttr(controller, s_next_boundary);
+    if (cap == NULL)
         return -1;
-    *held = ov;
-    if (!PyDict_Check(ov)) {
-        PyErr_SetString(PyExc_TypeError, "controller.overrides() must return a dict");
+    Py_XSETREF(c->cap, cap);
+    if (as_ll(cap, &c->boundary) < 0 || (c->replaying = get_bool(controller, s_replaying)) < 0)
         return -1;
-    }
-    while (PyDict_Next(ov, &pos, &key, &value)) {
+    return 0;
+}
+
+/* The negation of CheckpointController._parked: 1 when some core is
+ * unfinished, below ``boundary`` and not sync-blocked on an empty InQ. */
+static int
+core_moves_below(Manager *m, long long boundary)
+{
+    Py_ssize_t i;
+    for (i = 0; i < m->ncores; i++) {
+        PyObject *value;
+        long long local;
         int truth;
-        if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_conservative) == 0) {
-            if (value != Py_None) {
-                if ((truth = PyObject_IsTrue(value)) < 0)
-                    return -1;
-                *conservative = truth;
-            }
-        }
-        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_force_window) == 0) {
-            *force_window = value;
-        }
-        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_window_cap) == 0) {
-            *window_cap = value;
-        }
-        else if (PyUnicode_Check(key) && PyUnicode_Compare(key, s_control_enabled) == 0) {
-            if ((truth = PyObject_IsTrue(value)) < 0)
-                return -1;
-            *control_enabled = truth;
-        }
-        else {
-            PyErr_Format(PyExc_TypeError,
-                         "service() got an unexpected keyword argument %R", key);
+        if ((value = dget(m->model[i], s_finished)) == NULL
+            || (truth = PyObject_IsTrue(value)) < 0)
             return -1;
+        if (truth)
+            continue;
+        if (list_get_ll(m->times, i, &local) < 0)
+            return -1;
+        if (local >= boundary)
+            continue;
+        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
+            || (truth = PyObject_IsTrue(value)) < 0)
+            return -1;
+        if (truth && (truth = PyObject_IsTrue(m->inq[i])) <= 0) {
+            if (truth < 0)
+                return -1;
+            continue;
         }
+        return 1;
     }
     return 0;
 }
@@ -3616,10 +3631,10 @@ outcome_set(PyObject *outcome, Py_ssize_t offset, PyObject *value)
 /* ManagerRunner.step for the flat manager: its cost and what the loop
  * reads of the outcome. */
 static int
-manager_step_native(Manager *m, PyObject *controller, double *cost_out, MOut *out)
+manager_step_native(Manager *m, const Ctl *ctl, double *cost_out, MOut *out)
 {
     MStep S;
-    PyObject *held = NULL, *force_window = Py_None, *window_cap = Py_None, *adjusted = NULL;
+    PyObject *force_window = Py_None, *window_cap = Py_None, *adjusted = NULL;
     PyObject *violations = NULL, *value;
     long long merged, served, old_global;
     int conservative = m->conservative, control_enabled = 1, settled = 1, moved, truth, enabled;
@@ -3627,10 +3642,14 @@ manager_step_native(Manager *m, PyObject *controller, double *cost_out, MOut *ou
 
     memset(&S, 0, sizeof(S));
     S.m = m;
-    if (controller != Py_None
-        && read_overrides(controller, &conservative, &force_window, &window_cap,
-                          &control_enabled, &held) < 0)
-        goto error;
+    if (ctl != NULL) { /* CheckpointController.overrides() */
+        window_cap = ctl->cap;
+        if (ctl->replaying) {
+            force_window = ONE;
+            conservative = 1;
+            control_enabled = 0;
+        }
+    }
     slot_set(m->outcome, O_oc_settled, Py_True);
     if ((merged = merge_outqs(m)) < 0 || (served = serve(&S, conservative, &settled)) < 0)
         goto error;
@@ -3689,14 +3708,12 @@ manager_step_native(Manager *m, PyObject *controller, double *cost_out, MOut *ou
         cost += m->poll_ns;
     *cost_out = cost;
     mstep_drop(&S);
-    Py_XDECREF(held);
     Py_DECREF(adjusted);
     Py_DECREF(violations);
     return 0;
 error:
     mstep_flush_on_error(&S);
     mstep_drop(&S);
-    Py_XDECREF(held);
     Py_XDECREF(adjusted);
     Py_XDECREF(violations);
     return -1;
@@ -3963,6 +3980,7 @@ loop_run(PyObject *module, PyObject *args)
     PyObject *max_cycles, *stop_when;
     long long deadlock_limit, idle_manager_steps = 0;
     PyObject *controller = NULL, *hook = NULL, *host = NULL, *cost = NULL;
+    Ctl ctl = {NULL, 0, 0};
     PyObject *last_state = NULL, *cores = NULL, *models = NULL, *outcome = NULL, *returned;
     double jitter_frac, context_switch_ns, manager_cycle_ns, manager_poll_ns, wake_latency;
     double settled_cost;
@@ -3997,7 +4015,10 @@ loop_run(PyObject *module, PyObject *args)
     controller = PyObject_GetAttr(L.sim, s_controller);
     if (controller == NULL)
         goto error;
-    if (controller != Py_None && (hook = PyObject_GetAttr(controller, s_after_manager_step)) == NULL)
+    /* native_manager holds only for no controller or an exact one. */
+    if (controller != Py_None
+        && ((hook = PyObject_GetAttr(controller, s_after_manager_step)) == NULL
+            || (native_manager && ctl_read(&ctl, controller) < 0)))
         goto error;
     {
         PyObject *state = PyObject_GetAttr(L.sim, s_state);
@@ -4166,7 +4187,7 @@ loop_run(PyObject *module, PyObject *args)
                  && (L.manager->state == last_state || manager_bind(L.manager, last_state) == 0)
                  && L.manager->native) {
             mnative = 1;
-            if (manager_step_native(L.manager, controller, &step_cost, &mout) < 0)
+            if (manager_step_native(L.manager, hook == NULL ? NULL : &ctl, &step_cost, &mout) < 0)
                 goto error;
         }
         else if (PyErr_Occurred()) {
@@ -4244,7 +4265,7 @@ loop_run(PyObject *module, PyObject *args)
             else {
                 PyObject *violations, *gtime;
                 Py_ssize_t nviolations;
-                int idle, acted = 0, wake, outcome_settled, over;
+                int idle, acted = 0, moves = 0, wake, outcome_settled, over;
                 if (mnative) {
                     L.paths[MANAGER_C]++;
                     Py_XSETREF(outcome, Py_NewRef(L.manager->outcome));
@@ -4268,9 +4289,19 @@ loop_run(PyObject *module, PyObject *args)
                 if (!idle)
                     L.manager_busy += step_cost;
                 L.violations_observed += nviolations;
-                if (hook != NULL) {
+                if (hook != NULL && mnative && nviolations == 0
+                    && (moves = core_moves_below(L.manager, ctl.boundary)) < 0)
+                    goto error;
+                if (moves) {
+                    /* No violation to note, and a core still moves below
+                     * the boundary (so not all finished, not parked): the
+                     * hook would return False and change nothing. */
+                    L.paths[HOOKS_C]++;
+                }
+                else if (hook != NULL) {
                     /* The hook sees (and may move) the real scheduler. */
                     PyObject *now, *acted_obj;
+                    L.paths[HOOKS_PYTHON]++;
                     if (store(&L, 0) < 0)
                         goto error;
                     now = PyFloat_FromDouble(L.clock[ctx]);
@@ -4289,6 +4320,8 @@ loop_run(PyObject *module, PyObject *args)
                         if (load(&L) < 0)
                             goto error;
                         L.mirrored = 1;
+                        if (native_manager && ctl_read(&ctl, controller) < 0)
+                            goto error;
                     }
                 }
                 if (mnative)
@@ -4405,6 +4438,7 @@ cleanup:
     Py_XDECREF(cost);
     Py_XDECREF(controller);
     Py_XDECREF(hook);
+    Py_XDECREF(ctl.cap);
     Py_XDECREF(last_state);
     Py_XDECREF(cores);
     Py_XDECREF(models);

@@ -178,13 +178,15 @@ _ENUMS: Dict[str, type] = {
 }
 
 #: Per-class fields excluded from the wire: host-side rebuild-on-demand
-#: caches whose content is history-dependent but simulation-invisible;
-#: leaving them out keeps the encoding a pure function of
-#: simulation-visible state.
+#: caches whose content is history-dependent but simulation-invisible,
+#: and the core model's refill count (a host-side path count); leaving
+#: them out keeps the encoding a pure function of simulation-visible
+#: state.
 _SKIP_FIELDS: Dict[type, frozenset] = {
     CacheArray: frozenset({"_dirty", "_shadow", "_snap_epoch"}),
     CacheStatusMap: frozenset({"_journal"}),
     ManagerState: frozenset({"_outcome"}),
+    CoreModel: frozenset({"refills"}),
 }
 
 #: Observation-only session references (telemetry / sanitizer probes) are

@@ -36,7 +36,7 @@ from repro.core.hostmodel import HostContext, HostThread, ThreadState
 from repro.core.events import InMsg, InMsgKind, OutMsg
 from repro.core.manager import ManagerState, ServiceOutcome
 from repro.core.schemes.base import SchemePolicy
-from repro.core.state import SimulationState
+from repro.core.state import CoreState, SimulationState
 from repro.core.threads import CoreRunner, ManagerRunner, StepResult, SubManagerRunner
 from repro.core.violations import (
     _NO_VIOLATIONS,
@@ -94,15 +94,18 @@ _COPIED = _methods(
     (ProgramInterpreter, ("next_op", "_step", "_run_emit", "_enter_loop", "_pop_frame")),
 )
 
-#: The methods the C manager step copies, under the same rule.
+#: The methods the C manager step copies, under the same rule, with those
+#: the C loop's idle check of the controller hook copies after it (the
+#: controller's own join at its import: ``copied_controller``).
 _MANAGER_COPIED = _methods(
     (ManagerRunner, ("step",)),
     (ManagerState, (
         "service", "_merge_outqs", "_serve", "_serve_one", "_serve_bus",
-        "_serve_writeback", "_push", "_update_max_locals",
+        "_serve_writeback", "_push", "_update_max_locals", "quiescent",
     )),
     (ServiceOutcome, ("reset_idle",)),
-    (SimulationState, ("global_time", "service_horizon")),
+    (SimulationState, ("global_time", "service_horizon", "all_finished")),
+    (CoreState, ("finished", "local_time")),
     (SnoopBus, ("grant_request", "schedule_response")),
     (CacheStatusMap, ("apply_gets", "apply_getx", "apply_upgr", "apply_writeback", "is_sharer")),
     (L2Cache, ("access", "writeback")),
@@ -112,11 +115,38 @@ _MANAGER_COPIED = _methods(
     (MapMonitorTable, ("check_and_update",)),
 )
 
+#: The checkpoint controller class whose fields the C manager step reads in
+#: place of its ``overrides()`` and hook, and the methods that copies.
+_CONTROLLER: Optional[type] = None
+_CONTROLLER_COPIED: frozenset = frozenset()
+
+
+def copied_controller(cls: type, names: Tuple[str, ...]) -> None:
+    """Let the C manager step read an exact ``cls`` in place of calling
+    its ``names`` (DESIGN.md section 5, "The controller hook in C"), which
+    join ``_MANAGER_COPIED``.  ``repro.core.speculative`` calls this at
+    its import, before anything can patch them: a run without checkpoints
+    never loads it."""
+    global _MANAGER_COPIED, _CONTROLLER, _CONTROLLER_COPIED
+    _MANAGER_COPIED += _methods((cls, names))
+    _CONTROLLER = cls
+    _CONTROLLER_COPIED = frozenset(names)
+
+
+def _plain_controller(controller) -> bool:
+    """None, or exactly the copied controller class with none of the
+    copied methods set on the instance (the C loop fetches the hook from
+    the instance, so a wrapper there must be called)."""
+    return controller is None or (
+        type(controller) is _CONTROLLER and _CONTROLLER_COPIED.isdisjoint(vars(controller))
+    )
+
+
 #: The loops' path counters, in order (``Scheduler.path_counts`` adds the
 #: Python step's InQ delivery and refill counts).
 _PATHS = (
     "manager_c", "manager_python", "manager_replayed", "core_c", "core_python",
-    "deliveries_c", "refills_c",
+    "deliveries_c", "refills_c", "hooks_c", "hooks_python",
 )
 
 
@@ -222,10 +252,12 @@ class Scheduler:
     def path_counts(self) -> dict:
         """How the steps so far ran: manager steps in C, in Python and
         replayed (a settled poll), core steps in C and in Python, InQ
-        deliveries in C and in Python, and the program refills of the
-        fused fast pipeline in C and in Python (the icache pipeline's,
-        inside ``CoreModel.cycle``, are not counted on either loop).
-        Host-side only: never part of the report or its digest."""
+        deliveries in C and in Python, program refills in C (the fused
+        fast pipeline's in the C core step) and in Python (the Python
+        step's and ``CoreModel.cycle``'s), and the controller hooks after
+        real manager steps, skipped because the C loop found them idle
+        and called.  Host-side only: never part of the report or its
+        digest."""
         counts = dict(zip(_PATHS, self._path_counts))
         runners = [t.runner for t in self.threads if isinstance(t.runner, CoreRunner)]
         counts["deliveries_python"] = sum(r.python_deliveries for r in runners)
@@ -277,7 +309,8 @@ class Scheduler:
         if _loop is not None and not seams_on:
             failure = _loop.run(
                 self, max_target_cycles, stop_when, _DEADLOCK_LIMIT, _STATES,
-                _unpatched(_COPIED), _unpatched(_MANAGER_COPIED),
+                _unpatched(_COPIED),
+                _unpatched(_MANAGER_COPIED) and _plain_controller(sim.controller),
             )
             if failure == 1:
                 raise DeadlockError(self._deadlock_report())
@@ -464,9 +497,10 @@ class Scheduler:
                         sampler = telemetry.sampler
                         if sampler is not None:
                             sampler.maybe_sample(self, outcome, context.clock)
-                    acted = controller is not None and controller.after_manager_step(
-                        self, outcome, context.clock
-                    )
+                    acted = False
+                    if controller is not None:
+                        paths[8] += 1  # hooks_python
+                        acted = controller.after_manager_step(self, outcome, context.clock)
                     if outcome.maybe_wake or self._parked_dirty:
                         self._parked_dirty = False
                         self._wake_cores(context.clock)

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import CheckpointConfig, HostCostModel
 from repro.core.checkpoint import Snapshot, charged_checkpoint, charged_rollback
 from repro.core.manager import ServiceOutcome
+from repro.core.scheduler import copied_controller
 
 
 class IntervalRecord:
@@ -213,3 +214,8 @@ class CheckpointController:
         scheme = self.sim.state.scheme
         if isinstance(scheme, AdaptiveSlackPolicy):
             scheme.bound = scheme.config.min_bound
+
+
+# The C loop reads the boundary and the replay flag in place of overrides()
+# and decides the hook's idle case itself while these are unpatched.
+copied_controller(CheckpointController, ("after_manager_step", "_parked", "overrides"))

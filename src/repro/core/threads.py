@@ -116,8 +116,8 @@ class CoreRunner:
         self._stall_ns = stall_ns
         self._stall_barrier_ns = stall_ns + cost.barrier_ns
         # Host-side path counts (Scheduler.path_counts): InQ deliveries
-        # applied and fused-pipeline program refills made by this Python
-        # step and its sync drain.
+        # applied and program refills made by this Python step (the
+        # icache pipeline's inside CoreModel.cycle too) and its sync drain.
         self.python_deliveries = 0
         self.python_refills = 0
 
@@ -359,7 +359,9 @@ class CoreRunner:
                 if committed == 0:
                     model.stall_cycles += 1
             else:
+                refills = model.refills
                 committed = model.cycle(local)
+                self.python_refills += model.refills - refills
             emitted = bool(outbox)
             if emitted:
                 for request in outbox:

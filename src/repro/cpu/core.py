@@ -149,6 +149,10 @@ class CoreModel:
         self._page_shift = target.memory.page_size.bit_length() - 1
         self.pages_touched: set = set()
 
+        # Program refills made by cycle(): host-side, read by the core
+        # runner for Scheduler.path_counts, never part of a report.
+        self.refills = 0
+
         # Statistics
         self.cycles = 0
         self.stall_cycles = 0
@@ -251,7 +255,11 @@ class CoreModel:
             op = self._current_op
             if op is None:
                 buffer = program._buffer
-                op = buffer.popleft() if buffer else program.next_op()
+                if buffer:
+                    op = buffer.popleft()
+                else:
+                    self.refills += 1
+                    op = program.next_op()
                 self._current_op = op
                 if op is None:
                     break

@@ -34,6 +34,7 @@ from repro.core.epochs import (
     make_stop_predicate,
 )
 from repro.core.manager import ManagerState
+from repro.cpu.core import CoreModel
 from repro.errors import ConfigError
 from repro.harness.bench import BenchCase, golden_path, load_golden
 from repro.harness.pool import build_simulation, execute_spec
@@ -256,6 +257,7 @@ class TestSkipFields:
             CacheArray: state.cores[0].model.l1.array,
             CacheStatusMap: state.manager.cache_map,
             ManagerState: state.manager,
+            CoreModel: state.cores[0].model,
         }
         assert set(live) == set(_SKIP_FIELDS)
         encoded = encoded_fields(encode_machine(run.sim, run.scheduler))

@@ -36,6 +36,7 @@ from repro.analysis.sanitizer import SlackSanitizer
 from repro.config import CoreConfig, HostCostModel, quick_target_config
 from repro.core.manager import ManagerState
 from repro.core.scheduler import Scheduler
+from repro.core.speculative import CheckpointController
 from repro.core.state import SimulationState
 from repro.core.threads import CoreRunner
 from repro.core.events import InMsg, InMsgKind
@@ -606,10 +607,14 @@ def model_state(state):
     return cores
 
 
-def manager_state(state):
-    """What the manager steps leave: the GQ in order, the bus, the L2 and
-    its array, the cache map and its journal, the detector, the manager's
-    own fields, and every core's InQ and L1 dirty pages."""
+def manager_state(sim):
+    """What the manager steps and the controller hooks after them leave:
+    the GQ in order, the bus, the L2 and its array, the cache map and its
+    journal, the detector, the manager's own fields, every core's InQ and
+    L1 dirty pages, and the checkpoint controller's interval records,
+    boundary, replay flag and last snapshot.  (The checkpoint and rollback
+    fields of HostStats are in ``host_state``.)"""
+    state, controller = sim.state, sim.controller
     manager = state.manager
     bus, l2, cmap, detector = manager.bus, manager.l2, manager.cache_map, manager.detector
     array = l2.array
@@ -635,7 +640,28 @@ def manager_state(state):
              sorted(cs.model.l1.array._dirty))
             for cs in state.cores
         ],
+        None if controller is None else controller_state(controller),
     )
+
+
+def controller_state(controller):
+    snapshot = controller.snapshot
+    return (
+        [
+            (r.index, r.start, r.end, r.violations, r.first_offset, r.rolled_back)
+            for r in controller.records + [controller._current]
+        ],
+        controller.next_boundary,
+        controller.replaying,
+        None if snapshot is None else (snapshot.boundary, snapshot.host_time, snapshot.pages),
+    )
+
+
+def runaway_cap(reference):
+    """A few times the target cycles a ``trajectory`` reached: a loop that
+    wedges where the reference finished then fails as a runaway (a
+    DeadlockError that mismatches) instead of spinning forever."""
+    return 4 * max(core[0] for core in reference[2]) + 100
 
 
 def trajectory(sim, segments, max_target_cycles=None, log=True):
@@ -671,7 +697,7 @@ def trajectory(sim, segments, max_target_cycles=None, log=True):
         except DeadlockError as exc:
             outcome = f"DeadlockError: {exc}"
     return (
-        outcome, host_state(run.scheduler), model_state(sim.state), manager_state(sim.state),
+        outcome, host_state(run.scheduler), model_state(sim.state), manager_state(sim),
         posted if log else None,
     )
 
@@ -783,12 +809,16 @@ class TestNativeLoop:
     @example(spec=TIES, cuts=[], last=True)
     def test_both_loops_take_the_same_path(self, spec, cuts, last):
         python = trajectory(build(spec), [(None, False)])
-        assert trajectory(build(spec), [(None, True)]) == python
-        assert trajectory(build(spec), sorted(cuts) + [(None, last)]) == python
+        cap = runaway_cap(python)
+        assert trajectory(build(spec), [(None, True)], cap) == python
+        assert trajectory(build(spec), sorted(cuts) + [(None, last)], cap) == python
         # Without the stamp log a flat manager steps in C as well.
         unlogged = python[:-1]
-        assert trajectory(build(spec), [(None, True)], log=False)[:-1] == unlogged
-        assert trajectory(build(spec), sorted(cuts) + [(None, last)], log=False)[:-1] == unlogged
+        assert trajectory(build(spec), [(None, True)], cap, log=False)[:-1] == unlogged
+        assert (
+            trajectory(build(spec), sorted(cuts) + [(None, last)], cap, log=False)[:-1]
+            == unlogged
+        )
 
     def test_deadlock_reports_match(self, monkeypatch):
         from repro.isa import Emit, barrier as barrier_op
@@ -821,9 +851,10 @@ class TestNativeLoop:
             )
 
         python = trajectory(build_case(), [(None, False)], log=False)
-        assert trajectory(build_case(), [(None, True)], log=False) == python
-        assert trajectory(build_case(), [(300, True), (None, False)], log=False) == python
-        assert trajectory(build_case(), [(300, False), (None, True)], log=False) == python
+        cap = runaway_cap(python)
+        assert trajectory(build_case(), [(None, True)], cap, log=False) == python
+        assert trajectory(build_case(), [(300, True), (None, False)], cap, log=False) == python
+        assert trajectory(build_case(), [(300, False), (None, True)], cap, log=False) == python
 
     @pytest.mark.parametrize(
         "kind", (InMsgKind.INVALIDATE, InMsgKind.DOWNGRADE), ids=("invalidate", "downgrade")
@@ -893,9 +924,10 @@ class TestNativeLoop:
     KEPT_BLOCKS_SLACK = 100
 
     def test_the_c_loop_keeps_nothing_per_step(self):
-        """The mirror is written back before every controller hook, one
-        per served manager step (1,398 on this speculative case), and the
-        C core step builds the model's records itself: a run leaves alive
+        """The mirror is written back before every controller hook call
+        (20 of this speculative case's 1,398 real manager steps; the C
+        loop decides the rest idle itself), and the C core step and C
+        manager step build their records themselves: a run leaves alive
         what the same run on the Python loop leaves, within a bound set by
         the threads and contexts, not the steps.  (The blocks cannot be
         told apart by file: C allocates the core's banks and queue entries
@@ -1108,11 +1140,18 @@ class TestNativeManager:
         assert counts["service"] == paths["manager_python"]
         assert paths["manager_python"] + paths["manager_replayed"] == report.manager_steps
 
-    @pytest.mark.parametrize("case", ("cc", "p2p", "icache"))
+    #: Controller hooks a plain speculative run skips and calls after its
+    #: real manager steps on the C loop.
+    SPECULATIVE_HOOKS = (1378, 20)
+
+    @pytest.mark.parametrize("case", ("cc", "p2p", "icache", "speculative"))
     def test_path_counts_add_up_on_both_loops(self, case):
-        """Each loop counts every step once, on the path it took."""
+        """Each loop counts every step and every controller hook once, on
+        the path it took."""
 
         def build_case():
+            if case == "speculative":
+                return make_sim(scheme=TestReplayedWork.CASES["speculative"][0]())
             if case == "p2p":
                 return make_sim(scheme=P2PConfig(period=40, max_lead=40))
             if case == "icache":
@@ -1141,14 +1180,25 @@ class TestNativeManager:
                 stats.core_steps,
                 paths["deliveries_c"] + paths["deliveries_python"],
                 paths["refills_c"] + paths["refills_python"],
+                paths["hooks_c"] + paths["hooks_python"],
             )
-            counted.append((paths, totals))
-        (python, python_totals), (native, native_totals) = counted
+            counted.append((paths, totals, stats))
+        (python, python_totals, _), (native, native_totals, stats) = counted
         assert native_totals == python_totals
         assert python_totals[2] > 0
         assert python["manager_c"] == python["core_c"] == 0
-        assert python["deliveries_c"] == python["refills_c"] == 0
+        assert python["deliveries_c"] == python["refills_c"] == python["hooks_c"] == 0
         assert native["manager_replayed"] == python["manager_replayed"]
+        if case == "speculative":
+            # The Python loop calls the hook after every real manager
+            # step; the C loop calls it only where it may act, and every
+            # checkpoint and rollback is such a call.
+            assert python["hooks_python"] == stats.manager_steps - python["manager_replayed"]
+            assert native["hooks_python"] >= stats.checkpoints + stats.rollbacks
+            assert (native["hooks_c"], native["hooks_python"]) == self.SPECULATIVE_HOOKS
+            return
+        # No controller: no hook on either loop.
+        assert python_totals[4] == 0
         if case == "cc":
             assert native["manager_python"] == native["core_python"] == 0
             # Every delivery and refill the C step makes is made in C.
@@ -1160,6 +1210,74 @@ class TestNativeManager:
         else:
             assert native["core_c"] == 0 and native["manager_python"] == 0
             assert native["deliveries_c"] == native["refills_c"] == 0
+            # The icache pipeline refills inside CoreModel.cycle.
+            assert native["refills_python"] == python["refills_python"] > 0
+
+    def test_a_plain_speculative_run_calls_the_hook_only_where_it_may_act(self):
+        """The C manager step reads the controller's boundary and replay
+        flag instead of calling ``overrides()``, and the C loop decides the
+        hook's idle case without ``_parked``: the hook runs only on the
+        steps counted as ``hooks_python``, and every ``_parked`` call (from
+        inside the hook) finds the machine parked and takes a checkpoint
+        (the time-zero one is ``on_run_start``'s)."""
+        watched = {
+            CheckpointController.overrides.__code__: "overrides",
+            CheckpointController._parked.__code__: "parked",
+            CheckpointController.after_manager_step.__code__: "hook",
+        }
+        counts = dict.fromkeys(watched.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name = watched.get(frame.f_code)
+                if name is not None:
+                    counts[name] += 1
+
+        run = make_sim(scheme=self.PLAIN["speculative"]()).start(None)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run.advance()
+        finally:
+            sys.setprofile(previous)
+        paths, stats = run.scheduler.path_counts, run.scheduler.stats
+        assert counts == {
+            "overrides": 0, "parked": stats.checkpoints - 1, "hook": paths["hooks_python"],
+        }
+        assert (paths["hooks_c"], paths["hooks_python"]) == self.SPECULATIVE_HOOKS
+
+    @pytest.mark.parametrize("how", ("class", "instance", "subclass"))
+    def test_a_wrapped_hook_is_called_after_every_real_manager_step(self, how):
+        """A hook wrapped on the class or on the instance, or overridden
+        by a subclass, is called after every manager step that was not a
+        settled poll, as on the Python loop, with the same digest."""
+        make_scheme = self.PLAIN["speculative"]
+        plain = make_sim(scheme=make_scheme()).run()
+        hook, calls = CheckpointController.after_manager_step, []
+
+        def counted(self, *args):
+            calls.append(args[1].global_time)
+            return hook(self, *args)
+
+        class Counting(CheckpointController):
+            after_manager_step = counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            if how == "class":
+                patch.setattr(CheckpointController, "after_manager_step", counted)
+            sim = make_sim(scheme=make_scheme())
+            if how == "instance":
+                sim.controller.after_manager_step = counted.__get__(sim.controller)
+            elif how == "subclass":
+                sim.controller.__class__ = Counting
+            run = sim.start(None)
+            run.advance()
+            report = run.report()
+        paths = run.scheduler.path_counts
+        assert report.digest() == plain.digest()
+        assert len(calls) == report.manager_steps - paths["manager_replayed"]
+        assert paths["hooks_python"] == len(calls) and paths["hooks_c"] == 0
+        assert paths["manager_c"] == 0
 
     def test_the_examples_reach_their_paths(self):
         """TestNativeLoop's REQUEUE example requeues a batch behind a sync
