@@ -15,8 +15,9 @@
  * every controller hook call, on a cut, on an error and at the end (after
  * a C manager step the loop calls the hook only when it may act: see
  * core_moves_below).  Core
- * runners of the fused fast pipeline are stepped here too (the core step
- * section below).  The rest of the simulation stays in Python: manager,
+ * runners of the fused fast pipeline are stepped here too, each with a
+ * mirror of its model and L1 that lasts the run (the core step section
+ * below).  The rest of the simulation stays in Python: manager,
  * sub-manager and icache core steps, the controller hook, the cut
  * predicate, ``reset_idle``, ``quiescent`` and the CoreState reads of the
  * wake scan.  Every manager step calls into Python, and a long run of C
@@ -40,11 +41,12 @@ enum { READY = 0, BLOCKED = 1, DONE = 2 };
 enum { DEADLOCK = 1, RUNAWAY = 2, NO_THREAD = 3 };
 
 /* Scheduler._path_counts: how each manager and core step ran, the InQ
- * deliveries and program refills the C core step made, and the controller
- * hooks the loop skipped (decided idle in C) and called. */
+ * deliveries and program refills the C core step made, the controller
+ * hooks the loop skipped (decided idle in C) and called, and the core
+ * mirror's loads and write-backs. */
 enum {
     MANAGER_C, MANAGER_PYTHON, MANAGER_REPLAYED, CORE_C, CORE_PYTHON,
-    DELIVERIES_C, REFILLS_C, HOOKS_C, HOOKS_PYTHON, N_PATHS
+    DELIVERIES_C, REFILLS_C, HOOKS_C, HOOKS_PYTHON, MIRROR_LOADS, MIRROR_FLUSHES, N_PATHS
 };
 
 #define NAMES(X)                                                              \
@@ -97,8 +99,20 @@ NAMES(DECLARE)
 typedef struct core Core; /* a core runner the C step may take */
 typedef struct manager Manager; /* the flat manager the C step may take */
 
-/* The scheduler's Python objects and their C mirror. */
+/* What the C manager step, the hook's idle check and the barrier charge
+ * read of an exact CheckpointController, in place of calling
+ * ``overrides()`` and the hook: read on entry and after every hook call
+ * that acted (only the hook and ``on_run_start`` move them). */
 typedef struct {
+    PyObject *cap;      /* next_boundary: the window cap */
+    long long boundary; /* its value */
+    int replaying;      /* force a window of 1, conservatively, no control */
+} Ctl;
+
+typedef struct loop Loop;
+
+/* The scheduler's Python objects and their C mirror. */
+struct loop {
     PyObject *sched, *sim, *stats, *states;
     PyObject *threads;  /* list: position == index */
     PyObject *contexts; /* list: HostContext.index == index */
@@ -122,7 +136,10 @@ typedef struct {
     long long manager_steps, core_steps, wakeups, violations_observed;
     double manager_busy, submanager_busy;
     long long paths[N_PATHS]; /* Scheduler._path_counts */
-} Loop;
+};
+
+static int model_flag(const Loop *L, Py_ssize_t t, PyObject *model, PyObject *name);
+static int cores_flush(Core *core, Py_ssize_t n);
 
 /* ------------------------------------------------------------------ */
 /* Attribute helpers: 0 / a value on success, -1 with an exception set. */
@@ -369,6 +386,8 @@ store(Loop *L, int heap)
 {
     Py_ssize_t i;
     PyObject *manager, *target, *current, *parked, *paths, *busy;
+    if (cores_flush(L->core, L->ncores) < 0)
+        return -1;
     for (i = 0; i < L->nctx; i++) {
         PyObject *ctx = PyList_GET_ITEM(L->contexts, i);
         PyObject *last = L->last[i] < 0 ? Py_None : PyList_GET_ITEM(L->threads, L->last[i]);
@@ -584,10 +603,10 @@ wake_cores(Loop *L, double manager_end, double wake_latency)
         }
         else {
             model = PyObject_GetAttr(cs, s_model);
-            if (model == NULL || (truth = get_bool(model, s_finished)) < 0)
+            if (model == NULL || (truth = model_flag(L, t, model, s_finished)) < 0)
                 goto fail_item;
             if (!truth) {
-                int waiting = get_bool(model, s_waiting_sync);
+                int waiting = model_flag(L, t, model, s_waiting_sync);
                 int nonempty = PyObject_IsTrue(inq);
                 if (waiting < 0 || nonempty < 0)
                     goto fail_item;
@@ -667,12 +686,15 @@ fail:
  * A core whose model has no icache is stepped here instead of through
  * ``runner.step``, bit for bit as CoreRunner.step steps it (the Python
  * step stays the reference; DESIGN.md section 5, "The core step in C").
- * The model's and L1's integer fields are mirrored in a Mirror for one
- * step: the model's at its start, the L1's at its first access.  They
- * are written back at its end and before every call into Python that
- * may read them, and read again after it.  The callees are
- * model._issue_op and the workload's own Emit, If and loop-count
- * callables, which see only the program context; everything else a step
+ * The model's and the L1's fields live in the core's mirror for the whole
+ * run: loaded at the core's first C step, written back at the sync points
+ * only (before ``model._issue_op``, before a Python step, in store() and
+ * so before the controller hook, at a cut, at the end and on an error), and loaded again only after a stale mark
+ * (after ``_issue_op``, after a Python core step, after a hook that acted
+ * behind a Python manager step, on a new root).
+ * The step's other callees are the workload's own Emit, If and
+ * loop-count callables, which see only the program context; everything
+ * else a step
  * does (the stall replay, the InQ deliveries of CoreRunner._apply and
  * the sync drain, the burst commit, the issue loop with its L1 and MSHR
  * accesses and its program refills, request and OutMsg emission, the
@@ -705,7 +727,7 @@ enum { NO_STALL, WINDOW_STALL, ACCESS_STALL };
 
 /* The mirrored integer fields and the object each lives on. */
 enum {
-    F_CYCLES, F_STALLS, F_INSTRS, F_ISSUE, F_FETCH, F_REMAIN, F_RATE, N_MODEL,
+    F_CYCLES, F_STALLS, F_INSTRS, F_ISSUE, F_FETCH, F_REMAIN, F_RATE, F_SYNC, N_MODEL,
     F_LOADS = N_MODEL, F_STORES, F_LOAD_MISSES, F_STORE_MISSES, F_UPGRADES,
     F_WRITEBACKS, F_SNOOP_INV, F_SNOOP_DOWN,
     F_HITS, F_MISSES, F_CLOCK, F_EVICTIONS, F_MERGES, F_FULL, F_ALLOCS, N_FIELDS
@@ -713,18 +735,31 @@ enum {
 enum { ON_MODEL, ON_L1, ON_ARRAY, ON_MSHRS };
 static PyObject **const field_name[N_FIELDS] = {
     &s_cycles, &s_stall_cycles, &s_instructions, &s__issue_seq, &s__fetch_seq,
-    &s__compute_remaining, &s__compute_rate,
+    &s__compute_remaining, &s__compute_rate, &s_sync_stall_cycles,
     &s_loads, &s_stores, &s_load_misses, &s_store_misses, &s_upgrades,
     &s_writebacks, &s_snoop_invalidations, &s_snoop_downgrades,
     &s_hits, &s_misses, &s__clock, &s_evictions, &s_merges, &s_full_stalls, &s_allocations,
 };
 static const int field_owner[N_FIELDS] = {
-    ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL,
+    ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL, ON_MODEL,
     ON_L1, ON_L1, ON_L1, ON_L1, ON_L1, ON_L1, ON_L1, ON_L1,
     ON_ARRAY, ON_ARRAY, ON_ARRAY, ON_ARRAY, ON_MSHRS, ON_MSHRS, ON_MSHRS,
 };
 
-/* One core runner: its constants, its root binds and its stall record. */
+/* One CacheArray's banks and geometry (an L1's or the L2's), with the
+ * LRU clock and eviction count its caller mirrors. */
+typedef struct {
+    PyObject *ad; /* its __dict__, borrowed */
+    PyObject *tags, *states, *lrus, *index;
+    long long *clock, *evictions;
+    long long assoc, set_mask, set_bits;
+} Array;
+
+/* One core runner: its constants, its root binds, its stall record and
+ * its mirror.  The mirror holds the model's and the L1's fields for the
+ * whole run (DESIGN.md section 5, "The core step in C"): loaded at the
+ * core's first C step and again only after a stale mark (mirror_drop),
+ * written back at the sync points only (mirror_flush). */
 struct core {
     int eligible;      /* a CoreRunner the C step may stand in for */
     int native;        /* the bound root's model takes the C step */
@@ -742,32 +777,20 @@ struct core {
     long long width, window, line_bits, page_shift;
     /* CoreRunner._stall, kept here while C steps the core. */
     int stall, stall_store;
-    long long stall_line, stall_page;
-};
-
-/* One CacheArray's banks and geometry (an L1's or the L2's), with the
- * LRU clock and eviction count its caller mirrors. */
-typedef struct {
-    PyObject *ad; /* its __dict__, borrowed */
-    PyObject *tags, *states, *lrus, *index;
-    long long *clock, *evictions;
-    long long assoc, set_mask, set_bits;
-} Array;
-
-/* One step's mirror of the model and L1 fields. */
-typedef struct {
-    Core *c;
+    PyObject *stall_key; /* the line an access stall probes again */
+    long long stall_page;
+    /* The mirror: the values, and as last loaded or written back. */
+    int loaded;
     long long v[N_FIELDS], o[N_FIELDS];
-    PyObject *owner[4]; /* the __dict__ of model, l1, array, mshrs */
-    int have_model, have_l1;
+    PyObject *owner[4]; /* the __dict__ of model and l1 (borrowed), array, mshrs */
     PyObject *op;       /* model._current_op */
-    int op_dirty;
     PyObject *pending;  /* model._pending_loads */
-    int waiting, finished;
+    int waiting, finished; /* model.waiting_sync, model.finished */
+    int op_dirty, pending_dirty, waiting_dirty;
     Array array;        /* the L1's, with the L1 fields */
-    PyObject *entries;
+    PyObject *entries;  /* the MSHR file's */
     Py_ssize_t capacity;
-} Mirror;
+};
 
 static PyObject *
 slot_get(PyObject *obj, Py_ssize_t offset)
@@ -895,42 +918,6 @@ oldest_load(PyObject *pending, long long *out)
     rc = as_ll(seq, out) < 0 ? -1 : 1;
     Py_DECREF(seq);
     return rc;
-}
-
-static void
-mirror_init(Mirror *M, Core *c)
-{
-    memset(M, 0, sizeof(*M));
-    M->c = c;
-    M->owner[ON_MODEL] = c->md;
-    M->owner[ON_L1] = c->l1d;
-}
-
-static int
-mirror_model(Mirror *M)
-{
-    PyObject *md = M->c->md, *value;
-    int i;
-    for (i = 0; i < N_MODEL; i++) {
-        if (dget_ll(md, *field_name[i], &M->v[i]) < 0)
-            return -1;
-        M->o[i] = M->v[i];
-    }
-    M->have_model = 1;
-    if ((value = dget(md, s__current_op)) == NULL)
-        return -1;
-    Py_INCREF(value);
-    Py_XSETREF(M->op, value);
-    M->op_dirty = 0;
-    if ((value = dget(md, s__pending_loads)) == NULL)
-        return -1;
-    Py_INCREF(value);
-    Py_XSETREF(M->pending, value);
-    if ((value = dget(md, s_waiting_sync)) == NULL || (M->waiting = PyObject_IsTrue(value)) < 0)
-        return -1;
-    if ((value = dget(md, s_finished)) == NULL || (M->finished = PyObject_IsTrue(value)) < 0)
-        return -1;
-    return 0;
 }
 
 /* ---- CacheArray, the L1's and the L2's ---- */
@@ -1071,107 +1058,140 @@ array_fill(Array *A, PyObject *line, long long addr, PyObject *state, long long 
 
 /* ---- the mirror ---- */
 
+/* A stale mark: nothing mirrored is kept, and the next C step of the core
+ * loads it afresh.  Only after a write-back: changes not yet written back
+ * would be lost. */
 static void
-mirror_drop_l1(Mirror *M)
+mirror_drop(Core *c)
 {
-    M->have_l1 = 0;
-    Py_CLEAR(M->owner[ON_ARRAY]);
-    Py_CLEAR(M->owner[ON_MSHRS]);
-    array_drop(&M->array);
-    Py_CLEAR(M->entries);
+    c->loaded = c->op_dirty = c->pending_dirty = c->waiting_dirty = 0;
+    Py_CLEAR(c->owner[ON_ARRAY]);
+    Py_CLEAR(c->owner[ON_MSHRS]);
+    array_drop(&c->array);
+    Py_CLEAR(c->entries);
+    Py_CLEAR(c->op);
+    Py_CLEAR(c->pending);
 }
 
-/* The L1's counters and the banks, read afresh after a call into Python. */
+/* Read the model's and the L1's mirrored fields, the L1's banks and the
+ * MSHR entries: at the core's first C step and after a stale mark. */
 static int
-mirror_l1(Mirror *M)
+mirror_load(Core *c)
 {
-    PyObject *l1d = M->c->l1d, *obj, *capacity;
+    PyObject *md = c->md, *value, *capacity;
     int i;
-    if ((obj = dget(l1d, s_array)) == NULL
-        || (M->owner[ON_ARRAY] = PyObject_GenericGetDict(obj, NULL)) == NULL)
+    c->owner[ON_MODEL] = md;
+    c->owner[ON_L1] = c->l1d;
+    if ((value = dget(md, s__current_op)) == NULL)
         goto fail;
-    if ((obj = dget(l1d, s_mshrs)) == NULL
-        || (M->owner[ON_MSHRS] = PyObject_GenericGetDict(obj, NULL)) == NULL)
+    c->op = Py_NewRef(value);
+    if ((value = dget(md, s__pending_loads)) == NULL)
         goto fail;
-    if (array_load(&M->array, M->owner[ON_ARRAY], &M->v[F_CLOCK], &M->v[F_EVICTIONS]) < 0)
+    c->pending = Py_NewRef(value);
+    if ((value = dget(md, s_waiting_sync)) == NULL || (c->waiting = PyObject_IsTrue(value)) < 0
+        || (value = dget(md, s_finished)) == NULL || (c->finished = PyObject_IsTrue(value)) < 0)
         goto fail;
-    M->entries = dget(M->owner[ON_MSHRS], s__entries);
-    Py_XINCREF(M->entries);
-    capacity = dget(M->owner[ON_MSHRS], s_capacity);
-    if (M->entries == NULL || capacity == NULL)
+    if ((value = dget(c->l1d, s_array)) == NULL
+        || (c->owner[ON_ARRAY] = PyObject_GenericGetDict(value, NULL)) == NULL
+        || (value = dget(c->l1d, s_mshrs)) == NULL
+        || (c->owner[ON_MSHRS] = PyObject_GenericGetDict(value, NULL)) == NULL
+        || array_load(&c->array, c->owner[ON_ARRAY], &c->v[F_CLOCK], &c->v[F_EVICTIONS]) < 0)
         goto fail;
-    if (!PyDict_Check(M->entries)) {
+    c->entries = dget(c->owner[ON_MSHRS], s__entries);
+    Py_XINCREF(c->entries);
+    capacity = dget(c->owner[ON_MSHRS], s_capacity);
+    if (c->entries == NULL || capacity == NULL)
+        goto fail;
+    if (!PyDict_Check(c->entries)) {
         PyErr_SetString(PyExc_TypeError, "unexpected MSHR file type");
         goto fail;
     }
-    if ((M->capacity = PyLong_AsSsize_t(capacity)) == -1 && PyErr_Occurred())
+    if ((c->capacity = PyLong_AsSsize_t(capacity)) == -1 && PyErr_Occurred())
         goto fail;
-    for (i = N_MODEL; i < N_FIELDS; i++) {
-        if (dget_ll(M->owner[field_owner[i]], *field_name[i], &M->v[i]) < 0)
+    for (i = 0; i < N_FIELDS; i++) {
+        if (dget_ll(c->owner[field_owner[i]], *field_name[i], &c->v[i]) < 0)
             goto fail;
-        M->o[i] = M->v[i];
+        c->o[i] = c->v[i];
     }
-    M->have_l1 = 1;
+    c->loaded = 1;
+    c->paths[MIRROR_LOADS]++;
     return 0;
 fail:
-    mirror_drop_l1(M);
+    mirror_drop(c);
     return -1;
 }
 
-/* Write every changed mirrored field back to its object. */
+/* A write-back: every field changed since the last one goes to its object. */
 static int
-mirror_flush(Mirror *M)
+mirror_flush(Core *c)
 {
-    int i;
-    if (M->have_model && M->op_dirty) {
-        if (PyDict_SetItem(M->c->md, s__current_op, M->op) < 0)
-            return -1;
-        M->op_dirty = 0;
-    }
+    int i, wrote;
+    if (!c->loaded)
+        return 0;
+    wrote = c->op_dirty || c->pending_dirty || c->waiting_dirty;
+    if (c->op_dirty && PyDict_SetItem(c->md, s__current_op, c->op) < 0)
+        return -1;
+    c->op_dirty = 0;
+    if (c->pending_dirty && PyDict_SetItem(c->md, s__pending_loads, c->pending) < 0)
+        return -1;
+    c->pending_dirty = 0;
+    if (c->waiting_dirty
+        && PyDict_SetItem(c->md, s_waiting_sync, c->waiting ? Py_True : Py_False) < 0)
+        return -1;
+    c->waiting_dirty = 0;
     for (i = 0; i < N_FIELDS; i++) {
-        if (i < N_MODEL ? !M->have_model : !M->have_l1)
-            continue;
-        if (M->v[i] != M->o[i]) {
-            if (dset_ll(M->owner[field_owner[i]], *field_name[i], M->v[i]) < 0)
+        if (c->v[i] != c->o[i]) {
+            if (dset_ll(c->owner[field_owner[i]], *field_name[i], c->v[i]) < 0)
                 return -1;
-            M->o[i] = M->v[i];
+            c->o[i] = c->v[i];
+            wrote = 1;
         }
+    }
+    c->paths[MIRROR_FLUSHES] += wrote;
+    return 0;
+}
+
+/* ``model.finished`` or ``model.waiting_sync`` (``name``) of the core at
+ * thread position ``t`` as the run has it now: its mirror while loaded,
+ * else the model's own, ``model`` being the model or its __dict__. */
+static int
+model_flag(const Loop *L, Py_ssize_t t, PyObject *model, PyObject *name)
+{
+    const Core *c = L->core != NULL && t < L->ncores ? &L->core[t] : NULL;
+    PyObject *value;
+    if (c != NULL && c->loaded)
+        return name == s_finished ? c->finished : c->waiting;
+    if (!PyDict_Check(model))
+        return get_bool(model, name);
+    return (value = dget(model, name)) == NULL ? -1 : PyObject_IsTrue(value);
+}
+
+/* The sync points: write back every core's mirror, and mark every one
+ * stale. */
+static int
+cores_flush(Core *core, Py_ssize_t n)
+{
+    Py_ssize_t i;
+    for (i = 0; core != NULL && i < n; i++) {
+        if (mirror_flush(&core[i]) < 0)
+            return -1;
     }
     return 0;
 }
 
-/* After a call into Python: everything mirrored may have moved. */
-static int
-mirror_reload(Mirror *M)
-{
-    mirror_drop_l1(M);
-    return mirror_model(M);
-}
-
 static void
-mirror_release(Mirror *M)
+cores_drop(Core *core, Py_ssize_t n)
 {
-    mirror_drop_l1(M);
-    Py_CLEAR(M->op);
-    Py_CLEAR(M->pending);
-}
-
-/* mirror_flush() keeping a pending exception as the one raised. */
-static void
-mirror_flush_on_error(Mirror *M)
-{
-    PyObject *type, *value, *traceback;
-    PyErr_Fetch(&type, &value, &traceback);
-    if (mirror_flush(M) < 0)
-        PyErr_Clear();
-    PyErr_Restore(type, value, traceback);
+    Py_ssize_t i;
+    for (i = 0; core != NULL && i < n; i++)
+        mirror_drop(&core[i]);
 }
 
 /* ---- L1Cache.access_line ---- */
 
 /* MshrFile.allocate(line_addr, kind, now) on the mirror. */
 static int
-mshr_allocate(Mirror *M, PyObject *key, PyObject *kind, long long now)
+mshr_allocate(Core *c, PyObject *key, PyObject *kind, long long now)
 {
     PyObject *entry = T_entry->tp_alloc(T_entry, 0), *time, *ids;
     int rc;
@@ -1191,41 +1211,41 @@ mshr_allocate(Mirror *M, PyObject *key, PyObject *kind, long long now)
     slot_set(entry, O_entry_ids, ids);
     Py_DECREF(time);
     Py_DECREF(ids);
-    rc = PyDict_SetItem(M->entries, key, entry);
+    rc = PyDict_SetItem(c->entries, key, entry);
     Py_DECREF(entry);
-    M->v[F_ALLOCS]++;
+    c->v[F_ALLOCS]++;
     return rc;
 }
 
 /* One load/store of ``key`` (== line) at core-local time ``now``: an
  * outcome above, or -1 on error.  A MISS leaves its bus op in *bus_op. */
 static int
-l1_access(Mirror *M, PyObject *key, int is_store, long long now, PyObject **bus_op)
+l1_access(Core *c, PyObject *key, int is_store, long long now, PyObject **bus_op)
 {
     PyObject *kind, *entry;
     Py_ssize_t slot;
-    if ((!M->have_l1 && mirror_l1(M) < 0) || array_find(&M->array, key, 1, &slot) < 0)
+    if (array_find(&c->array, key, 1, &slot) < 0)
         return -1;
     if (!is_store) {
-        M->v[F_LOADS]++;
+        c->v[F_LOADS]++;
         if (slot >= 0) {
-            M->v[F_HITS]++;
+            c->v[F_HITS]++;
             return HIT;
         }
         kind = K_GETS;
     }
     else {
-        M->v[F_STORES]++;
+        c->v[F_STORES]++;
         if (slot >= 0) {
-            PyObject *item = PyList_GetItem(M->array.states, slot);
+            PyObject *item = PyList_GetItem(c->array.states, slot);
             long state;
             if (item == NULL || ((state = PyLong_AsLong(item)) == -1 && PyErr_Occurred()))
                 return -1;
             if (state >= EXCLUSIVE) { /* writable (E or M) -> M */
-                if (list_put(M->array.states, slot, K_MODIFIED) < 0
-                    || mark_page(M->array.ad, slot) < 0)
+                if (list_put(c->array.states, slot, K_MODIFIED) < 0
+                    || mark_page(c->array.ad, slot) < 0)
                     return -1;
-                M->v[F_HITS]++;
+                c->v[F_HITS]++;
                 return HIT;
             }
             kind = K_UPGR;
@@ -1234,7 +1254,7 @@ l1_access(Mirror *M, PyObject *key, int is_store, long long now, PyObject **bus_
             kind = K_GETX;
         }
     }
-    entry = PyDict_GetItemWithError(M->entries, key);
+    entry = PyDict_GetItemWithError(c->entries, key);
     if (entry != NULL) {
         PyObject *outstanding, *ids;
         if (!Py_IS_TYPE(entry, T_entry)) {
@@ -1246,30 +1266,30 @@ l1_access(Mirror *M, PyObject *key, int is_store, long long now, PyObject **bus_
         if (!is_store || outstanding == K_GETX || outstanding == K_UPGR) {
             if ((ids = slot_get(entry, O_entry_ids)) == NULL || PyList_Append(ids, ZERO) < 0)
                 return -1;
-            M->v[F_MERGES]++;
+            c->v[F_MERGES]++;
             return MERGED;
         }
         return BLOCKED_L1;
     }
     if (PyErr_Occurred())
         return -1;
-    if (PyDict_GET_SIZE(M->entries) >= M->capacity) {
-        M->v[F_FULL]++;
+    if (PyDict_GET_SIZE(c->entries) >= c->capacity) {
+        c->v[F_FULL]++;
         return MSHR_FULL;
     }
-    if (mshr_allocate(M, key, kind, now) < 0)
+    if (mshr_allocate(c, key, kind, now) < 0)
         return -1;
-    M->v[F_MISSES]++;
+    c->v[F_MISSES]++;
     if (is_store) {
         if (kind == K_UPGR)
-            M->v[F_UPGRADES]++;
+            c->v[F_UPGRADES]++;
         else
-            M->v[F_STORE_MISSES]++;
+            c->v[F_STORE_MISSES]++;
     }
     else {
-        M->v[F_LOAD_MISSES]++;
+        c->v[F_LOAD_MISSES]++;
     }
-    if (PyDict_SetItem(M->c->l1d, s_last_bus_op, kind) < 0)
+    if (PyDict_SetItem(c->l1d, s_last_bus_op, kind) < 0)
         return -1;
     *bus_op = kind;
     return MISS;
@@ -1280,8 +1300,10 @@ l1_access(Mirror *M, PyObject *key, int is_store, long long now, PyObject **bus_
 static void
 core_unbind(Core *c)
 {
+    mirror_drop(c);
     c->native = 0;
     c->stall = NO_STALL;
+    Py_CLEAR(c->stall_key);
     Py_CLEAR(c->state);
     Py_CLEAR(c->cs);
     Py_CLEAR(c->model);
@@ -1388,23 +1410,19 @@ touch_page(Core *c, long long page)
 }
 
 /* CoreModel.skip_stall_cycles(count) on the mirror. */
-static int
-skip_stall_cycles(Mirror *M, long long count)
+static void
+skip_stall_cycles(Core *c, long long count)
 {
-    long long sync;
-    M->v[F_CYCLES] += count;
-    M->v[F_STALLS] += count;
-    if (!M->waiting)
-        return 0;
-    return dget_ll(M->c->md, s_sync_stall_cycles, &sync) < 0
-        ? -1 : dset_ll(M->c->md, s_sync_stall_cycles, sync + count);
+    c->v[F_CYCLES] += count;
+    c->v[F_STALLS] += count;
+    if (c->waiting)
+        c->v[F_SYNC] += count;
 }
 
 /* CoreRunner._skip_stalls on the mirror: the host cost. */
 static int
-skip_stalls(Mirror *M, double *cost)
+skip_stalls(Core *c, double *cost)
 {
-    Core *c = M->c;
     long long local, target, limit, due, skip;
     int has;
     *cost = 0.0;
@@ -1422,7 +1440,8 @@ skip_stalls(Mirror *M, double *cost)
     skip = target - local;
     if (skip <= 0)
         return 0;
-    if (skip_stall_cycles(M, skip) < 0 || list_set_ll(c->times, c->cidx, local + skip) < 0)
+    skip_stall_cycles(c, skip);
+    if (list_set_ll(c->times, c->cidx, local + skip) < 0)
         return -1;
     *cost = (double)skip * c->stall_slack;
     return 0;
@@ -1430,50 +1449,54 @@ skip_stalls(Mirror *M, double *cost)
 
 /* CoreRunner._record_stall */
 static int
-record_stall(Mirror *M)
+record_stall(Core *c)
 {
-    Core *c = M->c;
     long long oldest, addr;
     PyObject *kind, *arg;
-    int has = oldest_load(M->pending, &oldest);
+    int has = oldest_load(c->pending, &oldest);
     if (has < 0)
         return -1;
-    if (has && M->v[F_ISSUE] - oldest >= c->window) {
+    if (has && c->v[F_ISSUE] - oldest >= c->window) {
         c->stall = WINDOW_STALL;
         return 0;
     }
-    if (!Py_IS_TYPE(M->op, T_op))
+    if (!Py_IS_TYPE(c->op, T_op))
         return 0; /* None: an end-of-program stall, not replayed */
-    if ((kind = slot_get(M->op, O_op_kind)) == NULL)
+    if ((kind = slot_get(c->op, O_op_kind)) == NULL)
         return -1;
     if (kind != K_LOAD && kind != K_STORE)
         return 0; /* a structural or end-of-program stall: not replayed */
-    if ((arg = slot_get(M->op, O_op_arg1)) == NULL || as_ll(arg, &addr) < 0)
+    if ((arg = slot_get(c->op, O_op_arg1)) == NULL || as_ll(arg, &addr) < 0)
+        return -1;
+    Py_XSETREF(c->stall_key, PyLong_FromLongLong(addr >> c->line_bits));
+    if (c->stall_key == NULL)
         return -1;
     c->stall = ACCESS_STALL;
-    c->stall_line = addr >> c->line_bits;
     c->stall_store = kind == K_STORE;
     c->stall_page = addr >> c->page_shift;
     return 0;
 }
 
-/* The barrier charge of a step that blocks at its pacing limit. */
+/* The barrier charge of a step that blocks at its pacing limit:
+ * ``controller.replaying``, read from the loop's Ctl when it has one. */
 static int
-barrier_charge(Core *c, PyObject *controller, int *charge)
+barrier_charge(Core *c, PyObject *controller, const Ctl *ctl, int *charge)
 {
     *charge = c->barrier_static;
-    if (!*charge && controller != Py_None)
+    if (!*charge && ctl != NULL)
+        *charge = ctl->replaying;
+    else if (!*charge && controller != Py_None)
         *charge = get_bool(controller, s_replaying);
     return *charge < 0 ? -1 : 0;
 }
 
-/* CoreRunner._replay_stall: 1 replayed, 0 not (record dropped), -1. */
+/* CoreRunner._replay_stall on the mirror: 1 replayed, 0 not (record
+ * dropped), -1. */
 static int
-replay_stall(Core *c, PyObject *controller, double *cost)
+replay_stall(Core *c, PyObject *controller, const Ctl *ctl, double *cost)
 {
-    Mirror M;
-    long long local, limit, due, value;
-    int has, charge, rc = -1;
+    long long local, limit, due;
+    int has, charge;
     if (list_get_ll(c->times, c->cidx, &local) < 0 || (has = get_limit(c, &limit)) < 0)
         return -1;
     if (!has || limit != local + 1) {
@@ -1486,27 +1509,16 @@ replay_stall(Core *c, PyObject *controller, double *cost)
         c->stall = NO_STALL;
         return 0;
     }
-    if (dget_ll(c->md, s_cycles, &value) < 0 || dset_ll(c->md, s_cycles, value + 1) < 0
-        || dget_ll(c->md, s_stall_cycles, &value) < 0
-        || dset_ll(c->md, s_stall_cycles, value + 1) < 0)
-        return -1;
+    c->v[F_CYCLES]++;
+    c->v[F_STALLS]++;
     if (c->stall == ACCESS_STALL) {
-        PyObject *key, *bus_op;
-        if (c->stall_store && touch_page(c, c->stall_page) < 0)
-            return -1;
-        mirror_init(&M, c);
-        if ((key = PyLong_FromLongLong(c->stall_line)) == NULL)
-            return -1;
-        if (l1_access(&M, key, c->stall_store, local, &bus_op) >= 0 && mirror_flush(&M) == 0)
-            rc = 0;
-        else
-            mirror_flush_on_error(&M);
-        Py_DECREF(key);
-        mirror_release(&M);
-        if (rc < 0)
+        PyObject *bus_op;
+        if ((c->stall_store && touch_page(c, c->stall_page) < 0)
+            || l1_access(c, c->stall_key, c->stall_store, local, &bus_op) < 0)
             return -1;
     }
-    if (list_set_ll(c->times, c->cidx, local + 1) < 0 || barrier_charge(c, controller, &charge) < 0)
+    if (list_set_ll(c->times, c->cidx, local + 1) < 0
+        || barrier_charge(c, controller, ctl, &charge) < 0)
         return -1;
     *cost = charge ? c->stall_barrier_ns : c->stall_ns;
     return 1;
@@ -1569,13 +1581,13 @@ emit(Core *c, long long local, double host_now, double *cost)
 /* complete_fill's rebuild of the pending loads, made only when ``line``
  * is one of them: a new deque without its entries. */
 static int
-drop_pending(Mirror *M, PyObject *line)
+drop_pending(Core *c, PyObject *line)
 {
     PyObject *iter, *item, *kept, *fresh;
     int found = 0;
-    if (PySequence_Size(M->pending) <= 0)
+    if (PySequence_Size(c->pending) <= 0)
         return PyErr_Occurred() ? -1 : 0;
-    if ((iter = PyObject_GetIter(M->pending)) == NULL)
+    if ((iter = PyObject_GetIter(c->pending)) == NULL)
         return -1;
     while (!found && (item = PyIter_Next(iter)) != NULL) {
         PyObject *addr = PySequence_GetItem(item, 1);
@@ -1586,7 +1598,7 @@ drop_pending(Mirror *M, PyObject *line)
     Py_DECREF(iter);
     if (found <= 0)
         return found < 0 || PyErr_Occurred() ? -1 : 0;
-    if ((kept = PyList_New(0)) == NULL || (iter = PyObject_GetIter(M->pending)) == NULL) {
+    if ((kept = PyList_New(0)) == NULL || (iter = PyObject_GetIter(c->pending)) == NULL) {
         Py_XDECREF(kept);
         return -1;
     }
@@ -1605,11 +1617,8 @@ drop_pending(Mirror *M, PyObject *line)
     Py_DECREF(kept);
     if (fresh == NULL)
         return -1;
-    if (PyDict_SetItem(M->c->md, s__pending_loads, fresh) < 0) {
-        Py_DECREF(fresh);
-        return -1;
-    }
-    Py_SETREF(M->pending, fresh);
+    Py_SETREF(c->pending, fresh);
+    c->pending_dirty = 1;
     return 0;
 }
 
@@ -1617,17 +1626,14 @@ drop_pending(Mirror *M, PyObject *line)
  * an upgrade's in-place state write or the array fill with its victim),
  * the dirty victim's WRITEBACK request and the pending-load rebuild. */
 static int
-complete_fill(Mirror *M, PyObject *line, PyObject *state)
+complete_fill(Core *c, PyObject *line, PyObject *state)
 {
-    Core *c = M->c;
     PyObject *entry, *kind;
     long long addr, victim, victim_state;
     Py_ssize_t slot = -1;
     int upgrade;
-    if (!M->have_l1 && mirror_l1(M) < 0)
-        return -1;
     /* MshrFile.release: the entry, or the KeyError of dict.pop. */
-    if ((entry = PyDict_GetItemWithError(M->entries, line)) == NULL) {
+    if ((entry = PyDict_GetItemWithError(c->entries, line)) == NULL) {
         if (!PyErr_Occurred())
             PyErr_SetObject(PyExc_KeyError, line);
         return -1;
@@ -1638,23 +1644,23 @@ complete_fill(Mirror *M, PyObject *line, PyObject *state)
     }
     if ((kind = slot_get(entry, O_entry_kind)) == NULL
         || (upgrade = PyObject_RichCompareBool(kind, K_UPGR, Py_EQ)) < 0
-        || PyDict_DelItem(M->entries, line) < 0 || as_ll(line, &addr) < 0)
+        || PyDict_DelItem(c->entries, line) < 0 || as_ll(line, &addr) < 0)
         return -1;
     if (upgrade) {
         /* The line stays resident unless a remote GETX took it meanwhile. */
-        if (array_find(&M->array, line, 0, &slot) < 0)
+        if (array_find(&c->array, line, 0, &slot) < 0)
             return -1;
-        if (slot >= 0 && (list_put(M->array.states, slot, state) < 0
-                          || mark_page(M->array.ad, slot) < 0))
+        if (slot >= 0 && (list_put(c->array.states, slot, state) < 0
+                          || mark_page(c->array.ad, slot) < 0))
             return -1;
     }
     if (slot < 0) {
-        if (array_fill(&M->array, line, addr, state, &victim, &victim_state) < 0)
+        if (array_fill(&c->array, line, addr, state, &victim, &victim_state) < 0)
             return -1;
         if (victim_state == MODIFIED) {
             PyObject *key = PyLong_FromLongLong(victim), *request;
             int rc;
-            M->v[F_WRITEBACKS]++;
+            c->v[F_WRITEBACKS]++;
             if (key == NULL)
                 return -1;
             request = new_request(K_WRITEBACK, key, Py_None);
@@ -1665,56 +1671,53 @@ complete_fill(Mirror *M, PyObject *line, PyObject *state)
                 return -1;
         }
     }
-    return drop_pending(M, line);
+    return drop_pending(c, line);
 }
 
 /* CoreModel.complete_sync */
 static int
-complete_sync(Mirror *M)
+complete_sync(Core *c)
 {
-    if (PyDict_SetItem(M->c->md, s_waiting_sync, Py_False) < 0)
-        return -1;
-    M->waiting = 0;
+    c->waiting = 0;
+    c->waiting_dirty = 1;
     return 0;
 }
 
 /* CoreModel.snoop_invalidate: CacheArray.invalidate and its count. */
 static int
-snoop_invalidate(Mirror *M, PyObject *line)
+snoop_invalidate(Core *c, PyObject *line)
 {
     PyObject *found;
     Py_ssize_t slot;
     long long prior;
-    if (!M->have_l1 && mirror_l1(M) < 0)
-        return -1;
-    if ((found = PyDict_GetItemWithError(M->array.index, line)) == NULL)
+    if ((found = PyDict_GetItemWithError(c->array.index, line)) == NULL)
         return PyErr_Occurred() ? -1 : 0;
     if (((slot = PyLong_AsSsize_t(found)) == -1 && PyErr_Occurred())
-        || PyDict_DelItem(M->array.index, line) < 0
-        || list_get_ll(M->array.states, slot, &prior) < 0
-        || list_put(M->array.states, slot, ZERO) < 0 || mark_page(M->array.ad, slot) < 0)
+        || PyDict_DelItem(c->array.index, line) < 0
+        || list_get_ll(c->array.states, slot, &prior) < 0
+        || list_put(c->array.states, slot, ZERO) < 0 || mark_page(c->array.ad, slot) < 0)
         return -1;
     if (prior != 0)
-        M->v[F_SNOOP_INV]++;
+        c->v[F_SNOOP_INV]++;
     return 0;
 }
 
 /* CoreModel.snoop_downgrade: M or E becomes S, and is counted. */
 static int
-snoop_downgrade(Mirror *M, PyObject *line)
+snoop_downgrade(Core *c, PyObject *line)
 {
     Py_ssize_t slot;
     long long prior;
-    if ((!M->have_l1 && mirror_l1(M) < 0) || array_find(&M->array, line, 0, &slot) < 0)
+    if (array_find(&c->array, line, 0, &slot) < 0)
         return -1;
     if (slot < 0)
         return 0;
-    if (list_get_ll(M->array.states, slot, &prior) < 0)
+    if (list_get_ll(c->array.states, slot, &prior) < 0)
         return -1;
     if (prior == MODIFIED || prior == EXCLUSIVE) {
-        if (list_put(M->array.states, slot, K_SHARED) < 0 || mark_page(M->array.ad, slot) < 0)
+        if (list_put(c->array.states, slot, K_SHARED) < 0 || mark_page(c->array.ad, slot) < 0)
             return -1;
-        M->v[F_SNOOP_DOWN]++;
+        c->v[F_SNOOP_DOWN]++;
     }
     return 0;
 }
@@ -1722,30 +1725,28 @@ snoop_downgrade(Mirror *M, PyObject *line)
 /* CoreRunner._apply(cs, msg) for the kinds a core without an icache
  * receives: FILL, SYNC_GRANT, INVALIDATE and DOWNGRADE. */
 static int
-apply(Mirror *M, PyObject *msg)
+apply(Core *c, PyObject *msg)
 {
-    Core *c = M->c;
     PyObject *kind, *line, *state;
     if ((kind = slot_get(msg, O_in_kind)) == NULL || (line = slot_get(msg, O_in_line)) == NULL)
         return -1;
     c->paths[DELIVERIES_C]++;
     if (kind == K_FILL)
-        return (state = slot_get(msg, O_in_state)) == NULL ? -1 : complete_fill(M, line, state);
+        return (state = slot_get(msg, O_in_state)) == NULL ? -1 : complete_fill(c, line, state);
     if (kind == K_SYNC_GRANT)
-        return complete_sync(M);
+        return complete_sync(c);
     if (kind == K_INVALIDATE)
-        return snoop_invalidate(M, line);
+        return snoop_invalidate(c, line);
     if (kind == K_DOWNGRADE)
-        return snoop_downgrade(M, line);
+        return snoop_downgrade(c, line);
     PyErr_Format(PyExc_TypeError, "the C core step cannot apply an InQ %R", kind);
     return -1;
 }
 
 /* Deliver every InQ entry due at ``local``. */
 static int
-deliver(Mirror *M, long long local, double *cost)
+deliver(Core *c, long long local, double *cost)
 {
-    Core *c = M->c;
     long long ts;
     int has;
     while ((has = head_ts(c->inq, &ts)) > 0 && ts <= local) {
@@ -1753,7 +1754,7 @@ deliver(Mirror *M, long long local, double *cost)
         int rc;
         if (msg == NULL)
             return -1;
-        rc = apply(M, msg);
+        rc = apply(c, msg);
         Py_DECREF(msg);
         if (rc < 0)
             return -1;
@@ -1767,10 +1768,9 @@ deliver(Mirror *M, long long local, double *cost)
  * (Its sanitizer and telemetry probes are left out: a run with either
  * seam enabled never enters the C loop.) */
 static int
-drain_sync(Mirror *M, double *cost)
+drain_sync(Core *c, double *cost)
 {
-    Core *c = M->c;
-    while (M->waiting) {
+    while (c->waiting) {
         PyObject *msg, *kind, *value;
         long long ts, local;
         int grant, rc = -1;
@@ -1790,11 +1790,13 @@ drain_sync(Mirror *M, double *cost)
             if ((value = slot_get(msg, O_in_ts)) == NULL || as_ll(value, &ts) < 0
                 || list_get_ll(c->times, c->cidx, &local) < 0)
                 goto done;
-            if (ts > local && (skip_stall_cycles(M, ts - local) < 0
-                               || list_set_ll(c->times, c->cidx, ts) < 0))
-                goto done;
+            if (ts > local) {
+                skip_stall_cycles(c, ts - local);
+                if (list_set_ll(c->times, c->cidx, ts) < 0)
+                    goto done;
+            }
         }
-        if (apply(M, msg) == 0) {
+        if (apply(c, msg) == 0) {
             *cost += c->pme;
             rc = 0;
         }
@@ -2080,36 +2082,35 @@ refill(Core *c)
 
 /* ``model._current_op = None``: the current op issued. */
 static void
-issued(Mirror *M)
+issued(Core *c)
 {
     Py_INCREF(Py_None);
-    Py_SETREF(M->op, Py_None);
-    M->op_dirty = 1;
+    Py_SETREF(c->op, Py_None);
+    c->op_dirty = 1;
 }
 
 /* One cycle of the fused fast pipeline (CoreModel.cycle inlined, as in
  * CoreRunner.step): the instructions committed, or -1 on error. */
 static long long
-pipeline_cycle(Mirror *M, long long local)
+pipeline_cycle(Core *c, long long local)
 {
-    Core *c = M->c;
-    long long committed = 0, slots = c->width, issue_seq = M->v[F_ISSUE];
-    M->v[F_CYCLES]++;
+    long long committed = 0, slots = c->width, issue_seq = c->v[F_ISSUE];
+    c->v[F_CYCLES]++;
     while (slots > 0) {
-        long long remaining = M->v[F_REMAIN], oldest, addr;
+        long long remaining = c->v[F_REMAIN], oldest, addr;
         PyObject *op, *kind, *arg;
-        int has = oldest_load(M->pending, &oldest);
+        int has = oldest_load(c->pending, &oldest);
         if (has < 0)
             return -1;
         if (has && issue_seq - oldest >= c->window)
             break; /* reorder window full behind the oldest miss */
         if (remaining > 0) {
-            long long take = M->v[F_RATE];
+            long long take = c->v[F_RATE];
             if (slots < take)
                 take = slots;
             if (remaining < take)
                 take = remaining;
-            M->v[F_REMAIN] = remaining - take;
+            c->v[F_REMAIN] = remaining - take;
             issue_seq += take;
             committed += take;
             slots -= take;
@@ -2117,7 +2118,7 @@ pipeline_cycle(Mirror *M, long long local)
                 break;
             continue;
         }
-        if (M->op == Py_None) {
+        if (c->op == Py_None) {
             Py_ssize_t buffered = PySequence_Size(c->buffer);
             if (buffered < 0)
                 return -1;
@@ -2125,12 +2126,12 @@ pipeline_cycle(Mirror *M, long long local)
             op = buffered ? PyObject_CallNoArgs(c->popleft) : refill(c);
             if (op == NULL)
                 return -1;
-            Py_SETREF(M->op, op);
-            M->op_dirty = 1;
+            Py_SETREF(c->op, op);
+            c->op_dirty = 1;
             if (op == Py_None)
                 break;
         }
-        op = M->op;
+        op = c->op;
         if (!Py_IS_TYPE(op, T_op)) {
             PyErr_SetString(PyExc_TypeError, "the program yielded a non-Op");
             return -1;
@@ -2146,7 +2147,7 @@ pipeline_cycle(Mirror *M, long long local)
                 return -1;
             if ((key = PyLong_FromLongLong(addr >> c->line_bits)) == NULL)
                 return -1;
-            outcome = l1_access(M, key, is_store, local, &bus_op);
+            outcome = l1_access(c, key, is_store, local, &bus_op);
             if (outcome == MISS) {
                 PyObject *request = new_request(K_BUS, key, bus_op);
                 if (request == NULL || PyList_Append(c->outbox, request) < 0)
@@ -2156,7 +2157,7 @@ pipeline_cycle(Mirror *M, long long local)
             if ((outcome == MISS || outcome == MERGED) && !is_store) {
                 PyObject *entry = Py_BuildValue("(LO)", issue_seq, key), *done = NULL;
                 if (entry != NULL)
-                    done = PyObject_CallMethodOneArg(M->pending, s_append, entry);
+                    done = PyObject_CallMethodOneArg(c->pending, s_append, entry);
                 Py_XDECREF(entry);
                 if (done == NULL)
                     outcome = -1;
@@ -2168,14 +2169,14 @@ pipeline_cycle(Mirror *M, long long local)
             if (outcome == BLOCKED_L1 || outcome == MSHR_FULL)
                 break; /* stall this cycle */
             issue_seq++;
-            issued(M);
+            issued(c);
             committed++;
             slots--;
             continue;
         }
         if (kind == K_COMPUTE) {
             PyObject *rate;
-            if ((arg = slot_get(op, O_op_arg1)) == NULL || as_ll(arg, &M->v[F_REMAIN]) < 0
+            if ((arg = slot_get(op, O_op_arg1)) == NULL || as_ll(arg, &c->v[F_REMAIN]) < 0
                 || (arg = slot_get(op, O_op_arg2)) == NULL)
                 return -1;
             if ((rate = PyDict_GetItemWithError(ILP_RATE, arg)) == NULL) {
@@ -2183,58 +2184,60 @@ pipeline_cycle(Mirror *M, long long local)
                     PyErr_SetObject(PyExc_KeyError, arg);
                 return -1;
             }
-            if (as_ll(rate, &M->v[F_RATE]) < 0)
+            if (as_ll(rate, &c->v[F_RATE]) < 0)
                 return -1;
-            issued(M);
+            issued(c);
             continue;
         }
         {
-            /* model._issue_op(op): a sync op or THREAD_END. */
+            /* model._issue_op(op), a sync op or THREAD_END: a sync point.
+             * It sees the model and L1 as the Python step leaves them, and
+             * may move any mirrored field. */
             PyObject *done;
-            if (mirror_flush(M) < 0)
+            if (mirror_flush(c) < 0)
                 return -1;
             done = PyObject_CallOneArg(c->issue_op, op);
+            mirror_drop(c);
             if (done == NULL)
                 return -1;
             Py_DECREF(done);
-            if (mirror_reload(M) < 0)
+            if (mirror_load(c) < 0)
                 return -1;
         }
         issue_seq++;
         committed++;
         slots--;
-        if (M->waiting || M->finished)
+        if (c->waiting || c->finished)
             break;
     }
-    M->v[F_ISSUE] = issue_seq;
-    M->v[F_INSTRS] += committed;
-    M->v[F_FETCH] += committed;
+    c->v[F_ISSUE] = issue_seq;
+    c->v[F_INSTRS] += committed;
+    c->v[F_FETCH] += committed;
     if (committed == 0)
-        M->v[F_STALLS]++;
+        c->v[F_STALLS]++;
     return committed;
 }
 
 /* CoreModel.commit_burst(max_cycles) on the mirror; sets *m, *instrs. */
 static int
-commit_burst(Mirror *M, long long max_cycles, long long *m, long long *instrs)
+commit_burst(Core *c, long long max_cycles, long long *m, long long *instrs)
 {
-    Core *c = M->c;
-    long long remaining = M->v[F_REMAIN], k, oldest;
+    long long remaining = c->v[F_REMAIN], k, oldest;
     int has;
     *m = *instrs = 0;
-    if (remaining <= 1 || M->finished || M->waiting)
+    if (remaining <= 1 || c->finished || c->waiting)
         return 0;
     k = c->width;
-    if (M->v[F_RATE] < k)
-        k = M->v[F_RATE];
+    if (c->v[F_RATE] < k)
+        k = c->v[F_RATE];
     *m = (remaining - 1) / k;
     if (*m > max_cycles)
         *m = max_cycles;
-    if ((has = oldest_load(M->pending, &oldest)) < 0)
+    if ((has = oldest_load(c->pending, &oldest)) < 0)
         return -1;
     if (has) {
         /* Stop one cycle short of filling the reorder window. */
-        long long avail = c->window - (M->v[F_ISSUE] - oldest), cap;
+        long long avail = c->window - (c->v[F_ISSUE] - oldest), cap;
         if (avail <= 0) {
             *m = 0;
             return 0;
@@ -2248,21 +2251,21 @@ commit_burst(Mirror *M, long long max_cycles, long long *m, long long *instrs)
         return 0;
     }
     *instrs = *m * k;
-    M->v[F_REMAIN] = remaining - *instrs;
-    M->v[F_ISSUE] += *instrs;
-    M->v[F_FETCH] += *instrs;
-    M->v[F_INSTRS] += *instrs;
-    M->v[F_CYCLES] += *m;
+    c->v[F_REMAIN] = remaining - *instrs;
+    c->v[F_ISSUE] += *instrs;
+    c->v[F_FETCH] += *instrs;
+    c->v[F_INSTRS] += *instrs;
+    c->v[F_CYCLES] += *m;
     return 0;
 }
 
 /* CoreRunner.step(host_now) for a native core: its cost, and whether the
- * core thread blocks or is done. */
+ * core thread blocks or is done.  On an error the loop writes the mirror
+ * back. */
 static int
-core_step_native(Core *c, PyObject *controller, double host_now, double *cost_out,
-                 int *blocked, int *done)
+core_step_native(Core *c, PyObject *controller, const Ctl *ctl, double host_now,
+                 double *cost_out, int *blocked, int *done)
 {
-    Mirror M;
     double cost = 0.0;
     long long cycles = 0, local, due, limit = 0;
     int has_due, has_limit = 0, at_limit, charge;
@@ -2274,51 +2277,49 @@ core_step_native(Core *c, PyObject *controller, double host_now, double *cost_ou
         c->stall_cleared = 1;
     }
     *blocked = *done = 0;
+    if (!c->loaded && mirror_load(c) < 0)
+        return -1;
     if (c->stall != NO_STALL) {
-        int replayed = replay_stall(c, controller, cost_out);
+        int replayed = replay_stall(c, controller, ctl, cost_out);
         if (replayed != 0) {
             *blocked = 1;
             return replayed < 0 ? -1 : 0;
         }
     }
-    mirror_init(&M, c);
-    if (mirror_model(&M) < 0)
-        goto error;
-    if (M.finished) {
+    if (c->finished) {
         /* Drain coherence traffic still addressed to the exited thread. */
-        if (deliver(&M, LLONG_MAX, &cost) < 0 || mirror_flush(&M) < 0)
-            goto error;
+        if (deliver(c, LLONG_MAX, &cost) < 0)
+            return -1;
         *cost_out = cost > c->slack ? cost : c->slack;
         *done = 1;
-        mirror_release(&M);
         return 0;
     }
     if ((has_due = head_ts(c->inq, &due)) < 0)
-        goto error;
+        return -1;
     while (cycles < c->batch) {
         long long committed;
         int emitted;
         if (list_get_ll(c->times, c->cidx, &local) < 0)
-            goto error;
+            return -1;
         if (has_due && due <= local) {
-            if (deliver(&M, local, &cost) < 0 || (has_due = head_ts(c->inq, &due)) < 0)
-                goto error;
+            if (deliver(c, local, &cost) < 0 || (has_due = head_ts(c->inq, &due)) < 0)
+                return -1;
         }
-        if (M.waiting) {
-            if (drain_sync(&M, &cost) < 0 || (has_due = head_ts(c->inq, &due)) < 0)
-                goto error;
-            if (M.waiting)
+        if (c->waiting) {
+            if (drain_sync(c, &cost) < 0 || (has_due = head_ts(c->inq, &due)) < 0)
+                return -1;
+            if (c->waiting)
                 break; /* wait for the manager's grant delivery */
             continue;
         }
-        if (M.finished)
+        if (c->finished)
             break;
         if ((has_limit = get_limit(c, &limit)) < 0)
-            goto error;
+            return -1;
         if (has_limit && local >= limit)
             break; /* at_limit */
 
-        if (M.v[F_REMAIN] > 1 && PyList_GET_SIZE(c->outbox) == 0) {
+        if (c->v[F_REMAIN] > 1 && PyList_GET_SIZE(c->outbox) == 0) {
             long long m_cap = c->batch - cycles;
             if (has_limit && limit - local < m_cap)
                 m_cap = limit - local;
@@ -2326,11 +2327,11 @@ core_step_native(Core *c, PyObject *controller, double host_now, double *cost_ou
                 m_cap = due - local;
             if (m_cap > 1) {
                 long long m, instrs;
-                if (commit_burst(&M, m_cap, &m, &instrs) < 0)
-                    goto error;
+                if (commit_burst(c, m_cap, &m, &instrs) < 0)
+                    return -1;
                 if (m) {
                     if (list_set_ll(c->times, c->cidx, local + m) < 0)
-                        goto error;
+                        return -1;
                     cycles += m;
                     cost += (double)m * c->cycle_slack + (double)instrs * c->pin;
                     continue;
@@ -2338,68 +2339,59 @@ core_step_native(Core *c, PyObject *controller, double host_now, double *cost_ou
             }
         }
 
-        if ((committed = pipeline_cycle(&M, local)) < 0)
-            goto error;
+        if ((committed = pipeline_cycle(c, local)) < 0)
+            return -1;
         if ((emitted = emit(c, local, host_now, &cost)) < 0)
-            goto error;
+            return -1;
         if (list_set_ll(c->times, c->cidx, local + 1) < 0)
-            goto error;
+            return -1;
         cycles++;
         if (committed)
             cost += c->cycle_slack + (double)committed * c->pin;
         else
             cost += c->stall_slack;
 
-        if (committed == 0 && !emitted && !M.finished) {
+        if (committed == 0 && !emitted && !c->finished) {
             /* The pipeline can only resume after an InQ delivery. */
             if (!has_limit || local + 1 != limit) {
                 double skipped;
-                if (skip_stalls(&M, &skipped) < 0)
-                    goto error;
+                if (skip_stalls(c, &skipped) < 0)
+                    return -1;
                 cost += skipped;
             }
-            else if (c->replayable && record_stall(&M) < 0) {
-                goto error;
+            else if (c->replayable && record_stall(c) < 0) {
+                return -1;
             }
             break;
         }
     }
-    if (mirror_flush(&M) < 0)
-        goto error;
-
     if (cost <= 0.0)
         cost = c->slack;
-    if (M.finished) {
+    if (c->finished) {
         *cost_out = cost;
         *done = 1;
-        mirror_release(&M);
         return 0;
     }
     if (list_get_ll(c->times, c->cidx, &local) < 0 || (has_limit = get_limit(c, &limit)) < 0)
-        goto error;
+        return -1;
     at_limit = has_limit && local >= limit;
     if (at_limit) {
         *blocked = 1;
     }
-    else if (M.waiting) {
+    else if (c->waiting) {
         Py_ssize_t queued = PySequence_Size(c->inq);
         if (queued < 0)
-            goto error;
+            return -1;
         *blocked = queued == 0;
     }
     if (at_limit) {
-        if (barrier_charge(c, controller, &charge) < 0)
-            goto error;
+        if (barrier_charge(c, controller, ctl, &charge) < 0)
+            return -1;
         if (charge)
             cost += c->barrier_ns; /* futex sleep at the barrier */
     }
     *cost_out = cost;
-    mirror_release(&M);
     return 0;
-error:
-    mirror_flush_on_error(&M);
-    mirror_release(&M);
-    return -1;
 }
 
 /* The Core of every core thread; the C step stands in only for an exact
@@ -2544,6 +2536,7 @@ struct manager {
     PyObject *own[N_OWNERS]; /* the __dict__ of manager, bus, L2, array, map */
     PyObject **inq, **inq_append, **outq, **model;
     Py_ssize_t ncores;
+    const Loop *loop; /* whose core mirrors hold each core's flags */
     int conservative;
     long long arbitration, request_cycles, response_cycles, c2c;
     long long banks, bank_busy, hit_latency, miss_latency;
@@ -3141,6 +3134,8 @@ serve_one(MStep *S, PyObject *msg, long long core, long long ts)
         return serve_bus(S, request, core, ts);
     if (kind == K_WRITEBACK)
         return serve_writeback(S, request, core, ts);
+    /* ``_serve_one`` reads nothing mirrored (DESIGN.md section 5), so it
+     * is no sync point. */
     if ((args = PyTuple_Pack(2, m->state, msg)) == NULL)
         return -1;
     done = mstep_call(S, m->serve_one, args, NULL);
@@ -3236,13 +3231,11 @@ service_horizon(Manager *m, long long *out)
                 has = 1;
             }
         }
-        if ((value = dget(m->model[i], s_finished)) == NULL
-            || (finished = PyObject_IsTrue(value)) < 0)
+        if ((finished = model_flag(m->loop, i, m->model[i], s_finished)) < 0)
             return -1;
         if (finished)
             continue;
-        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
-            || (waiting = PyObject_IsTrue(value)) < 0)
+        if ((waiting = model_flag(m->loop, i, m->model[i], s_waiting_sync)) < 0)
             return -1;
         if (waiting) {
             size = PySequence_Size(m->inq[i]);
@@ -3431,15 +3424,13 @@ global_time(Manager *m, long long *out)
     long long running = 0, fallback = 0, local;
     int has_running = 0, has_fallback = 0;
     for (i = 0; i < m->ncores; i++) {
-        PyObject *value;
         int finished, waiting;
-        if ((value = dget(m->model[i], s_finished)) == NULL
-            || (finished = PyObject_IsTrue(value)) < 0)
+        if ((finished = model_flag(m->loop, i, m->model[i], s_finished)) < 0)
             return -1;
         if (finished)
             continue;
-        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
-            || (waiting = PyObject_IsTrue(value)) < 0 || list_get_ll(m->times, i, &local) < 0)
+        if ((waiting = model_flag(m->loop, i, m->model[i], s_waiting_sync)) < 0
+            || list_get_ll(m->times, i, &local) < 0)
             return -1;
         if (!waiting) {
             if (!has_running || local < running) {
@@ -3525,8 +3516,7 @@ update_max_locals(MStep *S, PyObject *force_window, PyObject *window_cap)
     if (limit == NULL)
         goto fail;
     for (i = 0; i < m->ncores; i++) {
-        PyObject *finished = dget(m->model[i], s_finished);
-        int truth = finished == NULL ? -1 : PyObject_IsTrue(finished);
+        int truth = model_flag(m->loop, i, m->model[i], s_finished);
         if (truth < 0) {
             Py_DECREF(limit);
             goto fail;
@@ -3547,16 +3537,7 @@ fail:
     return -1;
 }
 
-/* What the C manager step and the hook's idle check read of an exact
- * CheckpointController, in place of calling ``overrides()`` and the hook:
- * read on entry and after every hook call that acted (only the hook and
- * ``on_run_start`` move them). */
-typedef struct {
-    PyObject *cap;      /* next_boundary: the window cap */
-    long long boundary; /* its value */
-    int replaying;      /* force a window of 1, conservatively, no control */
-} Ctl;
-
+/* The Ctl of an exact CheckpointController. */
 static int
 ctl_read(Ctl *c, PyObject *controller)
 {
@@ -3576,11 +3557,9 @@ core_moves_below(Manager *m, long long boundary)
 {
     Py_ssize_t i;
     for (i = 0; i < m->ncores; i++) {
-        PyObject *value;
         long long local;
         int truth;
-        if ((value = dget(m->model[i], s_finished)) == NULL
-            || (truth = PyObject_IsTrue(value)) < 0)
+        if ((truth = model_flag(m->loop, i, m->model[i], s_finished)) < 0)
             return -1;
         if (truth)
             continue;
@@ -3588,8 +3567,7 @@ core_moves_below(Manager *m, long long boundary)
             return -1;
         if (local >= boundary)
             continue;
-        if ((value = dget(m->model[i], s_waiting_sync)) == NULL
-            || (truth = PyObject_IsTrue(value)) < 0)
+        if ((truth = model_flag(m->loop, i, m->model[i], s_waiting_sync)) < 0)
             return -1;
         if (truth && (truth = PyObject_IsTrue(m->inq[i])) <= 0) {
             if (truth < 0)
@@ -3915,6 +3893,7 @@ manager_setup(Loop *L, int native_manager)
         PyErr_NoMemory();
         return -1;
     }
+    m->loop = L;
     if (!bound || !mbound || !native_manager)
         return 0;
     runner = PyObject_GetAttr(PyList_GET_ITEM(L->threads, L->mgr), s_runner);
@@ -4051,6 +4030,13 @@ loop_run(PyObject *module, PyObject *args)
         if (state != last_state) {
             PyObject *scheme;
             int uniform, wants;
+            /* A new root (a rollback): the mirrors, written back before
+             * the hook that installed it, held the old one's.  (A hook
+             * that acted needs no other stale mark: a checkpoint moves
+             * nothing mirrored, and the wake scan after a rollback reads
+             * only the InQs of the finished cores wake_all left parked;
+             * DESIGN.md section 5, "The core step in C".) */
+            cores_drop(L.core, L.ncores);
             Py_XSETREF(last_state, state);
             Py_XSETREF(cores, PyObject_GetAttr(state, s_cores));
             Py_XSETREF(models, PyObject_GetAttr(state, s__models));
@@ -4077,7 +4063,7 @@ loop_run(PyObject *module, PyObject *args)
             Py_ssize_t n = PySequence_Fast_GET_SIZE(models);
             PyObject **items = PySequence_Fast_ITEMS(models);
             for (i = 0; i < n; i++) {
-                int finished = get_bool(items[i], s_finished);
+                int finished = model_flag(&L, i, items[i], s_finished);
                 if (finished < 0)
                     goto error;
                 if (!finished) {
@@ -4197,8 +4183,8 @@ loop_run(PyObject *module, PyObject *args)
                  && (L.core[t].state == last_state || core_bind(&L.core[t], last_state, cores) == 0)
                  && L.core[t].native) {
             native = 1;
-            if (core_step_native(&L.core[t], controller, start, &step_cost, &native_blocked,
-                                 &native_done) < 0)
+            if (core_step_native(&L.core[t], controller, hook != NULL && native_manager ? &ctl : NULL,
+                                 start, &step_cost, &native_blocked, &native_done) < 0)
                 goto error;
             if (++native_run >= YIELD_EVERY) {
                 native_run = 0;
@@ -4212,10 +4198,16 @@ loop_run(PyObject *module, PyObject *args)
             goto error; /* core_bind failed */
         }
         else {
-            PyObject *now = PyFloat_FromDouble(start);
-            if (now == NULL)
+            /* A Python step: a sync point.  A core step may move any
+             * mirrored field of its core, so every mirror is stale after
+             * it; a manager or sub-manager step moves none (DESIGN.md
+             * section 5). */
+            PyObject *now;
+            if (cores_flush(L.core, L.ncores) < 0 || (now = PyFloat_FromDouble(start)) == NULL)
                 goto error;
             result = PyObject_CallOneArg(L.step[t], now);
+            if (t < L.ncores)
+                cores_drop(L.core, L.ncores);
             Py_DECREF(now);
             if (result == NULL || get_double(result, s_cost_ns, &step_cost) < 0)
                 goto error_result;
@@ -4316,6 +4308,11 @@ loop_run(PyObject *module, PyObject *args)
                     if (acted < 0)
                         goto error;
                     if (acted) {
+                        /* Only an exact controller's hook follows a C
+                         * manager step, and it moves nothing mirrored
+                         * but through a new root; any other may. */
+                        if (!mnative)
+                            cores_drop(L.core, L.ncores);
                         L.mirrored = 0;
                         if (load(&L) < 0)
                             goto error;

@@ -146,7 +146,7 @@ def _plain_controller(controller) -> bool:
 #: Python step's InQ delivery and refill counts).
 _PATHS = (
     "manager_c", "manager_python", "manager_replayed", "core_c", "core_python",
-    "deliveries_c", "refills_c", "hooks_c", "hooks_python",
+    "deliveries_c", "refills_c", "hooks_c", "hooks_python", "mirror_loads", "mirror_flushes",
 )
 
 
@@ -256,8 +256,11 @@ class Scheduler:
         fast pipeline's in the C core step) and in Python (the Python
         step's and ``CoreModel.cycle``'s), and the controller hooks after
         real manager steps, skipped because the C loop found them idle
-        and called.  Host-side only: never part of the report or its
-        digest."""
+        and called.  ``mirror_loads`` and ``mirror_flushes`` count the C
+        core step's mirror being read from a core and written back to it
+        with at least one changed field (DESIGN.md section 5, "The core
+        step in C"); only the C loop counts them.  Host-side only: never
+        part of the report or its digest."""
         counts = dict(zip(_PATHS, self._path_counts))
         runners = [t.runner for t in self.threads if isinstance(t.runner, CoreRunner)]
         counts["deliveries_python"] = sum(r.python_deliveries for r in runners)
@@ -296,6 +299,11 @@ class Scheduler:
         the same scheduler continues the simulation bit-for-bit as if it
         had never stopped.  This is the cut seam that
         :class:`repro.core.simulation.Run` drives.
+
+        ``stop_when`` may read only the outcome and the checkpoint
+        controller (as ``cut_rule`` does): on the C loop a core's model
+        and L1 fields live in the C core step's mirror and are written
+        back at the cut, not before the predicate runs.
         """
         sim = self.sim
         telemetry = self._telemetry

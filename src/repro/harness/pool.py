@@ -427,10 +427,15 @@ class ParallelExecutor:
         crashed: List[int] = []
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(indices)))
         try:
-            futures = {
-                pool.submit(self._worker, i, specs[i], self.collect_metrics): i
-                for i in indices
-            }
+            futures = {}
+            for k, i in enumerate(indices):
+                try:
+                    futures[pool.submit(self._worker, i, specs[i], self.collect_metrics)] = i
+                except BrokenProcessPool:
+                    # A worker died before the rest were submitted: they
+                    # crashed with the pool, like its pending futures.
+                    crashed.extend(indices[k:])
+                    break
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)

@@ -488,6 +488,29 @@ class TestParallelExecutor:
         with pytest.raises(WorkerCrashError, match="crashed"):
             executor.map(specs)
 
+    def test_a_crash_before_every_job_is_submitted_is_a_crash(self, monkeypatch):
+        """A worker that dies while jobs are still being submitted breaks
+        the pool under the next ``submit``, which raises
+        BrokenProcessPool itself.  That is the same crash: it is retried
+        and then reported as a WorkerCrashError, not raised bare."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.harness import pool as pool_mod
+
+        class Slow(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                deadline = time.monotonic() + 30
+                while not self._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)  # let the first job's worker die
+                return future
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Slow)
+        runner = make_runner(persistent_cache=False)
+        executor = ParallelExecutor(jobs=2, max_retries=1, worker=_crash_always_worker)
+        with pytest.raises(WorkerCrashError, match="crashed 2 times"):
+            executor.map(tiny_specs(runner)[:2])
+
     def test_simulation_error_not_retried(self):
         calls = []
 

@@ -43,6 +43,7 @@ from repro.core.events import InMsg, InMsgKind
 from repro.cpu.core import CoreModel
 from repro.errors import DeadlockError, WorkloadError
 from repro.isa import Emit, If, Loop, compute, load
+from repro.isa.operations import OpKind
 from repro.isa.program import ProgramInterpreter
 from repro.memory.cache import CacheArray
 from repro.memory.dram import DramConfig
@@ -664,6 +665,12 @@ def runaway_cap(reference):
     return 4 * max(core[0] for core in reference[2]) + 100
 
 
+def local_cap(sim):
+    """``runaway_cap`` of a run the Python loop has left ``sim`` in: its
+    largest local time, four times over, plus 100."""
+    return 4 * max(cs.local_time for cs in sim.state.cores) + 100
+
+
 def trajectory(sim, segments, max_target_cycles=None, log=True):
     """Advance ``sim`` through ``segments`` — ``(until, native)`` pairs,
     each run on the loop it names — and return the digest (or the
@@ -1078,6 +1085,201 @@ class TestNativeStep:
         assert calls and report.digest() == plain.digest()
         assert paths["core_c"] == paths["deliveries_c"] == paths["refills_c"] == 0
         assert paths["core_python"] == report.core_steps
+
+    #: Plain runs whose C core steps keep their mirror from one sync
+    #: point to the next.
+    MIRRORED = {
+        "cc": lambda: SlackConfig(bound=0),
+        "slack": lambda: SlackConfig(bound=16),
+        "speculative": lambda: SpeculativeConfig(
+            base=AdaptiveConfig(target_rate=1e-3, adjust_period=50),
+            checkpoint=CheckpointConfig(interval=100_000),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MIRRORED))
+    def test_mirror_loads_follow_callbacks_not_steps(self, case):
+        """A core loads its mirror at its first C step and again only
+        after a sync point that may have moved it: ``_issue_op`` (a
+        barrier, THREAD_END) or a rollback's new root.  So the loads do
+        not grow with the program, only with its sync ops and rollbacks:
+        each of the 4 cores loads once at the start, once after its
+        THREAD_END (it steps again to drain its InQ), once after each
+        barrier and once after each rollback."""
+        counted = {}
+        for steps in (40, 80):
+            for barrier_every in (0, 20):
+                workload = make_workload(
+                    "synthetic", num_threads=4, steps=steps, shared_lines=8,
+                    barrier_every=barrier_every,
+                )
+                sim = make_sim(scheme=self.MIRRORED[case](), workload=workload)
+                with loop(False):
+                    sim.run(None)
+                cap = local_cap(sim)
+                run = make_sim(scheme=self.MIRRORED[case](), workload=workload).start(cap)
+                run.advance()
+                report, paths = run.report(), run.scheduler.path_counts
+                assert paths["core_python"] == 0 and paths["core_c"] == report.core_steps
+                barriers = steps // barrier_every if barrier_every else 0
+                assert paths["mirror_loads"] == 4 * (2 + barriers + report.rollbacks)
+                assert paths["mirror_flushes"] > 0
+                counted[steps, barrier_every] = (
+                    paths["mirror_loads"], paths["mirror_flushes"], report.core_steps
+                )
+        # Write-backs follow the same sync points.
+        assert counted[40, 0][:2] == counted[80, 0][:2]
+        assert counted[80, 0][2] > 1.5 * counted[40, 0][2]
+
+    def test_the_python_loop_counts_no_mirror(self):
+        with loop(False):
+            run = make_sim().start(None)
+            run.advance()
+        paths = run.scheduler.path_counts
+        assert paths["mirror_loads"] == paths["mirror_flushes"] == 0
+
+    @staticmethod
+    def mirrored_fields(model):
+        """Every field the C core step mirrors, of one model and its L1."""
+        l1 = model.l1
+        array, mshrs, op = l1.array, l1.mshrs, model._current_op
+        return (
+            model.core_id,
+            (model.cycles, model.stall_cycles, model.sync_stall_cycles, model.instructions),
+            (model._issue_seq, model._fetch_seq, model._compute_remaining, model._compute_rate),
+            None if op is None else (op.kind, op.arg1, op.arg2),
+            list(model._pending_loads),
+            (model.waiting_sync, model.finished),
+            (l1.loads, l1.stores, l1.load_misses, l1.store_misses, l1.upgrades),
+            (l1.writebacks, l1.snoop_invalidations, l1.snoop_downgrades),
+            (array.hits, array.misses, array._clock, array.evictions),
+            (mshrs.merges, mshrs.full_stalls, mshrs.allocations, sorted(mshrs._entries)),
+        )
+
+    #: Runs whose cores call ``_issue_op`` for locks, barriers and
+    #: THREAD_END, and one that rolls back.
+    ISSUING = {
+        **{
+            case: lambda case=case: make_sim(
+                scheme=(
+                    TestReplayedWork.CASES["speculative"][0]
+                    if case == "speculative" else TestNativeStep.MIRRORED[case]
+                )(),
+                workload=make_workload(
+                    "synthetic", num_threads=4, steps=40, shared_lines=8, lock_every=7,
+                    barrier_every=10,
+                ),
+            )
+            for case in ("cc", "slack", "speculative")
+        },
+        "rollback": lambda: build(TestNativeLoop.ROLLBACK),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ISSUING))
+    def test_issue_op_sees_what_the_python_step_leaves(self, case):
+        """``_issue_op`` is a sync point: it is not copied, so wrapping it
+        keeps the C step, and the wrapper sees every mirrored field of
+        its model and L1 as the Python step leaves them, at every call."""
+        issue_op = CoreModel._issue_op
+        runs, cap = [], None
+        for native in (False, True):
+            records = []
+
+            def recorded(model, op):
+                records.append((TestNativeStep.mirrored_fields(model), op.kind))
+                return issue_op(model, op)
+
+            with loop(native), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(CoreModel, "_issue_op", recorded)
+                sim = self.ISSUING[case]()
+                run = sim.start(cap)
+                run.advance()
+            cap = local_cap(sim)
+            runs.append((records, run.report().digest(), run.scheduler.path_counts))
+        (python, digest, _), (native, native_digest, paths) = runs
+        assert native_digest == digest
+        assert paths["core_python"] == 0 and paths["core_c"] > 0
+        assert native == python
+        kinds = {kind for _, kind in python}
+        if case == "rollback":
+            assert kinds == {OpKind.THREAD_END} and run.report().rollbacks > 0
+        else:
+            assert kinds == {OpKind.LOCK, OpKind.UNLOCK, OpKind.BARRIER, OpKind.THREAD_END}
+
+    def test_a_hook_that_acted_may_move_a_core(self):
+        """A controller other than the exact CheckpointController keeps
+        the Python manager step, which leaves every mirror loaded; its
+        hook may move any core, so a hook that acted marks every mirror
+        stale.  Here each checkpoint it takes bumps every model's
+        ``cycles``, which the C step moves at every step after it."""
+        hook = CheckpointController.after_manager_step
+
+        class Moving(CheckpointController):
+            def after_manager_step(self, scheduler, outcome, now):
+                acted = hook(self, scheduler, outcome, now)
+                if acted:
+                    for cs in scheduler.sim.state.cores:
+                        cs.model.cycles += 1
+                return acted
+
+        runs, cap = [], None
+        for native in (False, True):
+            sim = make_sim(scheme=TestNativeManager.PLAIN["speculative"]())
+            sim.controller.__class__ = Moving
+            with loop(native):
+                run = sim.start(cap)
+                run.advance()
+            cap = local_cap(sim)
+            runs.append((run.report().digest(), model_state(sim.state), run.report().checkpoints))
+        assert runs[1] == runs[0] and runs[0][2] > 0
+        assert run.scheduler.path_counts["manager_c"] == 0 and run.scheduler.path_counts["core_c"] > 0
+
+    @staticmethod
+    def held(sim):
+        """How many references hold each core's L1 banks, MSHR entries,
+        pending loads and current op."""
+        counts = []
+        for cs in sim.state.cores:
+            model = cs.model
+            array = model.l1.array
+            objects = [
+                array._tag, array._state, array._lru, array._index, model.l1.mshrs._entries,
+                model._pending_loads,
+            ]
+            if model._current_op is not None:
+                objects.append(model._current_op)
+            counts.append([sys.getrefcount(obj) for obj in objects])
+        return counts
+
+    def test_the_mirror_holds_nothing_after_a_cut(self):
+        held, cap = [], None
+        for native in (False, True):
+            sim = make_sim(scheme=SlackConfig(bound=16))
+            with loop(native):
+                run = sim.start(cap)
+                run.advance(150)
+            cap = local_cap(sim)
+            gc.collect()
+            held.append((self.held(sim), run.scheduler.path_counts["core_c"]))
+        (python, _), (native, core_c) = held
+        assert core_c > 0 and native == python
+
+    @pytest.mark.parametrize("case", sorted(TestNativeLoop.BROKEN_PROGRAMS))
+    def test_the_mirror_holds_nothing_after_an_error(self, case):
+        held, cap = [], None
+        for native in (False, True):
+            sim = make_sim(workload=Workload("broken", 4, TestNativeLoop.BROKEN_PROGRAMS[case]))
+            failure = None
+            with loop(native):
+                try:
+                    sim.run(cap)
+                except Exception as exc:  # the traceback would hold the frames
+                    failure = (type(exc), str(exc))
+            cap = local_cap(sim)
+            gc.collect()
+            held.append((failure, self.held(sim)))
+        assert held[0][0] is not None
+        assert held[1] == held[0]
 
 
 @needs_native
